@@ -55,17 +55,10 @@ from .steering import (
     SteeringReport,
     TripartiteReport,
     conditional_states,
-    criterion_double,
-    criterion_single,
-    criterion_triple,
     shift_axis,
-    shift_value,
     shift_values,
     steering_report,
     tripartite_report,
-    tripartite_t1,
-    tripartite_t2,
-    tripartite_t3,
 )
 
 __version__ = "0.1.0"
@@ -95,9 +88,6 @@ __all__ = [
     "c_skew",
     "coherence_triple",
     "conditional_states",
-    "criterion_double",
-    "criterion_single",
-    "criterion_triple",
     "eig_hermitian",
     "from_bloch",
     "from_family",
@@ -114,14 +104,10 @@ __all__ = [
     "random_mixed",
     "random_pure",
     "shift_axis",
-    "shift_value",
     "shift_values",
     "sqrt_psd",
     "steering_report",
     "to_bloch",
     "tripartite_report",
-    "tripartite_t1",
-    "tripartite_t2",
-    "tripartite_t3",
     "werner",
 ]

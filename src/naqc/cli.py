@@ -16,7 +16,13 @@ import sys
 import numpy as np
 
 from .coherence import Measure, coherence_triple
-from .qcore import BlochQubit, ConsistencyError, DensityMatrix, NotAStateError
+from .qcore import (
+    BlochQubit,
+    ConsistencyError,
+    DensityMatrix,
+    NotAStateError,
+    _bloch_vector,
+)
 from .states import (
     from_family,
     random_bloch_qubit_vector,
@@ -98,6 +104,8 @@ def decode_state_document(doc) -> DensityMatrix:
                 f"re and im must both have shape ({dim}, {dim}), "
                 f"got {re.shape} and {im.shape}"
             )
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):
+            raise NotAStateError("re/im blocks have non-finite entries")
         return DensityMatrix(re + 1j * im)
     family = doc.get("family")
     if not isinstance(family, str):
@@ -256,8 +264,7 @@ def _criterion_of_report(name: str, rho: DensityMatrix, measure: Measure):
         return steering_report(rho, measure).doubles[pair_index][1]
     if name == "triple":
         return steering_report(rho, measure).triple
-    report_attr = {"t1": "t1", "t2": "t2", "t3": "t3"}[name]
-    return getattr(tripartite_report(rho, measure), report_attr)
+    return getattr(tripartite_report(rho, measure), name)
 
 
 def cmd_search(args) -> int:
@@ -359,10 +366,7 @@ def _suite_no_signalling(seed: int, samples: int) -> SuiteResult:
     worst = 0.0
     for index in range(samples):
         rho, _ = _sample_state(2, seed, index)
-        bob = rho.matrix[:2, :2] + rho.matrix[2:, 2:]
-        reduced = np.array(
-            [2.0 * bob[0, 1].real, 2.0 * bob[1, 0].imag, (bob[0, 0] - bob[1, 1]).real]
-        )
+        reduced = _bloch_vector(rho.matrix[:2, :2] + rho.matrix[2:, 2:])
         for axis in (1, 2, 3):
             averaged = np.zeros(3)
             for branch in conditional_states(rho, axis):

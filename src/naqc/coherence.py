@@ -144,10 +144,10 @@ class CoherenceTriple:
         values = np.array(self.values, dtype=float)
         if values.shape != (3,):
             raise ValueError(f"expected three values, got shape {values.shape}")
-        if float(values.min()) < 0.0:
-            raise ConsistencyError(f"negative coherence value in {values}")
+        if not float(values.min()) >= 0.0:
+            raise ConsistencyError(f"negative or NaN coherence value in {values}")
         total = float(values.sum())
-        if total > self.measure.epsilon + COHERENCE_SUM_TOL:
+        if not total <= self.measure.epsilon + COHERENCE_SUM_TOL:
             raise ConsistencyError(
                 f"coherence triple sum {total:.15g} exceeds the "
                 f"{self.measure.value} bound {self.measure.epsilon:.15g}"

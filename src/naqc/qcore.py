@@ -146,14 +146,15 @@ class DensityMatrix:
         dim = mat.shape[0]
         if dim not in _QUBITS_OF_DIM:
             raise NotAStateError(f"dimension must be 2, 4 or 8, got {dim}")
+        # every guard is written so that NaN fails it
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_defect > HERMITICITY_TOL:
+        if not herm_defect <= HERMITICITY_TOL:
             raise NotAStateError(f"not Hermitian: max |M - M^dag| = {herm_defect:.3e}")
         trace = complex(mat.trace())
-        if abs(trace - 1.0) > TRACE_TOL:
+        if not abs(trace - 1.0) <= TRACE_TOL:
             raise NotAStateError(f"trace must be 1, got {trace:.12g}")
         lowest = float(np.linalg.eigvalsh(mat)[0])
-        if lowest < EIGVAL_FLOOR:
+        if not lowest >= EIGVAL_FLOOR:
             raise NotAStateError(f"negative eigenvalue {lowest:.3e}")
         self.matrix = _frozen(mat)
         self.nqubits = _QUBITS_OF_DIM[dim]
@@ -180,7 +181,7 @@ class BlochQubit:
         if r.shape != (3,):
             raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
         norm = float(np.linalg.norm(r))
-        if norm > 1.0 + BLOCH_NORM_TOL:
+        if not norm <= 1.0 + BLOCH_NORM_TOL:
             raise NotAStateError(f"Bloch vector norm {norm:.12g} exceeds 1")
         object.__setattr__(self, "r", _frozen(r))
 
@@ -226,13 +227,16 @@ def sqrt_psd(rho: DensityMatrix) -> np.ndarray:
     return (v * root) @ v.conj().T
 
 
+def _bloch_vector(m: np.ndarray) -> np.ndarray:
+    """r_i = Tr(m sigma_i) of a 2x2 array, read off its entries."""
+    return np.array([2.0 * m[0, 1].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real])
+
+
 def bloch_of_qubit(rho: DensityMatrix) -> BlochQubit:
     """Bloch vector r_i = Tr(rho sigma_i) of a one-qubit state."""
     if rho.nqubits != 1:
         raise ValueError(f"expected a 1-qubit state, got {rho.nqubits} qubits")
-    m = rho.matrix
-    r = np.array([2.0 * m[0, 1].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real])
-    return BlochQubit(r)
+    return BlochQubit(_bloch_vector(rho.matrix))
 
 
 def qubit_of_bloch(state: BlochQubit) -> DensityMatrix:

@@ -57,11 +57,11 @@ class TwoQubitBloch:
         T = np.array(self.T, dtype=float)
         if r.shape != (3,) or s.shape != (3,) or T.shape != (3, 3):
             raise ValueError("expected r, s of shape (3,) and T of shape (3, 3)")
-        if np.linalg.norm(r) > 1.0 + BLOCH_NORM_TOL:
+        if not np.linalg.norm(r) <= 1.0 + BLOCH_NORM_TOL:
             raise NotAStateError(f"|r| = {np.linalg.norm(r):.12g} exceeds 1")
-        if np.linalg.norm(s) > 1.0 + BLOCH_NORM_TOL:
+        if not np.linalg.norm(s) <= 1.0 + BLOCH_NORM_TOL:
             raise NotAStateError(f"|s| = {np.linalg.norm(s):.12g} exceeds 1")
-        if float(np.max(np.abs(T))) > 1.0 + BLOCH_NORM_TOL:
+        if not float(np.max(np.abs(T))) <= 1.0 + BLOCH_NORM_TOL:
             raise NotAStateError("correlation matrix entries must lie in [-1, 1]")
         for name, arr in (("r", r), ("s", s), ("T", T)):
             arr.setflags(write=False)

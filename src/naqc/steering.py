@@ -33,7 +33,9 @@ from .qcore import (
     BlochQubit,
     ConsistencyError,
     DensityMatrix,
+    _bloch_vector,
     _check_axis,
+    _frozen,
     kron,
     partial_trace_matrix,
     projector,
@@ -48,19 +50,12 @@ __all__ = [
     "conditional_states",
     "ShiftValues",
     "shift_values",
-    "shift_value",
     "CriterionResult",
-    "criterion_single",
-    "criterion_double",
-    "criterion_triple",
     "SteeringReport",
     "steering_report",
     "DOUBLE_PAIRS",
     "TripartiteReport",
     "tripartite_report",
-    "tripartite_t1",
-    "tripartite_t2",
-    "tripartite_t3",
 ]
 
 # strictness of a violation flag vs. tolerance of the all-states bounds
@@ -70,8 +65,20 @@ ZERO_PROBABILITY = 1e-12
 
 DOUBLE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
-_EYE2 = np.eye(2, dtype=complex)
-_EYE4 = np.eye(4, dtype=complex)
+# Pauli measurement operators keyed by (qubit count, axis, outcome): Alice
+# measures the first of two qubits, Charlie the last of three. The qubits
+# kept after the measurement are the unmeasured ones.
+_MEASUREMENTS = {
+    (nqubits, axis, outcome): _frozen(
+        kron(projector(axis, outcome), np.eye(2))
+        if nqubits == 2
+        else kron(np.eye(4), projector(axis, outcome))
+    )
+    for nqubits in (2, 3)
+    for axis in (1, 2, 3)
+    for outcome in (0, 1)
+}
+_KEPT_QUBITS = {2: (1,), 3: (0, 1)}
 
 
 def _check_shift(j: int) -> None:
@@ -84,6 +91,29 @@ def shift_axis(axis: int, j: int) -> int:
     _check_axis(axis)
     _check_shift(j)
     return ((axis - 1 + j) % 3) + 1
+
+
+def _condition(
+    rho: DensityMatrix, axis: int
+) -> Iterator[tuple[int, float, np.ndarray | None]]:
+    """Both outcomes of a Pauli measurement on Alice's or Charlie's qubit.
+
+    Yields (outcome, probability, state): outcome ``a`` has probability
+    Tr[P rho P] with P the projector onto it, and its state is the
+    normalized partial trace of P rho P over the measured qubit. A branch
+    whose probability falls below ZERO_PROBABILITY is dropped: it comes
+    with probability 0.0 and state None.
+    """
+    nqubits = rho.nqubits
+    for outcome in (0, 1):
+        op = _MEASUREMENTS[nqubits, axis, outcome]
+        sub = op @ rho.matrix @ op
+        prob = float(np.trace(sub).real)
+        if prob < ZERO_PROBABILITY:
+            yield outcome, 0.0, None
+        else:
+            rest = partial_trace_matrix(sub, nqubits, _KEPT_QUBITS[nqubits])
+            yield outcome, prob, rest / prob
 
 
 @dataclass(frozen=True)
@@ -110,22 +140,15 @@ def conditional_states(
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
     _check_axis(axis)
-    branches = []
-    for outcome in (0, 1):
-        op = kron(projector(axis, outcome), _EYE2)
-        sub = op @ rho.matrix @ op
-        prob = float(np.trace(sub).real)
-        if prob < ZERO_PROBABILITY:
-            branches.append(
-                ConditionalBranch(axis, outcome, 0.0, BlochQubit(np.zeros(3)))
-            )
-            continue
-        bob = partial_trace_matrix(sub, 2, (1,)) / prob
-        r = np.array(
-            [2.0 * bob[0, 1].real, 2.0 * bob[1, 0].imag, (bob[0, 0] - bob[1, 1]).real]
+    return tuple(
+        ConditionalBranch(
+            axis,
+            outcome,
+            prob,
+            BlochQubit(np.zeros(3) if bob is None else _bloch_vector(bob)),
         )
-        branches.append(ConditionalBranch(axis, outcome, prob, BlochQubit(r)))
-    return tuple(branches)
+        for outcome, prob, bob in _condition(rho, axis)
+    )
 
 
 @dataclass(frozen=True)
@@ -133,7 +156,7 @@ class ShiftValues:
     """The three shift functionals (s_0, s_1, s_2) for one measure.
 
     Each component is nonnegative and the total obeys the all-states bound
-    3 * epsilon; a breach raises ``ConsistencyError``.
+    3 * epsilon; a breach, or a NaN, raises ``ConsistencyError``.
     """
 
     values: np.ndarray
@@ -143,11 +166,11 @@ class ShiftValues:
         values = np.array(self.values, dtype=float)
         if values.shape != (3,):
             raise ValueError(f"expected three shift values, got shape {values.shape}")
-        if float(values.min()) < 0.0:
-            raise ConsistencyError(f"negative shift value in {values}")
+        if not float(values.min()) >= 0.0:
+            raise ConsistencyError(f"negative or NaN shift value in {values}")
         total = float(values.sum())
         bound = 3.0 * self.measure.epsilon
-        if total > bound + BOUND_TOL:
+        if not total <= bound + BOUND_TOL:
             raise ConsistencyError(
                 f"shift total {total:.15g} exceeds the all-states bound {bound:.15g}"
             )
@@ -173,20 +196,6 @@ def shift_values(rho: DensityMatrix, measure: Measure) -> ShiftValues:
     return ShiftValues(s, measure)
 
 
-def shift_value(rho: DensityMatrix, j: int, measure: Measure) -> float:
-    """One shift functional s_j of a two-qubit state. Range [0, 3]."""
-    _check_shift(j)
-    total = 0.0
-    for axis in (1, 2, 3):
-        for branch in conditional_states(rho, axis):
-            if branch.probability == 0.0:
-                continue
-            total += branch.probability * measure.coherence(
-                branch.state, shift_axis(axis, j)
-            )
-    return total
-
-
 class CriterionResult(NamedTuple):
     """Evaluated criterion: its value, its bound, and the violation flag."""
 
@@ -199,42 +208,16 @@ def _flag(value: float, bound: float) -> CriterionResult:
     return CriterionResult(value, bound, value > bound + VIOLATION_TOL)
 
 
-def criterion_single(rho: DensityMatrix, j: int, measure: Measure) -> CriterionResult:
-    """One-setting criterion s_j <= epsilon.
-
-    j = 0 is the plain one-setting criterion; the local-hidden-state
-    derivation is shift independent, so j = 1, 2 are exposed as generalized
-    variants with the same bound.
-    """
-    return _flag(shift_value(rho, j, measure), measure.epsilon)
-
-
-def criterion_double(
-    rho: DensityMatrix, j: int, k: int, measure: Measure
-) -> CriterionResult:
-    """Two-setting criterion s_j + s_k <= 2 epsilon, j != k."""
-    _check_shift(j)
-    _check_shift(k)
-    if j == k:
-        raise ValueError(f"shift indices must differ, got j = k = {j}")
-    s = shift_values(rho, measure).values
-    return _flag(float(s[j] + s[k]), 2.0 * measure.epsilon)
-
-
-def criterion_triple(rho: DensityMatrix, measure: Measure) -> CriterionResult:
-    """Three-setting total s_0 + s_1 + s_2 <= 3 epsilon, satisfied always.
-
-    The flag is therefore always False; an excess beyond the tolerance
-    raises ``ConsistencyError`` instead of being reported as a violation.
-    """
-    sv = shift_values(rho, measure)
-    return CriterionResult(sv.total, 3.0 * measure.epsilon, False)
-
-
 @dataclass(frozen=True)
 class SteeringReport:
     """Every bipartite criterion for one state and one measure.
 
+    ``singles[j]`` is the one-setting criterion s_j <= epsilon; j = 0 is the
+    plain one, and j = 1, 2 are generalized variants with the same bound,
+    since the local-hidden-state derivation is shift independent.
+    ``doubles`` pairs each (j, k) of ``DOUBLE_PAIRS`` with the two-setting
+    criterion s_j + s_k <= 2 epsilon. ``triple`` is s_0 + s_1 + s_2 <=
+    3 epsilon, which every state satisfies, so its flag is always False.
     ``decompositions`` lists the four groupings of the three-shift total
     (0+1+2, 01+2, 02+1, 12+0); they are exact regroupings of one sum, so
     they agree to round-off. Whenever a double is violated, the
@@ -278,38 +261,14 @@ def steering_report(rho: DensityMatrix, measure: Measure) -> SteeringReport:
     return SteeringReport(sv, singles, doubles, triple, decompositions)
 
 
-def _tripartite_shift(axis: int) -> int:
-    """Shift index paired with Charlie's axis: 1 -> 1, 2 -> 2, 3 -> 0."""
-    return axis % 3
-
-
-def _charlie_branches(
-    rho: DensityMatrix,
-) -> Iterator[tuple[int, int, float, DensityMatrix]]:
-    """Conditional two-qubit states for Charlie's three Pauli measurements.
-
-    Yields (axis, outcome, probability, normalized AB state); branches with
-    probability below 1e-12 are skipped, their contribution being 0.
-    """
-    if rho.nqubits != 3:
-        raise ValueError(f"expected a 3-qubit state, got {rho.nqubits} qubits")
-    for axis in (1, 2, 3):
-        for outcome in (0, 1):
-            op = kron(_EYE4, projector(axis, outcome))
-            sub = op @ rho.matrix @ op
-            prob = float(np.trace(sub).real)
-            if prob < ZERO_PROBABILITY:
-                continue
-            ab = partial_trace_matrix(sub, 3, (0, 1)) / prob
-            yield axis, outcome, prob, DensityMatrix(ab)
-
-
 @dataclass(frozen=True)
 class TripartiteReport:
     """The three tripartite criteria for one state and one measure.
 
-    t3.value = t1.value + t2.value exactly, and t3 never exceeds its
-    9 * epsilon bound (its flag is always False).
+    ``t1`` sums p(c | i) * s_{i mod 3}(conditional AB state) over Charlie's
+    axes i and outcomes c (bound 3 epsilon), ``t2`` the six unmatched
+    shifts (bound 6 epsilon). t3.value = t1.value + t2.value exactly, and
+    t3 never exceeds its 9 * epsilon bound (its flag is always False).
     """
 
     t1: CriterionResult
@@ -320,16 +279,21 @@ class TripartiteReport:
 
 def tripartite_report(rho: DensityMatrix, measure: Measure) -> TripartiteReport:
     """Evaluate t1, t2 and t3 sharing one conditioning pass."""
+    if rho.nqubits != 3:
+        raise ValueError(f"expected a 3-qubit state, got {rho.nqubits} qubits")
     t1 = 0.0
     t2 = 0.0
-    for axis, _outcome, prob, ab in _charlie_branches(rho):
-        s = shift_values(ab, measure).values
-        matched = _tripartite_shift(axis)
-        t1 += prob * float(s[matched])
-        t2 += prob * float(s.sum() - s[matched])
+    for axis in (1, 2, 3):
+        matched = axis % 3  # shift paired with Charlie's axis: 1 -> 1, 2 -> 2, 3 -> 0
+        for _outcome, prob, ab in _condition(rho, axis):
+            if ab is None:
+                continue
+            s = shift_values(DensityMatrix(ab), measure).values
+            t1 += prob * float(s[matched])
+            t2 += prob * float(s.sum() - s[matched])
     t3 = t1 + t2
     eps = measure.epsilon
-    if t3 > 9.0 * eps + BOUND_TOL:
+    if not t3 <= 9.0 * eps + BOUND_TOL:
         raise ConsistencyError(
             f"tripartite total {t3:.15g} exceeds the all-states bound {9 * eps:.15g}"
         )
@@ -339,22 +303,3 @@ def tripartite_report(rho: DensityMatrix, measure: Measure) -> TripartiteReport:
         CriterionResult(t3, 9.0 * eps, False),
         measure,
     )
-
-
-def tripartite_t1(rho: DensityMatrix, measure: Measure) -> CriterionResult:
-    """Matched-shift tripartite criterion, bound 3 epsilon.
-
-    Sums p(c | i) * s_{i mod 3}(conditional AB state) over Charlie's axes i
-    and outcomes c.
-    """
-    return tripartite_report(rho, measure).t1
-
-
-def tripartite_t2(rho: DensityMatrix, measure: Measure) -> CriterionResult:
-    """Unmatched-shifts tripartite criterion, bound 6 epsilon."""
-    return tripartite_report(rho, measure).t2
-
-
-def tripartite_t3(rho: DensityMatrix, measure: Measure) -> CriterionResult:
-    """Full nine-term tripartite total t1 + t2, at most 9 epsilon always."""
-    return tripartite_report(rho, measure).t3

@@ -3,7 +3,7 @@
 Every test prints one PASS/FAIL line (run with ``pytest -v -s`` to see them
 even when green) and then asserts. The checks are frozen against
 independent oracles: hand-derived conditional Bloch vectors for the state
-families, a numpy-only density-matrix oracle for the GHZ-family curve,
+families, a numpy-only density-matrix oracle for the tripartite criteria,
 eigendecomposition-based brute force for the coherence measures, and seeded
 sampling for the all-states bounds.
 """
@@ -40,7 +40,6 @@ from naqc.steering import (
     shift_values,
     steering_report,
     tripartite_report,
-    tripartite_t1,
 )
 
 SQRT6 = math.sqrt(6.0)
@@ -169,9 +168,9 @@ def test_4_bipartite_complementarity_over_random_states():
     assert ok, detail
 
 
-# Density-matrix oracle for the GHZ-family t1 curve. It builds the state,
-# the Pauli eigenbases, the projectors and the partial traces with numpy
-# alone, so it shares no code with naqc.steering or naqc.qcore.
+# Density-matrix oracle for the tripartite criteria t1 and t2. It builds the
+# GHZ state, the Pauli eigenbases, the projectors and the partial traces with
+# numpy alone, so it shares no code with naqc.steering or naqc.qcore.
 PAULI_EIGENBASES = {
     1: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
     2: np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2),
@@ -210,14 +209,19 @@ def oracle_l1(qubit: np.ndarray, axis: int) -> float:
     return 2 * abs((basis.conj().T @ qubit @ basis)[0, 1])
 
 
-def oracle_t1(rho: np.ndarray) -> float:
-    """Sum over Charlie's axes c of p(c) * s_{c mod 3}(conditional AB state)."""
-    total = 0.0
+def oracle_t1_t2(rho: np.ndarray) -> tuple[float, float]:
+    """Sums over Charlie's axes c of p(c) * s_j(conditional AB state): t1
+    over the matched shift j = c mod 3, t2 over the two others."""
+    t1 = t2 = 0.0
     for c, p_c, ab in oracle_branches(rho, last=True):
-        j = c % 3
         for i, p_a, bob in oracle_branches(ab, last=False):
-            total += p_c * p_a * oracle_l1(bob, (i - 1 + j) % 3 + 1)
-    return total
+            for j in range(3):
+                term = p_c * p_a * oracle_l1(bob, (i - 1 + j) % 3 + 1)
+                if j == c % 3:
+                    t1 += term
+                else:
+                    t2 += term
+    return t1, t2
 
 
 def test_5_ghz_family_tripartite_criterion_curve():
@@ -230,8 +234,8 @@ def test_5_ghz_family_tripartite_criterion_curve():
     6 + 4a sqrt(1-a^2) ignores the y-branch phase and is off by 1 at 1/sqrt2.
     """
     grid = [k / 100 for k in range(101)]
-    values = [tripartite_t1(ghz_alpha(a), Measure.L1).value for a in grid]
-    oracle = [oracle_t1(oracle_ghz_state(a)) for a in grid]
+    values = [tripartite_report(ghz_alpha(a), Measure.L1).t1.value for a in grid]
+    oracle = [oracle_t1_t2(oracle_ghz_state(a))[0] for a in grid]
     closed = [5 + 4 * a * math.sqrt(1 - a * a) + abs(2 * a * a - 1) for a in grid]
     worst_oracle = max(abs(v - o) for v, o in zip(values, oracle))
     worst_closed = max(
@@ -244,7 +248,7 @@ def test_5_ghz_family_tripartite_criterion_curve():
     peak = max(values)
     below_bound = not above and peak <= 5 + math.sqrt(5) + 1e-12
 
-    symmetric = tripartite_t1(ghz_alpha(1 / math.sqrt(2)), Measure.L1).value
+    symmetric = tripartite_report(ghz_alpha(1 / math.sqrt(2)), Measure.L1).t1.value
     symmetric_is_seven = abs(symmetric - 7.0) <= 1e-10
     quoted_deviation = 8.0 - symmetric
     quoted_off_by_one = abs(quoted_deviation - 1.0) <= 1e-10
@@ -332,4 +336,20 @@ def test_9_no_signalling_reconstruction():
     ok = worst <= 1e-10
     detail = f"worst reconstruction residual = {worst:.3e}"
     emit(9, "no-signalling", ok, detail)
+    assert ok, detail
+
+
+def test_10_tripartite_criteria_match_oracle_on_random_states():
+    """Charlie's conditioning on generic states: t1 and t2 of the library
+    against the density-matrix oracle, on alternating Haar-pure and
+    full-rank Ginibre three-qubit states."""
+    worst = 0.0
+    for index in range(50):
+        rho = three_qubit_sample(20240010, index)
+        report = tripartite_report(rho, Measure.L1)
+        t1, t2 = oracle_t1_t2(rho.matrix)
+        worst = max(worst, abs(report.t1.value - t1), abs(report.t2.value - t2))
+    ok = worst <= 1e-10
+    detail = f"worst |t1, t2 - oracle| over 50 states = {worst:.3e}"
+    emit(10, "tripartite criteria against the density-matrix oracle", ok, detail)
     assert ok, detail

@@ -22,7 +22,7 @@ from naqc.cli import (
 )
 from naqc.coherence import Measure
 from naqc.qcore import NotAStateError
-from naqc.states import bell, pure_alpha
+from naqc.states import bell, maximally_mixed, pure_alpha
 
 SCI_NUMBER = re.compile(r"^-?\d\.\d{14}e[+-]\d{2,3}$")
 
@@ -125,6 +125,18 @@ class TestEvaluate:
         doc["re"][0][0] += 0.5
         path = write_doc(tmp_path, "bad.json", doc)
         assert main(["evaluate", "--state", path]) == EXIT_STATE
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_state_is_state_error(self, tmp_path, capsys, value):
+        doc = dense_doc_of(maximally_mixed(2))
+        doc["re"][0][0] = value
+        path = write_doc(tmp_path, "diagonal.json", doc)
+        assert main(["evaluate", "--state", path]) == EXIT_STATE
+        doc = dense_doc_of(maximally_mixed(2))
+        doc["re"][0][1] = doc["re"][1][0] = value
+        path = write_doc(tmp_path, "symmetric.json", doc)
+        assert main(["evaluate", "--state", path]) == EXIT_STATE
+        assert capsys.readouterr().out == ""
 
     def test_out_of_range_family_parameter_is_parse_error(self, tmp_path, capsys):
         path = write_doc(

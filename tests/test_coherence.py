@@ -180,6 +180,10 @@ class TestCoherenceTriple:
         with pytest.raises(ConsistencyError):
             CoherenceTriple(np.array([-0.1, 0.0, 0.0]), Measure.L1)
 
+    def test_nan_is_a_consistency_error(self):
+        with pytest.raises(ConsistencyError):
+            CoherenceTriple(np.array([np.nan, 0.0, 0.0]), Measure.L1)
+
 
 class TestComplementarity:
     @pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.value)

@@ -257,6 +257,10 @@ class TestBlochConversion:
         with pytest.raises(ValueError):
             BlochQubit(np.array([1.0, 0.0]))
 
+    def test_bloch_vector_rejects_nan(self):
+        with pytest.raises(NotAStateError):
+            BlochQubit(np.array([np.nan, 0.0, 0.0]))
+
 
 class TestDensityMatrixValidation:
     def test_rejects_non_hermitian(self):
@@ -277,6 +281,18 @@ class TestDensityMatrixValidation:
             DensityMatrix(np.eye(3) / 3)
         with pytest.raises(NotAStateError):
             DensityMatrix(np.eye(16) / 16)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, value):
+        diagonal = np.eye(4, dtype=complex) / 4
+        diagonal[0, 0] = value
+        with pytest.raises(NotAStateError):
+            DensityMatrix(diagonal)
+        symmetric = np.eye(4, dtype=complex) / 4
+        symmetric[0, 1] = symmetric[1, 0] = value
+        with pytest.raises(NotAStateError):
+            DensityMatrix(symmetric)
 
     def test_matrix_is_read_only(self):
         rho = DensityMatrix(np.eye(2) / 2)

@@ -42,6 +42,15 @@ class TestBlochForm:
         with pytest.raises(NotAStateError):
             TwoQubitBloch(np.zeros(3), np.zeros(3), np.full((3, 3), 1.5))
 
+    def test_nan_components_rejected(self):
+        nan3 = np.array([np.nan, 0.0, 0.0])
+        with pytest.raises(NotAStateError):
+            TwoQubitBloch(nan3, np.zeros(3), np.zeros((3, 3)))
+        with pytest.raises(NotAStateError):
+            TwoQubitBloch(np.zeros(3), nan3, np.zeros((3, 3)))
+        with pytest.raises(NotAStateError):
+            TwoQubitBloch(np.zeros(3), np.zeros(3), np.diag([np.nan, 0.0, 0.0]))
+
     def test_to_bloch_of_maximally_mixed(self):
         params = to_bloch(maximally_mixed(2))
         np.testing.assert_allclose(params.r, np.zeros(3), atol=1e-15)

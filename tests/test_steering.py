@@ -28,17 +28,10 @@ from naqc.states import (
 from naqc.steering import (
     ShiftValues,
     conditional_states,
-    criterion_double,
-    criterion_single,
-    criterion_triple,
     shift_axis,
-    shift_value,
     shift_values,
     steering_report,
     tripartite_report,
-    tripartite_t1,
-    tripartite_t2,
-    tripartite_t3,
 )
 
 SQRT6 = math.sqrt(6.0)
@@ -162,9 +155,8 @@ class TestShiftValues:
         np.testing.assert_allclose(s, [0.0, 3.0, 3.0], atol=1e-12)
 
     def test_product_zero_state(self):
-        assert shift_value(pure_alpha(1.0), 0, Measure.L1) == pytest.approx(
-            2.0, abs=1e-12
-        )
+        single = steering_report(pure_alpha(1.0), Measure.L1).singles[0]
+        assert single.value == pytest.approx(2.0, abs=1e-12)
         s = shift_values(pure_alpha(1.0), Measure.L1).values
         np.testing.assert_allclose(s, [2.0, 2.0, 2.0], atol=1e-12)
 
@@ -178,8 +170,9 @@ class TestShiftValues:
             rho = random_two_qubit(idx)
             for measure in ALL_MEASURES:
                 batch = shift_values(rho, measure).values
-                single = [shift_value(rho, j, measure) for j in range(3)]
-                np.testing.assert_allclose(batch, single, atol=1e-12)
+                singles = steering_report(rho, measure).singles
+                for j in range(3):
+                    assert singles[j].value == batch[j]
 
     def test_pure_family_closed_forms(self):
         for alpha in ALPHA_GRID:
@@ -197,64 +190,62 @@ class TestShiftValues:
             s = shift_values(werner(p), Measure.L1).values
             np.testing.assert_allclose(s, [0.0, 3 * p, 3 * p], atol=1e-10)
 
-    def test_invalid_shift_index(self):
-        with pytest.raises(ValueError):
-            shift_value(bell(), 3, Measure.L1)
-
     def test_constructor_guards_bound(self):
         with pytest.raises(ConsistencyError):
             ShiftValues(np.array([3.0, 3.0, 3.0]), Measure.SKEW_INFORMATION)
         with pytest.raises(ConsistencyError):
             ShiftValues(np.array([-0.5, 0.0, 0.0]), Measure.L1)
 
+    def test_constructor_rejects_nan(self):
+        with pytest.raises(ConsistencyError):
+            ShiftValues(np.array([np.nan, 0.0, 0.0]), Measure.L1)
+
 
 class TestBipartiteCriteria:
     def test_single_violation_on_bell(self):
-        value, bound, violated = criterion_single(bell(), 1, Measure.L1)
+        value, bound, violated = steering_report(bell(), Measure.L1).singles[1]
         assert value == pytest.approx(3.0, abs=1e-12)
         assert bound == pytest.approx(SQRT6)
         assert violated
 
     def test_single_not_violated_on_product(self):
-        value, bound, violated = criterion_single(pure_alpha(1.0), 0, Measure.L1)
+        value, bound, violated = steering_report(pure_alpha(1.0), Measure.L1).singles[0]
         assert value == pytest.approx(2.0, abs=1e-12)
         assert not violated
 
     def test_single_on_maximally_mixed(self):
         for measure in ALL_MEASURES:
             for j in range(3):
-                value, bound, violated = criterion_single(
-                    maximally_mixed(2), j, measure
-                )
+                value, bound, violated = steering_report(
+                    maximally_mixed(2), measure
+                ).singles[j]
                 assert value == pytest.approx(0.0, abs=1e-12)
                 assert bound == measure.epsilon
                 assert not violated
 
     def test_double_violation_on_bell(self):
-        value, bound, violated = criterion_double(bell(), 1, 2, Measure.L1)
+        report = steering_report(bell(), Measure.L1)
+        value, bound, violated = dict(report.doubles)[(1, 2)]
         assert value == pytest.approx(6.0, abs=1e-12)
         assert bound == pytest.approx(2 * SQRT6)
         assert violated
 
     def test_double_on_product(self):
-        value, _, violated = criterion_double(pure_alpha(1.0), 1, 2, Measure.L1)
+        report = steering_report(pure_alpha(1.0), Measure.L1)
+        value, _, violated = dict(report.doubles)[(1, 2)]
         assert value == pytest.approx(4.0, abs=1e-12)
         assert not violated
 
     def test_double_peak_of_pure_family(self):
-        value, _, _ = criterion_double(pure_alpha(0.5), 1, 2, Measure.L1)
+        value, _, _ = dict(steering_report(pure_alpha(0.5), Measure.L1).doubles)[(1, 2)]
         assert value / 2 == pytest.approx(3.0, abs=1e-12)
-
-    def test_double_requires_distinct_shifts(self):
-        with pytest.raises(ValueError):
-            criterion_double(bell(), 1, 1, Measure.L1)
 
     def test_triple_never_flags(self):
         for rho in (bell(), pure_alpha(1.0), maximally_mixed(2)):
-            value, bound, violated = criterion_triple(rho, Measure.L1)
+            value, bound, violated = steering_report(rho, Measure.L1).triple
             assert not violated
             assert value <= bound + 1e-9
-        assert criterion_triple(bell(), Measure.L1).value == pytest.approx(
+        assert steering_report(bell(), Measure.L1).triple.value == pytest.approx(
             6.0, abs=1e-12
         )
 
@@ -338,10 +329,11 @@ def honest_t1_closed_form(alpha: float) -> float:
 class TestTripartite:
     def test_product_state_values(self):
         rho = ghz_alpha(1.0)  # |000>
-        assert tripartite_t1(rho, Measure.L1).value == pytest.approx(6.0, abs=1e-10)
-        assert tripartite_t2(rho, Measure.L1).value == pytest.approx(12.0, abs=1e-10)
-        assert tripartite_t3(rho, Measure.L1).value == pytest.approx(18.0, abs=1e-10)
-        assert not tripartite_t1(rho, Measure.L1).violated
+        report = tripartite_report(rho, Measure.L1)
+        assert report.t1.value == pytest.approx(6.0, abs=1e-10)
+        assert report.t2.value == pytest.approx(12.0, abs=1e-10)
+        assert report.t3.value == pytest.approx(18.0, abs=1e-10)
+        assert not report.t1.violated
 
     def test_maximally_mixed_vanishes(self):
         for measure in ALL_MEASURES:
@@ -359,7 +351,7 @@ class TestTripartite:
 
     def test_ghz_family_matches_honest_closed_form(self):
         for alpha in ALPHA_GRID:
-            value = tripartite_t1(ghz_alpha(alpha), Measure.L1).value
+            value = tripartite_report(ghz_alpha(alpha), Measure.L1).t1.value
             assert value == pytest.approx(honest_t1_closed_form(alpha), abs=1e-10)
 
     def test_charlie_y_branch_imprints_phase(self):
@@ -390,7 +382,7 @@ class TestTripartite:
 
     def test_rejects_wrong_qubit_count(self):
         with pytest.raises(ValueError):
-            tripartite_t1(bell(), Measure.L1)
+            tripartite_report(bell(), Measure.L1)
 
     def test_bounds_scale_with_measure(self):
         for measure in ALL_MEASURES:
