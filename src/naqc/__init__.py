@@ -25,13 +25,10 @@ from .qcore import (
     DensityMatrix,
     NotAStateError,
     bloch_of_qubit,
-    eig_hermitian,
     kron,
     partial_trace,
     pauli,
     projector,
-    qubit_of_bloch,
-    sqrt_psd,
 )
 from .states import (
     TwoQubitBloch,
@@ -88,7 +85,6 @@ __all__ = [
     "c_skew",
     "coherence_triple",
     "conditional_states",
-    "eig_hermitian",
     "from_bloch",
     "from_family",
     "ghz",
@@ -100,12 +96,10 @@ __all__ = [
     "permute_qubits",
     "projector",
     "pure_alpha",
-    "qubit_of_bloch",
     "random_mixed",
     "random_pure",
     "shift_axis",
     "shift_values",
-    "sqrt_psd",
     "steering_report",
     "to_bloch",
     "tripartite_report",

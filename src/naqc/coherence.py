@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import BlochQubit, ConsistencyError, _check_axis
+from .qcore import BlochQubit, ConsistencyError, _check_axis, _ValueEquality
 
 __all__ = [
     "EPSILON_L1",
@@ -133,8 +133,8 @@ _EVALUATE = {
 }
 
 
-@dataclass(frozen=True)
-class CoherenceTriple:
+@dataclass(frozen=True, eq=False)
+class CoherenceTriple(_ValueEquality):
     """Coherence of one state in each Pauli basis, for one measure."""
 
     values: np.ndarray

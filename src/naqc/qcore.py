@@ -10,7 +10,7 @@ tripartite one A (x) B (x) C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,10 +28,7 @@ __all__ = [
     "kron",
     "partial_trace",
     "partial_trace_matrix",
-    "eig_hermitian",
-    "sqrt_psd",
     "bloch_of_qubit",
-    "qubit_of_bloch",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -133,11 +130,19 @@ class DensityMatrix:
 
     Construction enforces Hermiticity within 1e-10, unit trace within
     1e-10, and eigenvalues no lower than -1e-10; anything else raises
-    ``NotAStateError``. The wrapped array is a read-only copy, so instances
-    are immutable and safe to share across threads.
+    ``NotAStateError``. The wrapped array is a read-only copy.
+
+    A two- or three-qubit state memoizes its conditional branches (those of
+    Alice's Pauli measurements on two qubits, of Charlie's on three) in a
+    private slot the first time ``naqc.steering`` conditions it, so every
+    measure and every report evaluated on the same instance shares one
+    conditioning pass. The memo holds immutable objects and filling it is
+    idempotent: two threads that race to fill it compute identical branches
+    and either result may stay. Instances are therefore safe to share
+    across threads.
     """
 
-    __slots__ = ("matrix", "nqubits")
+    __slots__ = ("matrix", "nqubits", "_branches")
 
     def __init__(self, matrix) -> None:
         mat = np.array(matrix, dtype=complex)
@@ -158,6 +163,7 @@ class DensityMatrix:
             raise NotAStateError(f"negative eigenvalue {lowest:.3e}")
         self.matrix = _frozen(mat)
         self.nqubits = _QUBITS_OF_DIM[dim]
+        self._branches = None  # filled by naqc.steering on first conditioning
 
     @property
     def dim(self) -> int:
@@ -170,11 +176,47 @@ class DensityMatrix:
         return f"DensityMatrix(nqubits={self.nqubits}, purity={self.purity():.6f})"
 
 
-@dataclass(frozen=True)
-class BlochQubit:
-    """Single-qubit state as a Bloch vector r with |r| <= 1."""
+class _ValueEquality:
+    """Exact value equality, with a hash consistent with it, for frozen
+    dataclasses holding numpy arrays (the generated methods fail on arrays).
+
+    Arrays compare with ``np.array_equal`` and hash by shape and entries, so
+    0.0 and -0.0 agree; fields with ``compare=False`` take no part.
+    Subclasses use ``@dataclass(frozen=True, eq=False)`` to keep these
+    methods.
+    """
+
+    __slots__ = ()
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self) if f.compare)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._compared(), other._compared())
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            tuple(
+                (a.shape, tuple(a.ravel().tolist())) if isinstance(a, np.ndarray) else a
+                for a in self._compared()
+            )
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class BlochQubit(_ValueEquality):
+    """Single-qubit state as a Bloch vector r with |r| <= 1.
+
+    ``norm`` is |r|, computed once at construction.
+    """
 
     r: np.ndarray
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         r = np.array(self.r, dtype=float)
@@ -184,10 +226,7 @@ class BlochQubit:
         if not norm <= 1.0 + BLOCH_NORM_TOL:
             raise NotAStateError(f"Bloch vector norm {norm:.12g} exceeds 1")
         object.__setattr__(self, "r", _frozen(r))
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.r))
+        object.__setattr__(self, "norm", norm)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -200,33 +239,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(partial_trace_matrix(rho.matrix, rho.nqubits, keep))
 
 
-def eig_hermitian(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and orthonormal eigenvector columns.
-
-    The input must be Hermitian within 1e-10; the decomposition satisfies
-    V diag(w) V^dag = M to the same accuracy.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    defect = float(np.max(np.abs(mat - mat.conj().T)))
-    if defect > HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
-    w, v = np.linalg.eigh(mat)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def sqrt_psd(rho: DensityMatrix) -> np.ndarray:
-    """Hermitian PSD square root of a density matrix.
-
-    Eigenvalues in [-1e-10, 0) are clamped to zero before the root; anything
-    more negative raises ``NotAStateError``.
-    """
-    w, v = eig_hermitian(rho.matrix)
-    if float(w[-1]) < EIGVAL_FLOOR:
-        raise NotAStateError(f"negative eigenvalue {float(w[-1]):.3e}")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    return (v * root) @ v.conj().T
-
-
 def _bloch_vector(m: np.ndarray) -> np.ndarray:
     """r_i = Tr(m sigma_i) of a 2x2 array, read off its entries."""
     return np.array([2.0 * m[0, 1].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real])
@@ -237,12 +249,3 @@ def bloch_of_qubit(rho: DensityMatrix) -> BlochQubit:
     if rho.nqubits != 1:
         raise ValueError(f"expected a 1-qubit state, got {rho.nqubits} qubits")
     return BlochQubit(_bloch_vector(rho.matrix))
-
-
-def qubit_of_bloch(state: BlochQubit) -> DensityMatrix:
-    """Density matrix (I + r . sigma) / 2 of a Bloch vector."""
-    rx, ry, rz = state.r
-    mat = np.array(
-        [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
-    ) / 2.0
-    return DensityMatrix(mat)

@@ -20,6 +20,7 @@ from .qcore import (
     BLOCH_NORM_TOL,
     DensityMatrix,
     NotAStateError,
+    _ValueEquality,
     kron,
     pauli,
 )
@@ -43,8 +44,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TwoQubitBloch:
+@dataclass(frozen=True, eq=False)
+class TwoQubitBloch(_ValueEquality):
     """(r, s, T): local Bloch vectors of A and B plus the correlation matrix."""
 
     r: np.ndarray

@@ -24,7 +24,7 @@ three-qubit state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .qcore import (
     BlochQubit,
     ConsistencyError,
     DensityMatrix,
+    _ValueEquality,
     _bloch_vector,
     _check_axis,
     _frozen,
@@ -93,27 +94,43 @@ def shift_axis(axis: int, j: int) -> int:
     return ((axis - 1 + j) % 3) + 1
 
 
-def _condition(
-    rho: DensityMatrix, axis: int
-) -> Iterator[tuple[int, float, np.ndarray | None]]:
-    """Both outcomes of a Pauli measurement on Alice's or Charlie's qubit.
+def _condition(rho: DensityMatrix) -> tuple:
+    """Both outcomes of each Pauli measurement on Alice's qubit (two qubits)
+    or Charlie's (three), indexed ``[axis - 1][outcome]``.
 
-    Yields (outcome, probability, state): outcome ``a`` has probability
-    Tr[P rho P] with P the projector onto it, and its state is the
-    normalized partial trace of P rho P over the measured qubit. A branch
-    whose probability falls below ZERO_PROBABILITY is dropped: it comes
-    with probability 0.0 and state None.
+    Outcome ``a`` of an axis has probability Tr[P rho P] with P the
+    projector onto it, and its state is the normalized partial trace of
+    P rho P over the measured qubit: Bob's Bloch vector inside a
+    ``ConditionalBranch`` for two qubits, a validated ``DensityMatrix`` of
+    AB paired with the probability for three. A branch whose probability
+    falls below ZERO_PROBABILITY is dropped: it comes with probability 0.0
+    and the zero Bloch vector, or the state None. The six branches are
+    computed on the first call and kept in the state's memo, which later
+    calls return.
     """
+    memo = rho._branches
+    if memo is not None:
+        return memo
     nqubits = rho.nqubits
-    for outcome in (0, 1):
-        op = _MEASUREMENTS[nqubits, axis, outcome]
-        sub = op @ rho.matrix @ op
-        prob = float(np.trace(sub).real)
-        if prob < ZERO_PROBABILITY:
-            yield outcome, 0.0, None
-        else:
-            rest = partial_trace_matrix(sub, nqubits, _KEPT_QUBITS[nqubits])
-            yield outcome, prob, rest / prob
+    memo = []
+    for axis in (1, 2, 3):
+        pair = []
+        for outcome in (0, 1):
+            op = _MEASUREMENTS[nqubits, axis, outcome]
+            sub = op @ rho.matrix @ op
+            prob = float(np.trace(sub).real)
+            if prob < ZERO_PROBABILITY:
+                prob, rest = 0.0, None
+            else:
+                rest = partial_trace_matrix(sub, nqubits, _KEPT_QUBITS[nqubits]) / prob
+            if nqubits == 2:
+                bob = BlochQubit(np.zeros(3) if rest is None else _bloch_vector(rest))
+                pair.append(ConditionalBranch(axis, outcome, prob, bob))
+            else:
+                pair.append((prob, None if rest is None else DensityMatrix(rest)))
+        memo.append(tuple(pair))
+    rho._branches = memo = tuple(memo)
+    return memo
 
 
 @dataclass(frozen=True)
@@ -134,25 +151,19 @@ def conditional_states(
     Outcome ``a`` occurs with probability Tr[(P_axis^a (x) I) rho], and the
     branch state is the normalized partial trace over Alice of the
     projected operator. A branch whose probability falls below 1e-12 is
-    returned with probability exactly 0 and a maximally mixed placeholder
-    state, so its weighted contribution downstream is 0.
+    returned with probability exactly 0 and the zero Bloch vector (the
+    maximally mixed state) as placeholder, so its weighted contribution
+    downstream is 0. The state is conditioned once: repeat calls, for any
+    axis, return the branches memoized on ``rho``.
     """
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
     _check_axis(axis)
-    return tuple(
-        ConditionalBranch(
-            axis,
-            outcome,
-            prob,
-            BlochQubit(np.zeros(3) if bob is None else _bloch_vector(bob)),
-        )
-        for outcome, prob, bob in _condition(rho, axis)
-    )
+    return _condition(rho)[int(axis) - 1]
 
 
-@dataclass(frozen=True)
-class ShiftValues:
+@dataclass(frozen=True, eq=False)
+class ShiftValues(_ValueEquality):
     """The three shift functionals (s_0, s_1, s_2) for one measure.
 
     Each component is nonnegative and the total obeys the all-states bound
@@ -189,10 +200,10 @@ def shift_values(rho: DensityMatrix, measure: Measure) -> ShiftValues:
         for branch in conditional_states(rho, axis):
             if branch.probability == 0.0:
                 continue
-            for j in range(3):
-                s[j] += branch.probability * measure.coherence(
-                    branch.state, shift_axis(axis, j)
-                )
+            for bob_axis in (1, 2, 3):
+                # bob_axis is shift_axis(axis, j) for this j
+                j = (bob_axis - axis) % 3
+                s[j] += branch.probability * measure.coherence(branch.state, bob_axis)
     return ShiftValues(s, measure)
 
 
@@ -278,17 +289,21 @@ class TripartiteReport:
 
 
 def tripartite_report(rho: DensityMatrix, measure: Measure) -> TripartiteReport:
-    """Evaluate t1, t2 and t3 sharing one conditioning pass."""
+    """Evaluate t1, t2 and t3 from Charlie's conditional AB states.
+
+    The conditioning, Charlie's and Alice's within each AB state, is
+    memoized on ``rho``, so reports for further measures reuse it.
+    """
     if rho.nqubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {rho.nqubits} qubits")
     t1 = 0.0
     t2 = 0.0
-    for axis in (1, 2, 3):
+    for axis, branches in zip((1, 2, 3), _condition(rho)):
         matched = axis % 3  # shift paired with Charlie's axis: 1 -> 1, 2 -> 2, 3 -> 0
-        for _outcome, prob, ab in _condition(rho, axis):
+        for prob, ab in branches:
             if ab is None:
                 continue
-            s = shift_values(DensityMatrix(ab), measure).values
+            s = shift_values(ab, measure).values
             t1 += prob * float(s[matched])
             t2 += prob * float(s.sum() - s[matched])
     t3 = t1 + t2

@@ -1,0 +1,113 @@
+"""Density-matrix oracles shared by the tests.
+
+Brute-force linear algebra the library itself does not need: a sorted
+Hermitian eigendecomposition, the PSD square root of a state, the density
+matrix of a Bloch vector, and the l1 shift functionals and tripartite
+criteria computed from projectors and partial traces. The tests use them to
+check the closed forms of ``naqc`` against direct matrix computations.
+"""
+
+import math
+
+import numpy as np
+
+from naqc.qcore import (
+    EIGVAL_FLOOR,
+    HERMITICITY_TOL,
+    BlochQubit,
+    DensityMatrix,
+    NotAStateError,
+)
+
+
+def eig_hermitian(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and orthonormal eigenvector columns.
+
+    The input must be Hermitian within 1e-10; the decomposition satisfies
+    V diag(w) V^dag = M to the same accuracy.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    defect = float(np.max(np.abs(mat - mat.conj().T)))
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
+    w, v = np.linalg.eigh(mat)
+    return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def sqrt_psd(rho: DensityMatrix) -> np.ndarray:
+    """Hermitian PSD square root of a density matrix.
+
+    Eigenvalues in [-1e-10, 0) are clamped to zero before the root; anything
+    more negative raises ``NotAStateError``.
+    """
+    w, v = eig_hermitian(rho.matrix)
+    if float(w[-1]) < EIGVAL_FLOOR:
+        raise NotAStateError(f"negative eigenvalue {float(w[-1]):.3e}")
+    root = np.sqrt(np.clip(w, 0.0, None))
+    return (v * root) @ v.conj().T
+
+
+def qubit_of_bloch(state: BlochQubit) -> DensityMatrix:
+    """Density matrix (I + r . sigma) / 2 of a Bloch vector."""
+    rx, ry, rz = state.r
+    mat = np.array(
+        [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
+    ) / 2.0
+    return DensityMatrix(mat)
+
+
+# The conditioning oracles below build the Pauli eigenbases, the projectors
+# and the partial traces with numpy alone, so they share no code with
+# naqc.steering or naqc.qcore. They take and return plain arrays.
+PAULI_EIGENBASES = {
+    1: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    2: np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2),
+    3: np.eye(2, dtype=complex),
+}
+
+
+def oracle_branches(rho: np.ndarray, last: bool):
+    """(axis, probability, normalized rest) for a Pauli measurement on the
+    last qubit (``last``) or the first qubit of ``rho``; outcomes of
+    probability at most 1e-12 are left out."""
+    rest = rho.shape[0] // 2
+    for axis, basis in PAULI_EIGENBASES.items():
+        for vec in basis.T:
+            proj = np.outer(vec, vec.conj())
+            if last:
+                op = np.kron(np.eye(rest), proj)
+                sub = (op @ rho @ op).reshape(rest, 2, rest, 2)
+                reduced = sub.trace(axis1=1, axis2=3)
+            else:
+                op = np.kron(proj, np.eye(rest))
+                sub = (op @ rho @ op).reshape(2, rest, 2, rest)
+                reduced = sub.trace(axis1=0, axis2=2)
+            prob = float(np.trace(reduced).real)
+            if prob > 1e-12:
+                yield axis, prob, reduced / prob
+
+
+def oracle_l1(qubit: np.ndarray, axis: int) -> float:
+    basis = PAULI_EIGENBASES[axis]
+    return 2 * abs((basis.conj().T @ qubit @ basis)[0, 1])
+
+
+def oracle_shifts(rho: np.ndarray) -> list[float]:
+    """l1 shift functionals s_j of a two-qubit state: sums over Alice's axes
+    i of p(i) * l1(Bob's conditional state, axis ((i - 1 + j) mod 3) + 1)."""
+    s = [0.0, 0.0, 0.0]
+    for i, p_a, bob in oracle_branches(rho, last=False):
+        for j in range(3):
+            s[j] += p_a * oracle_l1(bob, (i - 1 + j) % 3 + 1)
+    return s
+
+
+def oracle_t1_t2(rho: np.ndarray) -> tuple[float, float]:
+    """Sums over Charlie's axes c of p(c) * s_j(conditional AB state): t1
+    over the matched shift j = c mod 3, t2 over the two others."""
+    t1 = t2 = 0.0
+    for c, p_c, ab in oracle_branches(rho, last=True):
+        s = oracle_shifts(ab)
+        t1 += p_c * s[c % 3]
+        t2 += p_c * (sum(s) - s[c % 3])
+    return t1, t2

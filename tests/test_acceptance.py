@@ -19,13 +19,7 @@ from naqc.coherence import (
     c_skew,
     coherence_triple,
 )
-from naqc.qcore import (
-    BlochQubit,
-    DensityMatrix,
-    pauli,
-    qubit_of_bloch,
-    sqrt_psd,
-)
+from naqc.qcore import BlochQubit, DensityMatrix, pauli
 from naqc.states import (
     bell,
     ghz_alpha,
@@ -41,6 +35,7 @@ from naqc.steering import (
     steering_report,
     tripartite_report,
 )
+from oracles import oracle_t1_t2, qubit_of_bloch, sqrt_psd
 
 SQRT6 = math.sqrt(6.0)
 ALL_MEASURES = list(Measure)
@@ -168,60 +163,11 @@ def test_4_bipartite_complementarity_over_random_states():
     assert ok, detail
 
 
-# Density-matrix oracle for the tripartite criteria t1 and t2. It builds the
-# GHZ state, the Pauli eigenbases, the projectors and the partial traces with
-# numpy alone, so it shares no code with naqc.steering or naqc.qcore.
-PAULI_EIGENBASES = {
-    1: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    2: np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2),
-    3: np.eye(2, dtype=complex),
-}
-
-
 def oracle_ghz_state(a: float) -> np.ndarray:
+    """The GHZ-family projector built with numpy alone, for the oracle."""
     ket = np.zeros(8, dtype=complex)
     ket[0], ket[7] = a, math.sqrt(1 - a * a)
     return np.outer(ket, ket.conj())
-
-
-def oracle_branches(rho: np.ndarray, last: bool):
-    """(axis, probability, normalized rest) for a Pauli measurement on the
-    last qubit (``last``) or the first qubit of ``rho``."""
-    rest = rho.shape[0] // 2
-    for axis, basis in PAULI_EIGENBASES.items():
-        for vec in basis.T:
-            proj = np.outer(vec, vec.conj())
-            if last:
-                op = np.kron(np.eye(rest), proj)
-                sub = (op @ rho @ op).reshape(rest, 2, rest, 2)
-                reduced = sub.trace(axis1=1, axis2=3)
-            else:
-                op = np.kron(proj, np.eye(rest))
-                sub = (op @ rho @ op).reshape(2, rest, 2, rest)
-                reduced = sub.trace(axis1=0, axis2=2)
-            prob = float(np.trace(reduced).real)
-            if prob > 1e-12:
-                yield axis, prob, reduced / prob
-
-
-def oracle_l1(qubit: np.ndarray, axis: int) -> float:
-    basis = PAULI_EIGENBASES[axis]
-    return 2 * abs((basis.conj().T @ qubit @ basis)[0, 1])
-
-
-def oracle_t1_t2(rho: np.ndarray) -> tuple[float, float]:
-    """Sums over Charlie's axes c of p(c) * s_j(conditional AB state): t1
-    over the matched shift j = c mod 3, t2 over the two others."""
-    t1 = t2 = 0.0
-    for c, p_c, ab in oracle_branches(rho, last=True):
-        for i, p_a, bob in oracle_branches(ab, last=False):
-            for j in range(3):
-                term = p_c * p_a * oracle_l1(bob, (i - 1 + j) % 3 + 1)
-                if j == c % 3:
-                    t1 += term
-                else:
-                    t2 += term
-    return t1, t2
 
 
 def test_5_ghz_family_tripartite_criterion_curve():

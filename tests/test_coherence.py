@@ -19,15 +19,8 @@ from naqc.coherence import (
     c_skew,
     coherence_triple,
 )
-from naqc.qcore import (
-    BlochQubit,
-    ConsistencyError,
-    eig_hermitian,
-    pauli,
-    projector,
-    qubit_of_bloch,
-    sqrt_psd,
-)
+from naqc.qcore import BlochQubit, ConsistencyError, pauli, projector
+from oracles import eig_hermitian, qubit_of_bloch, sqrt_psd
 
 SYMMETRIC = BlochQubit(np.ones(3) / np.sqrt(3))
 
@@ -164,6 +157,32 @@ class TestSkewInformation:
                 assert c_skew(state, axis) == pytest.approx(oracle, abs=1e-10)
 
 
+class TestRoundedPureState:
+    """A pure Bloch vector whose norm rounds just above 1 goes through the
+    clamps of c_skew (lam_minus) and c_relent (binary entropy at p >= 1)."""
+
+    STATE = BlochQubit(np.array([0.6, 0.0, 0.8]) * (1 + 2**-52))
+
+    def test_norm_rounds_above_one(self):
+        assert self.STATE.norm > 1.0
+
+    @pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.value)
+    def test_values_are_finite_and_nonnegative(self, measure):
+        for axis in (1, 2, 3):
+            value = measure.coherence(self.STATE, axis)
+            assert math.isfinite(value)
+            assert value >= 0.0
+        triple = coherence_triple(self.STATE, measure)
+        assert triple.total <= measure.epsilon + 1e-9
+
+    def test_values_match_the_unit_vector(self):
+        unit = BlochQubit(np.array([0.6, 0.0, 0.8]))
+        for axis in (1, 2, 3):
+            skew, relent = c_skew(self.STATE, axis), c_relent(self.STATE, axis)
+            assert skew == pytest.approx(c_skew(unit, axis), abs=1e-7)
+            assert relent == pytest.approx(c_relent(unit, axis), abs=1e-12)
+
+
 class TestCoherenceTriple:
     def test_z_eigenstate_l1_components(self):
         triple = coherence_triple(BlochQubit(np.array([0.0, 0.0, 1.0])), Measure.L1)
@@ -179,6 +198,18 @@ class TestCoherenceTriple:
             CoherenceTriple(np.array([1.0, 1.0, 1.0]), Measure.L1)
         with pytest.raises(ConsistencyError):
             CoherenceTriple(np.array([-0.1, 0.0, 0.0]), Measure.L1)
+
+    def test_value_equality_and_hash(self):
+        a = coherence_triple(BlochQubit(np.array([0.3, 0.0, 0.4])), Measure.L1)
+        b = CoherenceTriple(a.values.copy(), Measure.L1)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other_measure = CoherenceTriple(a.values.copy(), Measure.RELATIVE_ENTROPY)
+        assert a != other_measure
+        other_values = CoherenceTriple(a.values * 0.5, Measure.L1)
+        assert a != other_values
+        assert len({a, other_measure, other_values}) == 3
 
     def test_nan_is_a_consistency_error(self):
         with pytest.raises(ConsistencyError):

@@ -1,4 +1,7 @@
-"""Unit tests for the linear-algebra and quantum primitives."""
+"""Unit tests for the linear-algebra and quantum primitives, and for the
+density-matrix oracles the other tests rely on."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,15 +11,13 @@ from naqc.qcore import (
     DensityMatrix,
     NotAStateError,
     bloch_of_qubit,
-    eig_hermitian,
     kron,
     partial_trace,
     partial_trace_matrix,
     pauli,
     projector,
-    qubit_of_bloch,
-    sqrt_psd,
 )
+from oracles import eig_hermitian, qubit_of_bloch, sqrt_psd
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -260,6 +261,45 @@ class TestBlochConversion:
     def test_bloch_vector_rejects_nan(self):
         with pytest.raises(NotAStateError):
             BlochQubit(np.array([np.nan, 0.0, 0.0]))
+
+    def test_norm_is_stored_at_construction(self):
+        state = BlochQubit(np.array([0.6, 0.0, 0.8]) * 0.5)
+        assert state.norm == float(np.linalg.norm(state.r))
+        assert isinstance(state.norm, float)
+        assert "norm" not in repr(state)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.norm = 0.0
+
+
+class TestBlochQubitValueEquality:
+    def test_equal_vectors_compare_and_hash_equal(self):
+        v = np.array([0.1, -0.2, 0.3])
+        a, b = BlochQubit(v), BlochQubit(v.copy())
+        assert a == b
+        assert not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_different_vectors_differ(self):
+        a = BlochQubit(np.array([0.1, -0.2, 0.3]))
+        b = BlochQubit(np.array([0.1, -0.2, np.nextafter(0.3, 1.0)]))
+        assert a != b
+        assert len({a, b}) == 2
+
+    def test_signed_zero_compares_and_hashes_equal(self):
+        a = BlochQubit(np.array([0.0, 0.0, 0.5]))
+        b = BlochQubit(np.array([-0.0, 0.0, 0.5]))
+        assert a == b
+        assert hash(a) == hash(b)
+
+    def test_other_types_are_not_equal(self):
+        v = np.array([0.1, -0.2, 0.3])
+        assert BlochQubit(v) != tuple(v)
+        assert BlochQubit(v) != None  # noqa: E711
+
+    def test_norm_takes_no_part_in_comparison(self):
+        compared = [f.name for f in dataclasses.fields(BlochQubit) if f.compare]
+        assert compared == ["r"]
 
 
 class TestDensityMatrixValidation:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from naqc.qcore import DensityMatrix, NotAStateError, eig_hermitian, partial_trace
+from naqc.qcore import DensityMatrix, NotAStateError, partial_trace
 from naqc.states import (
     TwoQubitBloch,
     bell,
@@ -19,6 +19,7 @@ from naqc.states import (
     to_bloch,
     werner,
 )
+from oracles import eig_hermitian
 
 
 class TestBlochForm:
@@ -41,6 +42,18 @@ class TestBlochForm:
             TwoQubitBloch(np.array([1.0, 1.0, 0.0]), np.zeros(3), np.zeros((3, 3)))
         with pytest.raises(NotAStateError):
             TwoQubitBloch(np.zeros(3), np.zeros(3), np.full((3, 3), 1.5))
+
+    def test_value_equality_and_hash(self):
+        a = to_bloch(bell())
+        b = TwoQubitBloch(a.r.copy(), a.s.copy(), a.T.copy())
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        T = a.T.copy()
+        T[0, 1] = 0.5
+        c = TwoQubitBloch(a.r, a.s, T)
+        assert a != c
+        assert len({a, c}) == 2
 
     def test_nan_components_rejected(self):
         nan3 = np.array([np.nan, 0.0, 0.0])

@@ -7,10 +7,15 @@ leaves Bob in (+/- 2 sqrt(a(1-a)), 0, 2a-1), her y measurement in
 probabilities (a, 1-a). Those vectors give the closed forms asserted below.
 """
 
+import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naqc.coherence import Measure
 from naqc.qcore import ConsistencyError, DensityMatrix, NotAStateError
@@ -26,13 +31,16 @@ from naqc.states import (
     werner,
 )
 from naqc.steering import (
+    ConditionalBranch,
     ShiftValues,
+    _condition,
     conditional_states,
     shift_axis,
     shift_values,
     steering_report,
     tripartite_report,
 )
+from oracles import oracle_shifts, oracle_t1_t2
 
 SQRT6 = math.sqrt(6.0)
 ALL_MEASURES = list(Measure)
@@ -130,6 +138,21 @@ class TestConditionalStates:
             if alpha < 1:
                 np.testing.assert_allclose(z1.state.r, [0, 0, -1], atol=1e-10)
 
+    def test_branch_value_equality_and_hash(self):
+        b0, b1 = conditional_states(bell(), 1)
+        again = conditional_states(DensityMatrix(bell().matrix), 1)[0]
+        assert b0 == again
+        assert hash(b0) == hash(again)
+        assert b0 != b1
+        assert len({b0, b1, again}) == 2
+        moved = ConditionalBranch(b0.axis, b0.outcome, b0.probability, b1.state)
+        assert moved != b0
+
+    def test_integral_float_axis_is_accepted(self):
+        for axis in (1, 2, 3):
+            branches = conditional_states(bell(), axis)
+            assert conditional_states(bell(), float(axis)) == branches
+
     def test_rejects_wrong_qubit_count(self):
         with pytest.raises(ValueError):
             conditional_states(maximally_mixed(1), 1)
@@ -199,6 +222,18 @@ class TestShiftValues:
     def test_constructor_rejects_nan(self):
         with pytest.raises(ConsistencyError):
             ShiftValues(np.array([np.nan, 0.0, 0.0]), Measure.L1)
+
+    def test_value_equality_and_hash(self):
+        a = shift_values(bell(), Measure.L1)
+        b = ShiftValues(a.values.copy(), Measure.L1)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        other_measure = ShiftValues(a.values * 0.5, Measure.SKEW_INFORMATION)
+        half = ShiftValues(a.values * 0.5, Measure.L1)
+        assert a != half
+        assert half != other_measure
+        assert len({a, half, other_measure}) == 3
 
 
 class TestBipartiteCriteria:
@@ -396,3 +431,168 @@ class TestRoleOfStateValidation:
     def test_invalid_inputs_rejected_before_conditioning(self):
         with pytest.raises(NotAStateError):
             DensityMatrix(np.diag([0.6, 0.6, -0.1, -0.1]).astype(complex))
+
+
+def report_hex(report) -> list[str]:
+    """Every float of a steering or tripartite report, as exact hex."""
+    if hasattr(report, "shift"):
+        values = list(report.shift.values)
+        values += [r.value for r in report.singles]
+        values += [r.value for _, r in report.doubles]
+        values += [report.triple.value] + [v for _, v in report.decompositions]
+    else:
+        values = [report.t1.value, report.t2.value, report.t3.value]
+    return [float(v).hex() for v in values]
+
+
+class TestConditioningMemo:
+    """A state is conditioned once; every measure reads the same branches."""
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_reports_do_not_depend_on_what_filled_the_memo(self, nqubits):
+        report = steering_report if nqubits == 2 else tripartite_report
+        sample = random_two_qubit if nqubits == 2 else random_three_qubit
+        for idx in range(4):
+            matrix = sample(idx).matrix
+            fresh = {
+                m: report_hex(report(DensityMatrix(matrix), m)) for m in ALL_MEASURES
+            }
+            for order in itertools.permutations(ALL_MEASURES):
+                rho = DensityMatrix(matrix)
+                for measure in order:
+                    assert report_hex(report(rho, measure)) == fresh[measure]
+
+    def test_repeat_calls_give_equal_branches(self):
+        for idx in range(10):
+            rho = random_two_qubit(idx)
+            first = [conditional_states(rho, axis) for axis in (1, 2, 3)]
+            for measure in ALL_MEASURES:
+                steering_report(rho, measure)
+            for axis in (1, 2, 3):
+                assert conditional_states(rho, axis) == first[axis - 1]
+                fresh = conditional_states(DensityMatrix(rho.matrix), axis)
+                assert fresh == first[axis - 1]
+
+    def test_three_qubit_state_is_validated_seven_times(self, monkeypatch):
+        matrix = random_three_qubit(0).matrix
+        calls = []
+        original = DensityMatrix.__init__
+
+        def counting(self, mat):
+            calls.append(mat.shape)
+            original(self, mat)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", counting)
+        rho = DensityMatrix(matrix)
+        for measure in ALL_MEASURES:
+            tripartite_report(rho, measure)
+        # the state itself, then Charlie's six conditional AB states once
+        assert calls == [(8, 8)] + [(4, 4)] * 6
+
+    def test_threads_sharing_states_read_the_same_reports(self):
+        matrices = [random_two_qubit(i).matrix for i in range(4)]
+        matrices += [random_three_qubit(i).matrix for i in range(2)]
+
+        def all_reports(states):
+            reports = []
+            for rho in states:
+                report = steering_report if rho.nqubits == 2 else tripartite_report
+                reports += [report_hex(report(rho, m)) for m in ALL_MEASURES]
+            return reports
+
+        expected = all_reports([DensityMatrix(m) for m in matrices])
+        shared = [DensityMatrix(m) for m in matrices]
+        results = [None] * 8
+
+        def work(slot):
+            # each thread starts from a different state, so fills race
+            results[slot] = all_reports(shared[slot % 6 :] + shared[: slot % 6])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for slot, result in enumerate(results):
+            shift = 3 * (slot % 6)
+            assert result == expected[shift:] + expected[:shift]
+
+
+class TestZeroProbabilityBranches:
+    """Branches below ZERO_PROBABILITY are dropped, fresh or from the memo."""
+
+    def test_alice_z_on_zero_plus(self):
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        matrix = np.kron(np.diag([1.0, 0.0]).astype(complex), plus)
+        rho = DensityMatrix(matrix)
+        fresh = conditional_states(rho, 3)
+        reports = {m: steering_report(rho, m) for m in ALL_MEASURES}
+        for branches in (fresh, conditional_states(rho, 3)):
+            kept, dropped = branches
+            assert kept.probability == pytest.approx(1.0, abs=1e-15)
+            np.testing.assert_allclose(kept.state.r, [1.0, 0.0, 0.0], atol=1e-15)
+            assert dropped.probability == 0.0
+            np.testing.assert_array_equal(dropped.state.r, np.zeros(3))
+        np.testing.assert_allclose(
+            reports[Measure.L1].shift.values, oracle_shifts(matrix), atol=1e-12
+        )
+        for measure in ALL_MEASURES:
+            again = steering_report(DensityMatrix(matrix), measure)
+            assert report_hex(again) == report_hex(reports[measure])
+
+    def test_charlie_in_zero(self):
+        matrix = np.kron(random_two_qubit(3).matrix, np.diag([1.0, 0.0]))
+        rho = DensityMatrix(matrix)
+        reports = {m: tripartite_report(rho, m) for m in ALL_MEASURES}
+        charlie_z = _condition(rho)[2]
+        assert _condition(rho) is rho._branches  # served from the memo
+        assert charlie_z[0][0] == pytest.approx(1.0, abs=1e-12)
+        assert charlie_z[1] == (0.0, None)
+        t1, t2 = oracle_t1_t2(matrix)
+        assert reports[Measure.L1].t1.value == pytest.approx(t1, abs=1e-10)
+        assert reports[Measure.L1].t2.value == pytest.approx(t2, abs=1e-10)
+        for measure in ALL_MEASURES:
+            again = tripartite_report(DensityMatrix(matrix), measure)
+            assert report_hex(again) == report_hex(reports[measure])
+
+
+def ginibre_states(nqubits: int):
+    """Random states G G^dag / Tr of every rank, from hypothesis floats."""
+    dim = 2 ** nqubits
+
+    def build(entries):
+        g = np.array(entries[0::2]) + 1j * np.array(entries[1::2])
+        g = g.reshape(dim, -1)
+        mat = g @ g.conj().T
+        return DensityMatrix(mat / np.trace(mat).real)
+
+    def entries_of_rank(rank):
+        size = 2 * dim * rank
+        return st.lists(st.floats(-1, 1), min_size=size, max_size=size).filter(
+            lambda v: float(np.abs(v).max()) > 1e-3
+        )
+
+    return st.integers(1, dim).flatmap(entries_of_rank).map(build)
+
+
+@given(ginibre_states(2))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_no_signalling_property(rho):
+    bob_r = to_bloch(rho).s
+    for axis in (1, 2, 3):
+        averaged = sum(b.probability * b.state.r for b in conditional_states(rho, axis))
+        np.testing.assert_allclose(averaged, bob_r, atol=1e-10)
+
+
+@given(ginibre_states(3))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_t3_is_exactly_t1_plus_t2_property(rho):
+    for measure in ALL_MEASURES:
+        report = tripartite_report(rho, measure)
+        assert report.t3.value == report.t1.value + report.t2.value
