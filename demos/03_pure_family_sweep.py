@@ -57,18 +57,19 @@ hi = (1 + math.sqrt(1 - 4 * threshold)) / 2
 print(f"\nexact crossing points: alpha = {lo:.6f} and {hi:.6f}")
 
 # same sweep through the CLI, as a CSV artifact
-out = Path(tempfile.mkdtemp()) / "pure_family_l1.csv"
-code = main(
-    [
-        "sweep",
-        "--family", "pure_alpha",
-        "--from", "0", "--to", "1", "--step", "0.01",
-        "--measure", "l1",
-        "--out", str(out),
-    ]
-)
-assert code == 0
-rows = out.read_text().splitlines()
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "pure_family_l1.csv"
+    code = main(
+        [
+            "sweep",
+            "--family", "pure_alpha",
+            "--from", "0", "--to", "1", "--step", "0.01",
+            "--measure", "l1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()
 print(f"\nCLI sweep wrote {len(rows) - 1} rows, header: {rows[0]}")
 peak = max(rows[1:], key=lambda line: float(line.split(",")[2]))
 print(f"peak row: {peak}")

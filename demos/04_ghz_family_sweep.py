@@ -77,18 +77,19 @@ print(
 print("\n" + "=" * 64)
 print("  CSV SWEEP THROUGH THE CLI")
 print("=" * 64)
-out = Path(tempfile.mkdtemp()) / "ghz_family_l1.csv"
-code = main(
-    [
-        "sweep",
-        "--family", "ghz_alpha",
-        "--from", "0", "--to", "1", "--step", "0.01",
-        "--measure", "l1",
-        "--out", str(out),
-    ]
-)
-assert code == 0
-rows = out.read_text().splitlines()
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "ghz_family_l1.csv"
+    code = main(
+        [
+            "sweep",
+            "--family", "ghz_alpha",
+            "--from", "0", "--to", "1", "--step", "0.01",
+            "--measure", "l1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()
 print(f"wrote {len(rows) - 1} rows, header: {rows[0]}")
 t1_max = max(float(line.split(",")[1]) for line in rows[1:])
 t3_max = max(float(line.split(",")[3]) for line in rows[1:])

@@ -110,7 +110,9 @@ def partial_trace_matrix(mat: np.ndarray, nqubits: int, keep) -> np.ndarray:
     """Partial trace of a raw (not necessarily normalized) 2**n square array.
 
     ``keep`` lists the qubit indices to retain; they stay in their original
-    order. Used internally on projected, unnormalized operators.
+    order. ``partial_trace`` is its one caller in the package; conditioning
+    in ``naqc.steering`` traces out the measured qubit of its stacked
+    projected blocks directly.
     """
     keep = sorted(set(int(q) for q in np.atleast_1d(keep)))
     if any(q < 0 or q >= nqubits for q in keep):
@@ -130,7 +132,9 @@ class DensityMatrix:
 
     Construction enforces Hermiticity within 1e-10, unit trace within
     1e-10, and eigenvalues no lower than -1e-10; anything else raises
-    ``NotAStateError``. The wrapped array is a read-only copy.
+    ``NotAStateError``. The wrapped array is a read-only copy, and neither
+    ``matrix`` nor ``nqubits`` can be rebound, so the memo below always
+    describes the state it sits on.
 
     A two- or three-qubit state memoizes its conditional branches (those of
     Alice's Pauli measurements on two qubits, of Charlie's on three) in a
@@ -142,7 +146,7 @@ class DensityMatrix:
     across threads.
     """
 
-    __slots__ = ("matrix", "nqubits", "_branches")
+    __slots__ = ("_matrix", "_nqubits", "_branches")
 
     def __init__(self, matrix) -> None:
         mat = np.array(matrix, dtype=complex)
@@ -161,13 +165,21 @@ class DensityMatrix:
         lowest = float(np.linalg.eigvalsh(mat)[0])
         if not lowest >= EIGVAL_FLOOR:
             raise NotAStateError(f"negative eigenvalue {lowest:.3e}")
-        self.matrix = _frozen(mat)
-        self.nqubits = _QUBITS_OF_DIM[dim]
+        self._matrix = _frozen(mat)
+        self._nqubits = _QUBITS_OF_DIM[dim]
         self._branches = None  # filled by naqc.steering on first conditioning
 
     @property
+    def matrix(self) -> np.ndarray:
+        return self._matrix
+
+    @property
+    def nqubits(self) -> int:
+        return self._nqubits
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self._matrix.shape[0]
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))

@@ -37,8 +37,6 @@ from .qcore import (
     _bloch_vector,
     _check_axis,
     _frozen,
-    kron,
-    partial_trace_matrix,
     projector,
 )
 
@@ -66,20 +64,10 @@ ZERO_PROBABILITY = 1e-12
 
 DOUBLE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
-# Pauli measurement operators keyed by (qubit count, axis, outcome): Alice
-# measures the first of two qubits, Charlie the last of three. The qubits
-# kept after the measurement are the unmeasured ones.
-_MEASUREMENTS = {
-    (nqubits, axis, outcome): _frozen(
-        kron(projector(axis, outcome), np.eye(2))
-        if nqubits == 2
-        else kron(np.eye(4), projector(axis, outcome))
-    )
-    for nqubits in (2, 3)
-    for axis in (1, 2, 3)
-    for outcome in (0, 1)
-}
-_KEPT_QUBITS = {2: (1,), 3: (0, 1)}
+# The projectors onto the six Pauli outcomes, stacked as P[2 * (axis - 1) + outcome].
+_PROJECTORS = _frozen(
+    np.array([projector(axis, outcome) for axis in (1, 2, 3) for outcome in (0, 1)])
+)
 
 
 def _check_shift(j: int) -> None:
@@ -107,29 +95,43 @@ def _condition(rho: DensityMatrix) -> tuple:
     and the zero Bloch vector, or the state None. The six branches are
     computed on the first call and kept in the state's memo, which later
     calls return.
+
+    One stacked pass projects all six outcomes, reading rho as r[c, x, c', x']
+    with the measured qubit's indices first. Projector entries are 0, +-1/2
+    or +-i/2, so each entry of P rho P is one rounding of the same two exact
+    products that kron(P, I) @ rho @ kron(P, I) adds, and both traces sum the
+    same entries in the same order: the bits match that matrix product's.
     """
     memo = rho._branches
     if memo is not None:
         return memo
     nqubits = rho.nqubits
-    memo = []
-    for axis in (1, 2, 3):
-        pair = []
-        for outcome in (0, 1):
-            op = _MEASUREMENTS[nqubits, axis, outcome]
-            sub = op @ rho.matrix @ op
-            prob = float(np.trace(sub).real)
-            if prob < ZERO_PROBABILITY:
-                prob, rest = 0.0, None
-            else:
-                rest = partial_trace_matrix(sub, nqubits, _KEPT_QUBITS[nqubits]) / prob
-            if nqubits == 2:
-                bob = BlochQubit(np.zeros(3) if rest is None else _bloch_vector(rest))
-                pair.append(ConditionalBranch(axis, outcome, prob, bob))
-            else:
-                pair.append((prob, None if rest is None else DensityMatrix(rest)))
-        memo.append(tuple(pair))
-    rho._branches = memo = tuple(memo)
+    if nqubits == 2:
+        r = rho.matrix.reshape(2, 2, 2, 2)
+    else:
+        r = rho.matrix.reshape(4, 2, 4, 2).transpose(1, 0, 3, 2)
+    row = _PROJECTORS[:, :, :, None, None, None]
+    left = row[:, :, 0] * r[0] + row[:, :, 1] * r[1]  # P rho as [k, c, x, c', x']
+    col = _PROJECTORS[:, None, None, :, :, None]
+    sub = left[:, :, :, :1] * col[:, :, :, 0] + left[:, :, :, 1:] * col[:, :, :, 1]
+    kept = np.trace(sub, axis1=1, axis2=3)
+    if nqubits == 3:
+        sub = sub.transpose(0, 2, 1, 4, 3)  # back to the index order of rho
+    probs = np.trace(sub.reshape(6, rho.dim, rho.dim), axis1=1, axis2=2).real
+    branches = []
+    for k in range(6):
+        axis, outcome = k // 2 + 1, k % 2
+        prob = float(probs[k])
+        if prob < ZERO_PROBABILITY:
+            prob, rest = 0.0, None
+        else:
+            rest = kept[k] / prob
+        if nqubits == 2:
+            bob = BlochQubit(np.zeros(3) if rest is None else _bloch_vector(rest))
+            branches.append(ConditionalBranch(axis, outcome, prob, bob))
+        else:
+            branches.append((prob, None if rest is None else DensityMatrix(rest)))
+    rho._branches = memo = tuple(zip(branches[0::2], branches[1::2]))
     return memo
 
 

@@ -3,7 +3,7 @@
 Each demo runs in its own interpreter with ``src`` on ``PYTHONPATH``, as
 from a checkout without installing, and must exit 0 after printing
 something. Temporary files the demos write go to pytest's temporary
-directory.
+directory, and a demo must leave that directory empty.
 """
 
 import os
@@ -35,3 +35,4 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip(), f"{demo.name} printed nothing"
+    assert list(tmp_path.iterdir()) == [], f"{demo.name} left temporary files"

@@ -1,0 +1,100 @@
+"""Golden outputs: the library's results are reproducible bit for bit.
+
+``golden.json`` holds, for a fixed seeded set of states (30 random and 10
+family two-qubit states, 8 random and 2 GHZ-family three-qubit states),
+the exact ``float.hex`` of every value and bound of ``steering_report`` and
+``tripartite_report`` under all three measures, with the violation flags,
+and the SHA-256 of the CSV bytes that ``naqc sweep`` writes for the
+``pure_alpha`` and ``ghz_alpha`` families (skew, step 0.01). The test
+recomputes all of them and requires equality.
+
+A change that alters any output bit on purpose (reordered floating-point
+work, a new generator) is a contract change: regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and commit it together with the change and the reason in CHANGES.md. Never
+regenerate it to make an unintended difference go away.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from naqc.cli import main
+from naqc.coherence import Measure
+from naqc.states import ghz_alpha, pure_alpha, random_mixed, random_pure, werner
+from naqc.steering import steering_report, tripartite_report
+
+GOLDEN = Path(__file__).with_name("golden.json")
+SEED = 20240
+SWEEPS = ("pure_alpha", "ghz_alpha")
+
+
+def random_states(nqubits: int, count: int) -> list:
+    """Haar-pure states alternating with Ginibre states of every rank."""
+    states = []
+    for index in range(count):
+        ss = np.random.SeedSequence([SEED, nqubits, index])
+        if index % 2 == 0:
+            states.append(random_pure(nqubits, ss))
+        else:
+            states.append(random_mixed(nqubits, 1 + (index // 2) % 2**nqubits, ss))
+    return states
+
+
+def golden_states() -> dict:
+    grid = (0.0, 0.25, 0.5, 0.75, 1.0)
+    return {
+        2: random_states(2, 30) + [pure_alpha(a) for a in grid] + [werner(p) for p in grid],
+        3: random_states(3, 8) + [ghz_alpha(0.5), ghz_alpha(1 / math.sqrt(2))],
+    }
+
+
+def report_record(report) -> str:
+    """Every value of a report as exact hex, then its flags as 0/1 digits."""
+    if hasattr(report, "shift"):
+        results = list(report.singles) + [r for _, r in report.doubles] + [report.triple]
+        values = list(report.shift.values) + [v for _, v in report.decompositions]
+    else:
+        results = [report.t1, report.t2, report.t3]
+        values = []
+    values += [v for r in results for v in (r.value, r.bound)]
+    flags = "".join("1" if r.violated else "0" for r in results)
+    return " ".join([float(v).hex() for v in values] + [flags])
+
+
+def sweep_digest(family: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / f"{family}.csv"
+        argv = ["sweep", "--family", family, "--from", "0", "--to", "1",
+                "--step", "0.01", "--measure", "skew", "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+def compute() -> dict:
+    reports = {}
+    for nqubits, states in golden_states().items():
+        report = steering_report if nqubits == 2 else tripartite_report
+        reports[f"{nqubits}q"] = {
+            m.value: [report_record(report(rho, m)) for rho in states] for m in Measure
+        }
+    return {"reports": reports, "sweep_sha256": {f: sweep_digest(f) for f in SWEEPS}}
+
+
+def test_outputs_match_golden_bit_for_bit():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert compute() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(compute(), indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {GOLDEN}")

@@ -18,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naqc.coherence import Measure
-from naqc.qcore import ConsistencyError, DensityMatrix, NotAStateError
+from naqc.qcore import (
+    ConsistencyError,
+    DensityMatrix,
+    NotAStateError,
+    kron,
+    partial_trace_matrix,
+    projector,
+)
 from naqc.states import (
     bell,
     ghz,
@@ -31,6 +38,7 @@ from naqc.states import (
     werner,
 )
 from naqc.steering import (
+    ZERO_PROBABILITY,
     ConditionalBranch,
     ShiftValues,
     _condition,
@@ -473,6 +481,20 @@ class TestConditioningMemo:
                 fresh = conditional_states(DensityMatrix(rho.matrix), axis)
                 assert fresh == first[axis - 1]
 
+    def test_filled_memo_cannot_go_stale(self):
+        rho = random_two_qubit(1)
+        before = {m: report_hex(steering_report(rho, m)) for m in ALL_MEASURES}
+        with pytest.raises(AttributeError):
+            rho.matrix = bell().matrix
+        with pytest.raises(AttributeError):
+            rho.nqubits = 3
+        with pytest.raises(AttributeError):
+            rho.dim = 8
+        assert rho.matrix.tobytes() == random_two_qubit(1).matrix.tobytes()
+        assert rho.nqubits == 2
+        for measure in ALL_MEASURES:
+            assert report_hex(steering_report(rho, measure)) == before[measure]
+
     def test_three_qubit_state_is_validated_seven_times(self, monkeypatch):
         matrix = random_three_qubit(0).matrix
         calls = []
@@ -562,6 +584,88 @@ class TestZeroProbabilityBranches:
             assert report_hex(again) == report_hex(reports[measure])
 
 
+def matmul_branches(rho: DensityMatrix) -> list:
+    """The six branches by dense matrix products, as ``_condition`` once
+    computed them: kron(P, I) or kron(I4, P), op @ rho @ op, np.trace,
+    partial_trace_matrix and the division by the probability. Each branch
+    is its probability and the exact hex of Bob's Bloch vector (two
+    qubits) or of every entry of the AB matrix (three)."""
+    nqubits = rho.nqubits
+    branches = []
+    for axis in (1, 2, 3):
+        for outcome in (0, 1):
+            if nqubits == 2:
+                op = kron(projector(axis, outcome), np.eye(2))
+            else:
+                op = kron(np.eye(4), projector(axis, outcome))
+            sub = op @ rho.matrix @ op
+            prob = float(np.trace(sub).real)
+            if prob < ZERO_PROBABILITY:
+                branches.append((0.0.hex(), None))
+                continue
+            keep = (1,) if nqubits == 2 else (0, 1)
+            rest = partial_trace_matrix(sub, nqubits, keep) / prob
+            if nqubits == 2:
+                rest = np.array([2 * rest[0, 1].real, 2 * rest[1, 0].imag,
+                                 (rest[0, 0] - rest[1, 1]).real])
+            branches.append((prob.hex(), hex_entries(rest)))
+    return branches
+
+
+def hex_entries(arr: np.ndarray) -> list[str]:
+    values = arr.ravel()
+    if np.iscomplexobj(values):
+        values = np.column_stack([values.real, values.imag]).ravel()
+    return [float(v).hex() for v in values]
+
+
+def memo_branches(rho: DensityMatrix) -> list:
+    """The branches ``_condition`` memoizes, in the form of ``matmul_branches``."""
+    branches = []
+    for pair in _condition(rho):
+        for branch in pair:
+            if rho.nqubits == 2:
+                prob, state = branch.probability, branch.state.r
+            else:
+                prob, state = branch[0], None if branch[1] is None else branch[1].matrix
+            branches.append((prob.hex(), None if prob == 0.0 else hex_entries(state)))
+    return branches
+
+
+class TestConditioningIsBitwise:
+    """The stacked conditioning pass reproduces the dense matrix products bit
+    for bit, signed zeros included, on Ginibre states of every rank, the
+    three family grids and states with zero-probability branches."""
+
+    FAMILY_GRID = [k / 100 for k in range(101)]
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_ginibre_states_of_every_rank(self, nqubits):
+        for rank in range(1, 2**nqubits + 1):
+            for index in range(80 // 2**nqubits):
+                ss = np.random.SeedSequence([9700, nqubits, rank, index])
+                rho = random_mixed(nqubits, rank, ss)
+                assert memo_branches(rho) == matmul_branches(rho)
+
+    @pytest.mark.parametrize("family", [pure_alpha, werner, ghz_alpha])
+    def test_family_grids(self, family):
+        for x in self.FAMILY_GRID:
+            rho = family(x)
+            assert memo_branches(rho) == matmul_branches(rho)
+
+    def test_zero_probability_states(self):
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        zero = np.diag([1.0, 0.0]).astype(complex)
+        states = [
+            DensityMatrix(np.kron(zero, plus)),
+            DensityMatrix(np.kron(random_two_qubit(3).matrix, zero)),
+        ]
+        for rho in states:
+            expected = matmul_branches(rho)
+            assert sum(state is None for _, state in expected) == 1
+            assert memo_branches(rho) == expected
+
+
 def ginibre_states(nqubits: int):
     """Random states G G^dag / Tr of every rank, from hypothesis floats."""
     dim = 2 ** nqubits
@@ -596,3 +700,15 @@ def test_t3_is_exactly_t1_plus_t2_property(rho):
     for measure in ALL_MEASURES:
         report = tripartite_report(rho, measure)
         assert report.t3.value == report.t1.value + report.t2.value
+
+
+@given(ginibre_states(2))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_conditioning_is_bitwise_property(rho):
+    assert memo_branches(rho) == matmul_branches(rho)
+
+
+@given(ginibre_states(3))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_three_qubit_conditioning_is_bitwise_property(rho):
+    assert memo_branches(rho) == matmul_branches(rho)
