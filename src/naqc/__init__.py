@@ -25,7 +25,6 @@ from .qcore import (
     DensityMatrix,
     NotAStateError,
     bloch_of_qubit,
-    kron,
     partial_trace,
     pauli,
     projector,
@@ -89,7 +88,6 @@ __all__ = [
     "from_family",
     "ghz",
     "ghz_alpha",
-    "kron",
     "maximally_mixed",
     "partial_trace",
     "pauli",

@@ -91,8 +91,10 @@ def decode_state_document(doc) -> DensityMatrix:
         if missing:
             raise DocumentError(f"dense block is missing keys {sorted(missing)}")
         nqubits = doc["nqubits"]
-        if nqubits not in (1, 2, 3):
-            raise DocumentError(f"nqubits must be 1, 2 or 3, got {nqubits!r}")
+        if type(nqubits) is not int or nqubits not in (1, 2, 3):
+            raise DocumentError(
+                f"nqubits must be the integer 1, 2 or 3, got {nqubits!r}"
+            )
         dim = 2 ** nqubits
         try:
             re = np.asarray(doc["re"], dtype=float)
@@ -201,6 +203,11 @@ def cmd_evaluate(args) -> int:
 
 
 def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
+    if not np.isfinite([start, stop, step]).all():
+        raise ValueError(
+            f"sweep bounds and step must be finite, "
+            f"got from {start} to {stop} step {step}"
+        )
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
@@ -410,7 +417,9 @@ def cmd_check(args) -> int:
         raise ValueError(
             f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}"
         )
-    samples = args.samples if args.samples else SUITE_SAMPLES[args.suite]
+    samples = SUITE_SAMPLES[args.suite] if args.samples is None else args.samples
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     result = SUITES[args.suite](args.seed, samples)
     print(f"suite: {args.suite}")
     print(f"samples: {samples}")
@@ -463,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--suite", required=True)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument(
-        "--samples", type=int, default=0, help="override the default sample count"
+        "--samples", type=int, help="override the suite's default sample count"
     )
     p_check.set_defaults(func=cmd_check)
     return parser

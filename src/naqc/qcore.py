@@ -6,6 +6,11 @@ unit trace, positive semidefinite); ``BlochQubit`` is the real 3-vector
 parameterization of a single-qubit state. Qubit 0 is the most significant
 tensor factor throughout, so a bipartite state is ordered A (x) B and a
 tripartite one A (x) B (x) C.
+
+One frozen Pauli table, ``_PAULI`` (sigma_0 = I, then x, y, z), and the
+projectors ``_PROJ`` built from it feed ``pauli``, ``projector``, the
+conditioning in ``naqc.steering`` and the (r, s, T) conversions in
+``naqc.states``.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ __all__ = [
     "BlochQubit",
     "pauli",
     "projector",
-    "kron",
     "partial_trace",
-    "partial_trace_matrix",
     "bloch_of_qubit",
 ]
 
@@ -36,7 +39,6 @@ TRACE_TOL = 1e-10
 EIGVAL_FLOOR = -1e-10
 BLOCH_NORM_TOL = 1e-9
 
-_MAX_DIM = 8
 _QUBITS_OF_DIM = {2: 1, 4: 2, 8: 3}
 
 
@@ -57,32 +59,36 @@ def _frozen(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-_SIGMA = tuple(
-    _frozen(np.array(m, dtype=complex))
-    for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]])
+# sigma_0 = I, sigma_x, sigma_y, sigma_z
+_PAULI = _frozen(
+    np.array(
+        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+        dtype=complex,
+    )
 )
 
-_PROJ = {
-    (axis, a): _frozen((np.eye(2, dtype=complex) + (-1) ** a * _SIGMA[axis - 1]) / 2)
-    for axis in (1, 2, 3)
-    for a in (0, 1)
-}
+# _PROJ[axis - 1, outcome] = (I + (-1)**outcome sigma_axis) / 2
+_PROJ = _frozen((_PAULI[0] + np.array([1, -1])[:, None, None] * _PAULI[1:, None]) / 2)
+
+
+def _check_index(name: str, value, allowed: tuple) -> None:
+    """``value`` must be an int or numpy integer in ``allowed``; bool and
+    floats are rejected even when they compare equal to an allowed value."""
+    is_integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not is_integer or value not in allowed:
+        raise ValueError(f"{name} must be an integer in {allowed}, got {value!r}")
 
 
 def _check_axis(axis: int) -> None:
-    if axis not in (1, 2, 3):
-        raise ValueError(f"Pauli axis must be 1, 2 or 3, got {axis!r}")
-
-
-def _check_outcome(outcome: int) -> None:
-    if outcome not in (0, 1):
-        raise ValueError(f"measurement outcome must be 0 or 1, got {outcome!r}")
+    # the hot path passes exact ints, which skip the slower type tests
+    if type(axis) is not int or not 1 <= axis <= 3:
+        _check_index("Pauli axis", axis, (1, 2, 3))
 
 
 def pauli(axis: int) -> np.ndarray:
     """Return sigma_axis for axis in {1, 2, 3} (x, y, z). Read-only array."""
     _check_axis(axis)
-    return _SIGMA[axis - 1]
+    return _PAULI[axis]
 
 
 def projector(axis: int, outcome: int) -> np.ndarray:
@@ -92,39 +98,8 @@ def projector(axis: int, outcome: int) -> np.ndarray:
     the identity. Read-only array.
     """
     _check_axis(axis)
-    _check_outcome(outcome)
-    return _PROJ[(axis, outcome)]
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, restricted to results of dimension at most 8."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    dim = a.shape[0] * b.shape[0]
-    if dim > _MAX_DIM:
-        raise ValueError(f"kron result dimension {dim} exceeds {_MAX_DIM}")
-    return np.kron(a, b)
-
-
-def partial_trace_matrix(mat: np.ndarray, nqubits: int, keep) -> np.ndarray:
-    """Partial trace of a raw (not necessarily normalized) 2**n square array.
-
-    ``keep`` lists the qubit indices to retain; they stay in their original
-    order. ``partial_trace`` is its one caller in the package; conditioning
-    in ``naqc.steering`` traces out the measured qubit of its stacked
-    projected blocks directly.
-    """
-    keep = sorted(set(int(q) for q in np.atleast_1d(keep)))
-    if any(q < 0 or q >= nqubits for q in keep):
-        raise ValueError(f"keep indices {keep} out of range for {nqubits} qubits")
-    traced = [q for q in range(nqubits) if q not in keep]
-    arr = np.asarray(mat, dtype=complex).reshape((2,) * (2 * nqubits))
-    remaining = nqubits
-    for q in sorted(traced, reverse=True):
-        arr = np.trace(arr, axis1=q, axis2=q + remaining)
-        remaining -= 1
-    dim = 2 ** len(keep)
-    return arr.reshape(dim, dim)
+    _check_index("measurement outcome", outcome, (0, 1))
+    return _PROJ[axis - 1, outcome]
 
 
 class DensityMatrix:
@@ -242,13 +217,24 @@ class BlochQubit(_ValueEquality):
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the kept qubits (a nonempty proper subset)."""
+    """Reduced state on the kept qubits (a nonempty proper subset), which
+    stay in their original order."""
+    nqubits = rho.nqubits
     keep = sorted(set(int(q) for q in np.atleast_1d(keep)))
-    if not keep or len(keep) >= rho.nqubits:
+    if not keep or len(keep) >= nqubits:
         raise ValueError(
-            f"keep must be a nonempty proper subset of 0..{rho.nqubits - 1}, got {keep}"
+            f"keep must be a nonempty proper subset of 0..{nqubits - 1}, got {keep}"
         )
-    return DensityMatrix(partial_trace_matrix(rho.matrix, rho.nqubits, keep))
+    if any(q < 0 or q >= nqubits for q in keep):
+        raise ValueError(f"keep indices {keep} out of range for {nqubits} qubits")
+    arr = rho.matrix.reshape((2,) * (2 * nqubits))
+    remaining = nqubits
+    for q in reversed(range(nqubits)):
+        if q not in keep:
+            arr = np.trace(arr, axis1=q, axis2=q + remaining)
+            remaining -= 1
+    dim = 2 ** len(keep)
+    return DensityMatrix(arr.reshape(dim, dim))
 
 
 def _bloch_vector(m: np.ndarray) -> np.ndarray:

@@ -6,8 +6,12 @@ The two-qubit Bloch parameterization (r, s, T) expands a state as
 
 with |r| <= 1, |s| <= 1 and |T_ij| <= 1. Those box constraints are
 necessary but not sufficient, so ``from_bloch`` still runs the positivity
-check. Random generation is deterministic per 64-bit seed; each call owns
-a private generator, so there is no global RNG state.
+check. Together they form R_ij = Tr(rho sigma_i (x) sigma_j) with
+sigma_0 = I (r = R[1:, 0], s = R[0, 1:], T = R[1:, 1:]); both conversions
+are one contraction with the 16 products sigma_i (x) sigma_j.
+
+Random generation is deterministic per 64-bit seed; each call owns a
+private generator, so there is no global RNG state.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from .qcore import (
     BLOCH_NORM_TOL,
     DensityMatrix,
     NotAStateError,
+    _PAULI,
     _ValueEquality,
-    kron,
-    pauli,
+    _frozen,
 )
 
 __all__ = [
@@ -42,6 +46,9 @@ __all__ = [
     "from_family",
     "FAMILY_NAMES",
 ]
+
+# sigma_i (x) sigma_j stacked as [4 i + j]; every entry is 0, +-1 or +-i, exactly
+_PAULI_PAIRS = _frozen(np.einsum("iab,jcd->ijacbd", _PAULI, _PAULI).reshape(16, 4, 4))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,31 +82,20 @@ def from_bloch(params: TwoQubitBloch) -> DensityMatrix:
     Raises ``NotAStateError`` when the reconstruction is not positive
     semidefinite: the box constraints alone do not guarantee a state.
     """
-    eye = np.eye(2, dtype=complex)
-    mat = kron(eye, eye).astype(complex)
-    for i in (1, 2, 3):
-        mat += params.r[i - 1] * kron(pauli(i), eye)
-        mat += params.s[i - 1] * kron(eye, pauli(i))
-        for j in (1, 2, 3):
-            mat += params.T[i - 1, j - 1] * kron(pauli(i), pauli(j))
-    return DensityMatrix(mat / 4.0)
+    R = np.empty((4, 4))
+    R[0, 0] = 1.0
+    R[1:, 0] = params.r
+    R[0, 1:] = params.s
+    R[1:, 1:] = params.T
+    return DensityMatrix(np.tensordot(R.ravel(), _PAULI_PAIRS, axes=1) / 4.0)
 
 
 def to_bloch(rho: DensityMatrix) -> TwoQubitBloch:
     """Extract (r, s, T) from a two-qubit state by Pauli traces."""
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
-    eye = np.eye(2, dtype=complex)
-    m = rho.matrix
-    r = np.array([np.real(np.trace(m @ kron(pauli(i), eye))) for i in (1, 2, 3)])
-    s = np.array([np.real(np.trace(m @ kron(eye, pauli(j)))) for j in (1, 2, 3)])
-    T = np.array(
-        [
-            [np.real(np.trace(m @ kron(pauli(i), pauli(j)))) for j in (1, 2, 3)]
-            for i in (1, 2, 3)
-        ]
-    )
-    return TwoQubitBloch(r, s, T)
+    R = np.trace(rho.matrix @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4)
+    return TwoQubitBloch(R[1:, 0], R[0, 1:], R[1:, 1:])
 
 
 def _projector_of(vec: np.ndarray) -> DensityMatrix:

@@ -33,11 +33,10 @@ from .qcore import (
     BlochQubit,
     ConsistencyError,
     DensityMatrix,
+    _PROJ,
     _ValueEquality,
     _bloch_vector,
     _check_axis,
-    _frozen,
-    projector,
 )
 
 __all__ = [
@@ -65,9 +64,7 @@ ZERO_PROBABILITY = 1e-12
 DOUBLE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 # The projectors onto the six Pauli outcomes, stacked as P[2 * (axis - 1) + outcome].
-_PROJECTORS = _frozen(
-    np.array([projector(axis, outcome) for axis in (1, 2, 3) for outcome in (0, 1)])
-)
+_PROJECTORS = _PROJ.reshape(6, 2, 2)
 
 
 def _check_shift(j: int) -> None:

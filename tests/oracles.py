@@ -2,9 +2,11 @@
 
 Brute-force linear algebra the library itself does not need: a sorted
 Hermitian eigendecomposition, the PSD square root of a state, the density
-matrix of a Bloch vector, and the l1 shift functionals and tripartite
-criteria computed from projectors and partial traces. The tests use them to
-check the closed forms of ``naqc`` against direct matrix computations.
+matrix of a Bloch vector, a partial trace of raw arrays, the (r, s, T) form
+by traces against Kronecker products of Pauli matrices, and the l1 shift
+functionals and tripartite criteria computed from projectors and partial
+traces. The tests use them to check the closed forms of ``naqc`` against
+direct matrix computations.
 """
 
 import math
@@ -54,6 +56,58 @@ def qubit_of_bloch(state: BlochQubit) -> DensityMatrix:
         [[1.0 + rz, rx - 1j * ry], [rx + 1j * ry, 1.0 - rz]], dtype=complex
     ) / 2.0
     return DensityMatrix(mat)
+
+
+def partial_trace_matrix(mat: np.ndarray, nqubits: int, keep) -> np.ndarray:
+    """Partial trace of a raw (not necessarily normalized) 2**n square array.
+
+    ``keep`` lists the qubit indices to retain; they stay in their original
+    order. This is the raw-array routine ``naqc.qcore.partial_trace`` was
+    built on, kept for the dense matrix-product conditioning path.
+    """
+    keep = sorted(set(int(q) for q in np.atleast_1d(keep)))
+    if any(q < 0 or q >= nqubits for q in keep):
+        raise ValueError(f"keep indices {keep} out of range for {nqubits} qubits")
+    traced = [q for q in range(nqubits) if q not in keep]
+    arr = np.asarray(mat, dtype=complex).reshape((2,) * (2 * nqubits))
+    remaining = nqubits
+    for q in sorted(traced, reverse=True):
+        arr = np.trace(arr, axis1=q, axis2=q + remaining)
+        remaining -= 1
+    dim = 2 ** len(keep)
+    return arr.reshape(dim, dim)
+
+
+EYE2 = np.eye(2, dtype=complex)
+SIGMAS = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def kron_to_bloch(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, s, T) of a two-qubit matrix as np.real(np.trace(rho @ op)) for
+    each Kronecker product op of Pauli matrices and the identity."""
+    def coefficient(op):
+        return np.real(np.trace(rho @ op))
+
+    r = np.array([coefficient(np.kron(sx, EYE2)) for sx in SIGMAS])
+    s = np.array([coefficient(np.kron(EYE2, sx)) for sx in SIGMAS])
+    T = np.array([[coefficient(np.kron(si, sj)) for sj in SIGMAS] for si in SIGMAS])
+    return r, s, T
+
+
+def kron_from_bloch(r, s, T) -> np.ndarray:
+    """(1/4) (I(x)I + sum_i r_i sigma_i(x)I + s_i I(x)sigma_i + sum_j T_ij
+    sigma_i(x)sigma_j), accumulated term by term in that order."""
+    mat = np.kron(EYE2, EYE2)
+    for i, si in enumerate(SIGMAS):
+        mat += r[i] * np.kron(si, EYE2)
+        mat += s[i] * np.kron(EYE2, si)
+        for j, sj in enumerate(SIGMAS):
+            mat += T[i, j] * np.kron(si, sj)
+    return mat / 4.0
 
 
 # The conditioning oracles below build the Pauli eigenbases, the projectors

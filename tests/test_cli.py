@@ -66,6 +66,16 @@ class TestStateDocuments:
         with pytest.raises(DocumentError, match="nqubits"):
             decode_state_document({"nqubits": 5, "re": [], "im": []})
 
+    @pytest.mark.parametrize("nqubits", [2.0, True, 1.0, "2"])
+    def test_non_integer_nqubits_is_parse_error(self, tmp_path, capsys, nqubits):
+        doc = dense_doc_of(bell())
+        doc["nqubits"] = nqubits
+        with pytest.raises(DocumentError, match="nqubits"):
+            decode_state_document(doc)
+        path = write_doc(tmp_path, "d.json", doc)
+        assert main(["evaluate", "--state", path]) == EXIT_PARSE
+        assert capsys.readouterr().out == ""
+
     def test_invalid_dense_state(self):
         doc = dense_doc_of(bell())
         doc["re"][0][0] += 0.5  # breaks the trace
@@ -226,6 +236,28 @@ class TestSweep:
         )
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            ("0", "inf", "0.5"),
+            ("-inf", "1", "0.5"),
+            ("0", "1", "inf"),
+            ("0", "nan", "0.5"),
+            ("nan", "1", "0.5"),
+            ("0", "1", "nan"),
+        ],
+    )
+    def test_non_finite_bounds_are_parse_errors(self, tmp_path, capsys, bounds):
+        start, stop, step = bounds
+        code, out = run_sweep(
+            tmp_path, "x.csv",
+            "--family", "pure_alpha",
+            f"--from={start}", f"--to={stop}", f"--step={step}",
+        )
+        assert code == EXIT_PARSE
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_path_is_error(self, capsys):
         code = main([
             "sweep", "--family", "pure_alpha",
@@ -309,6 +341,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "samples: 10000" in out
+
+    @pytest.mark.parametrize("suite", ["tripartite-complementarity", "no-signalling"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_must_be_positive(self, suite, samples, capsys):
+        code = main(["check", "--suite", suite, "--samples", samples])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert "samples must be at least 1" in captured.err
 
     def test_unknown_suite_is_parse_error(self, capsys):
         assert main(["check", "--suite", "nope"]) == EXIT_PARSE

@@ -63,6 +63,13 @@ class TestBounds:
         assert Measure("l1") is Measure.L1
 
 
+@pytest.mark.parametrize("measure", ALL_MEASURES)
+@pytest.mark.parametrize("axis", [True, 2.0, np.float64(3.0), np.bool_(True)])
+def test_non_integer_axis_is_rejected(measure, axis):
+    with pytest.raises(ValueError, match="integer"):
+        measure.coherence(SYMMETRIC, axis)
+
+
 class TestL1:
     def test_eigenstate_of_measured_basis(self):
         assert c_l1(BlochQubit(np.array([0.0, 0.0, 1.0])), 3) == 0.0

@@ -2,6 +2,7 @@
 density-matrix oracles the other tests rely on."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -11,13 +12,11 @@ from naqc.qcore import (
     DensityMatrix,
     NotAStateError,
     bloch_of_qubit,
-    kron,
     partial_trace,
-    partial_trace_matrix,
     pauli,
     projector,
 )
-from oracles import eig_hermitian, qubit_of_bloch, sqrt_psd
+from oracles import eig_hermitian, partial_trace_matrix, qubit_of_bloch, sqrt_psd
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -49,10 +48,16 @@ class TestPauli:
             assert s.trace() == 0
             np.testing.assert_allclose(s @ s, np.eye(2), atol=1e-15)
 
-    @pytest.mark.parametrize("axis", [0, 4, -1, "x", None])
+    @pytest.mark.parametrize(
+        "axis", [0, 4, -1, "x", None, True, False, 2.0, np.float64(1.0), np.bool_(True)]
+    )
     def test_invalid_axis(self, axis):
         with pytest.raises(ValueError):
             pauli(axis)
+
+    def test_numpy_integer_axis_is_accepted(self):
+        for axis in (1, 2, 3):
+            np.testing.assert_array_equal(pauli(np.int64(axis)), pauli(axis))
 
     def test_returned_array_is_read_only(self):
         with pytest.raises(ValueError):
@@ -87,33 +92,25 @@ class TestProjector:
         with pytest.raises(ValueError):
             projector(1, 2)
 
+    @pytest.mark.parametrize("outcome", [True, False, 0.0, 1.0, np.bool_(False)])
+    def test_non_integer_outcome_is_rejected(self, outcome):
+        with pytest.raises(ValueError, match="integer"):
+            projector(1, outcome)
 
-class TestKron:
-    def test_identity(self):
-        np.testing.assert_array_equal(
-            kron(np.eye(2), np.eye(2)), np.eye(4, dtype=complex)
-        )
+    def test_numpy_integer_arguments_are_accepted(self):
+        expected = projector(2, 1)
+        np.testing.assert_array_equal(projector(np.int64(2), np.int32(1)), expected)
 
-    def test_trace_multiplicative(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert np.isclose(np.trace(kron(a, b)), np.trace(a) * np.trace(b))
+    def test_bits_of_the_defining_formula(self):
+        # (I + (-1)**outcome sigma) / 2, formed entrywise as written
+        for axis, sigma in zip((1, 2, 3), (SX, SY, SZ)):
+            for outcome in (0, 1):
+                expected = (np.eye(2, dtype=complex) + (-1) ** outcome * sigma) / 2
+                assert projector(axis, outcome).tobytes() == expected.tobytes()
 
-    def test_sigma_x_tensor_sigma_z_entry(self):
-        # direct index computation: entry (0, 2) = SX[0, 1] * SZ[0, 0] = 1
-        assert kron(pauli(1), pauli(3))[0, 2] == 1.0 + 0j
-
-    def test_dimension_guard(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            kron(np.eye(4), np.eye(4))
-
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(5)
-        a = rng.normal(size=(2, 2))
-        b = rng.normal(size=(4, 4))
-        np.testing.assert_allclose(kron(a, b), np.kron(a, b), atol=0)
+    def test_returned_array_is_read_only(self):
+        with pytest.raises(ValueError):
+            projector(3, 1)[0, 0] = 5.0
 
 
 class TestPartialTrace:
@@ -146,16 +143,21 @@ class TestPartialTrace:
 
     def test_order_independence(self):
         rng = np.random.default_rng(17)
-        mat = random_density(8, rng)
-        via_two_steps = partial_trace_matrix(
-            partial_trace_matrix(mat, 3, (0, 1)), 2, (0,)
-        )
-        at_once = partial_trace_matrix(mat, 3, (0,))
-        other_order = partial_trace_matrix(
-            partial_trace_matrix(mat, 3, (0, 2)), 2, (0,)
-        )
-        np.testing.assert_allclose(via_two_steps, at_once, atol=1e-12)
-        np.testing.assert_allclose(other_order, at_once, atol=1e-12)
+        rho = DensityMatrix(random_density(8, rng))
+        via_two_steps = partial_trace(partial_trace(rho, (0, 1)), 0)
+        at_once = partial_trace(rho, 0)
+        other_order = partial_trace(partial_trace(rho, (0, 2)), 0)
+        np.testing.assert_allclose(via_two_steps.matrix, at_once.matrix, atol=1e-12)
+        np.testing.assert_allclose(other_order.matrix, at_once.matrix, atol=1e-12)
+
+    def test_matches_the_raw_array_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        cases = ((2, ((0,), (1,))), (3, ((0,), (1,), (2,), (0, 2), (1, 2))))
+        for nqubits, keeps in cases:
+            rho = DensityMatrix(random_density(2**nqubits, rng))
+            for keep in keeps:
+                expected = partial_trace_matrix(rho.matrix, nqubits, keep)
+                assert partial_trace(rho, keep).matrix.tobytes() == expected.tobytes()
 
     def test_keep_must_be_proper_subset(self):
         rho = DensityMatrix(bell_matrix())
@@ -165,6 +167,12 @@ class TestPartialTrace:
             partial_trace(rho, (0, 1))
         with pytest.raises(ValueError):
             partial_trace(rho, (2,))
+
+    @pytest.mark.parametrize("keep", [(-1,), (3,), (0, 5)])
+    def test_keep_indices_must_be_in_range(self, keep):
+        rho = DensityMatrix(random_density(8, np.random.default_rng(3)))
+        with pytest.raises(ValueError, match="out of range"):
+            partial_trace(rho, keep)
 
 
 class TestEigHermitian:
@@ -346,3 +354,13 @@ class TestDensityMatrixValidation:
             rho = DensityMatrix(random_density(dim, rng))
             w, _ = eig_hermitian(rho.matrix)
             assert abs(float(w.sum()) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "module", ["naqc", "naqc.coherence", "naqc.qcore", "naqc.states", "naqc.steering"]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"{module}.__all__ names missing {name!r}"

@@ -19,7 +19,21 @@ from naqc.states import (
     to_bloch,
     werner,
 )
-from oracles import eig_hermitian
+from oracles import eig_hermitian, kron_from_bloch, kron_to_bloch
+
+
+def bloch_form_states():
+    """Seeded states of every rank, the maximally mixed state, |00> and Bell."""
+    states = [maximally_mixed(2), pure_alpha(1.0), bell()]
+    for rank in (1, 2, 3, 4):
+        for index in range(50):
+            seed = np.random.SeedSequence([4100, rank, index])
+            states.append(random_mixed(2, rank, seed))
+    return states
+
+
+def hex_of(*arrays) -> list[str]:
+    return [float(x).hex() for arr in arrays for x in np.ravel(arr)]
 
 
 class TestBlochForm:
@@ -85,6 +99,22 @@ class TestBlochForm:
     def test_requires_two_qubits(self):
         with pytest.raises(ValueError):
             to_bloch(maximally_mixed(1))
+
+    def test_to_bloch_matches_kron_traces_bit_for_bit(self):
+        # each Pauli string is a monomial matrix, so every diagonal entry of
+        # rho @ (sigma_i (x) sigma_j) is one exact product: signed zeros included
+        for rho in bloch_form_states():
+            params = to_bloch(rho)
+            expected = kron_to_bloch(rho.matrix)
+            assert hex_of(params.r, params.s, params.T) == hex_of(*expected)
+
+    def test_from_bloch_matches_kron_sum_to_round_off(self):
+        for rho in bloch_form_states():
+            params = to_bloch(rho)
+            expected = kron_from_bloch(params.r, params.s, params.T)
+            np.testing.assert_allclose(
+                from_bloch(params).matrix, expected, rtol=0, atol=4.4e-16
+            )
 
 
 class TestPureAlphaFamily:

@@ -22,8 +22,6 @@ from naqc.qcore import (
     ConsistencyError,
     DensityMatrix,
     NotAStateError,
-    kron,
-    partial_trace_matrix,
     projector,
 )
 from naqc.states import (
@@ -48,7 +46,7 @@ from naqc.steering import (
     steering_report,
     tripartite_report,
 )
-from oracles import oracle_shifts, oracle_t1_t2
+from oracles import oracle_shifts, oracle_t1_t2, partial_trace_matrix
 
 SQRT6 = math.sqrt(6.0)
 ALL_MEASURES = list(Measure)
@@ -156,10 +154,17 @@ class TestConditionalStates:
         moved = ConditionalBranch(b0.axis, b0.outcome, b0.probability, b1.state)
         assert moved != b0
 
-    def test_integral_float_axis_is_accepted(self):
+    @pytest.mark.parametrize(
+        "axis", [True, False, 2.0, np.float64(3.0), np.bool_(True)]
+    )
+    def test_non_integer_axis_is_rejected(self, axis):
+        with pytest.raises(ValueError, match="integer"):
+            conditional_states(bell(), axis)
+
+    def test_numpy_integer_axis_is_accepted(self):
         for axis in (1, 2, 3):
             branches = conditional_states(bell(), axis)
-            assert conditional_states(bell(), float(axis)) == branches
+            assert conditional_states(bell(), np.int64(axis)) == branches
 
     def test_rejects_wrong_qubit_count(self):
         with pytest.raises(ValueError):
@@ -595,9 +600,9 @@ def matmul_branches(rho: DensityMatrix) -> list:
     for axis in (1, 2, 3):
         for outcome in (0, 1):
             if nqubits == 2:
-                op = kron(projector(axis, outcome), np.eye(2))
+                op = np.kron(projector(axis, outcome), np.eye(2))
             else:
-                op = kron(np.eye(4), projector(axis, outcome))
+                op = np.kron(np.eye(4), projector(axis, outcome))
             sub = op @ rho.matrix @ op
             prob = float(np.trace(sub).real)
             if prob < ZERO_PROBABILITY:
