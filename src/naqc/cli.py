@@ -31,9 +31,11 @@ from .states import (
     to_bloch,
 )
 from .steering import (
-    DOUBLE_PAIRS,
     SteeringReport,
     TripartiteReport,
+    _condition,
+    _shifts,
+    _tripartite,
     conditional_states,
     shift_values,
     steering_report,
@@ -52,6 +54,10 @@ SEARCH_CRITERIA = {
     2: ("single0", "single1", "single2", "double01", "double02", "double12", "triple"),
     3: ("t1", "t2", "t3"),
 }
+
+# states drawn, stacked and evaluated together by search and the
+# bipartite and tripartite suites; results do not depend on it
+CHUNK = 64
 
 SUITE_SAMPLES = {
     "coherence-complementarity": 10_000,
@@ -261,17 +267,28 @@ def _sample_state(nqubits: int, master_seed: int, index: int) -> tuple[DensityMa
     return random_mixed(nqubits, 2 ** nqubits, seed), "mixed"
 
 
-def _criterion_of_report(name: str, rho: DensityMatrix, measure: Measure):
+def _sample_chunks(nqubits: int, master_seed: int, samples: int):
+    """Conditioned stacks of up to CHUNK consecutive samples, each drawn from
+    its own ``SeedSequence([master_seed, index])``, with their first index."""
+    for start in range(0, samples, CHUNK):
+        indices = range(start, min(start + CHUNK, samples))
+        matrices = [_sample_state(nqubits, master_seed, i)[0].matrix for i in indices]
+        yield start, _condition(np.stack(matrices))
+
+
+def _criterion_values(name: str, cond, measure: Measure) -> tuple[np.ndarray, float]:
+    """A search criterion's value for every state of a conditioned stack,
+    read as the reports read it, and its bound."""
+    eps = measure.epsilon
+    if name in SEARCH_CRITERIA[3]:
+        k = int(name[1]) - 1
+        return _tripartite(cond, measure)[:, k], (3.0, 6.0, 9.0)[k] * eps
+    s, total = _shifts(cond, measure)
     if name.startswith("single"):
-        j = int(name[len("single"):])
-        return steering_report(rho, measure).singles[j]
+        return s[:, int(name[-1])], eps
     if name.startswith("double"):
-        j, k = int(name[-2]), int(name[-1])
-        pair_index = DOUBLE_PAIRS.index((j, k))
-        return steering_report(rho, measure).doubles[pair_index][1]
-    if name == "triple":
-        return steering_report(rho, measure).triple
-    return getattr(tripartite_report(rho, measure), name)
+        return s[:, int(name[-2])] + s[:, int(name[-1])], 2.0 * eps
+    return total, 3.0 * eps
 
 
 def cmd_search(args) -> int:
@@ -286,14 +303,13 @@ def cmd_search(args) -> int:
     measure = Measure(args.measure)
     best_value = -1.0
     best_index = -1
-    best_kind = ""
     bound = None
-    for index in range(args.samples):
-        rho, kind = _sample_state(nqubits, args.seed, index)
-        result = _criterion_of_report(args.criterion, rho, measure)
-        bound = result.bound
-        if result.value > best_value:
-            best_value, best_index, best_kind = result.value, index, kind
+    for start, cond in _sample_chunks(nqubits, args.seed, args.samples):
+        values, bound = _criterion_values(args.criterion, cond, measure)
+        for index, value in enumerate(values.tolist(), start):
+            if value > best_value:
+                best_value, best_index = value, index
+    best_kind = "pure" if best_index % 2 == 0 else "mixed"
     npure = (args.samples + 1) // 2
     print(f"criterion: {args.criterion}")
     print(f"measure: {measure.value}")
@@ -339,13 +355,15 @@ def _suite_coherence_complementarity(seed: int, samples: int) -> SuiteResult:
 def _suite_bipartite_complementarity(seed: int, samples: int) -> SuiteResult:
     worst = {m: np.inf for m in Measure}
     worst_spread = 0.0
-    for index in range(samples):
-        rho, _ = _sample_state(2, seed, index)
+    for _, cond in _sample_chunks(2, seed, samples):
         for m in Measure:
-            report = steering_report(rho, m)
-            worst[m] = min(worst[m], report.triple.bound - report.triple.value)
-            values = [v for _, v in report.decompositions]
-            worst_spread = max(worst_spread, max(values) - min(values))
+            s, total = _shifts(cond, m)
+            worst[m] = min(worst[m], float(np.min(3.0 * m.epsilon - total)))
+            s0, s1, s2 = s[:, 0], s[:, 1], s[:, 2]
+            # the four groupings of SteeringReport.decompositions
+            groupings = (s0 + s1 + s2, (s0 + s1) + s2, (s0 + s2) + s1, (s1 + s2) + s0)
+            spread = np.max(groupings, axis=0) - np.min(groupings, axis=0)
+            worst_spread = max(worst_spread, float(spread.max()))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
     lines.append(f"worst decomposition spread: {fmt(worst_spread)}")
     passed = all(worst[m] >= -1e-9 for m in Measure) and worst_spread <= 1e-12
@@ -355,14 +373,11 @@ def _suite_bipartite_complementarity(seed: int, samples: int) -> SuiteResult:
 def _suite_tripartite_complementarity(seed: int, samples: int) -> SuiteResult:
     worst = {m: np.inf for m in Measure}
     worst_gap = 0.0
-    for index in range(samples):
-        rho, _ = _sample_state(3, seed, index)
+    for _, cond in _sample_chunks(3, seed, samples):
         for m in Measure:
-            report = tripartite_report(rho, m)
-            worst[m] = min(worst[m], report.t3.bound - report.t3.value)
-            worst_gap = max(
-                worst_gap, abs(report.t3.value - (report.t1.value + report.t2.value))
-            )
+            t1, t2, t3 = _tripartite(cond, m).T
+            worst[m] = min(worst[m], float(np.min(9.0 * m.epsilon - t3)))
+            worst_gap = max(worst_gap, float(np.max(np.abs(t3 - (t1 + t2)))))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
     lines.append(f"worst |t3 - (t1 + t2)|: {fmt(worst_gap)}")
     passed = all(worst[m] >= -1e-9 for m in Measure) and worst_gap <= 1e-12

@@ -40,8 +40,8 @@ __all__ = [
 
 COHERENCE_SUM_TOL = 1e-9
 
-# transverse axis pair for each measured axis
-_OTHER_AXES = {1: (2, 3), 2: (1, 3), 3: (1, 2)}
+# for Bob axes 1, 2, 3: the two transverse components of the Bloch vector
+_TRANSVERSE = (np.array([1, 0, 0]), np.array([2, 2, 1]))
 
 
 def binary_entropy(p: float) -> float:
@@ -56,6 +56,43 @@ EPSILON_RELENT = 3.0 * binary_entropy((1.0 + 1.0 / math.sqrt(3.0)) / 2.0)
 EPSILON_SKEW = 2.0
 
 
+# The evaluators below take a stack of Bloch vectors r of shape (..., 3) and
+# their norms |r| of shape (...) and return the measure at the three Pauli
+# axes, shape (..., 3). They propagate NaN, so the consistency guards
+# downstream trip on it instead of reporting a number.
+
+
+def _l1(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    return np.hypot(r[..., _TRANSVERSE[0]], r[..., _TRANSVERSE[1]])
+
+
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """``binary_entropy`` elementwise."""
+    outside = (p <= 0.0) | (p >= 1.0)
+    p = np.where(outside, 0.5, p)
+    return np.where(outside, 0.0, -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
+
+
+def _relent(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    h = _entropy((1.0 + np.concatenate([r, norm[..., None]], axis=-1)) / 2.0)
+    return np.maximum(0.0, h[..., :3] - h[..., 3:])
+
+
+def _skew(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    small = norm < 1e-12
+    norm = np.where(small, 1.0, norm)[..., None]
+    lam_plus = (1.0 + norm) / 2.0
+    lam_minus = np.maximum(0.0, (1.0 - norm) / 2.0)
+    transverse = np.maximum(0.0, 1.0 - (r / norm) ** 2)
+    value = (np.sqrt(lam_plus) - np.sqrt(lam_minus)) ** 2 * transverse
+    return np.where(small[..., None], 0.0, value)
+
+
+def _at_axis(evaluate, state: BlochQubit, axis: int) -> float:
+    _check_axis(axis)
+    return float(evaluate(state.r, np.float64(state.norm))[axis - 1])
+
+
 def c_l1(state: BlochQubit, axis: int) -> float:
     """l1 coherence of a qubit with respect to the sigma_axis eigenbasis.
 
@@ -63,9 +100,7 @@ def c_l1(state: BlochQubit, axis: int) -> float:
     moduli sum to the transverse Bloch magnitude sqrt(r_j**2 + r_k**2),
     where j, k are the two axes other than ``axis``. Range [0, 1].
     """
-    _check_axis(axis)
-    j, k = _OTHER_AXES[axis]
-    return math.hypot(state.r[j - 1], state.r[k - 1])
+    return _at_axis(_l1, state, axis)
 
 
 def c_relent(state: BlochQubit, axis: int) -> float:
@@ -76,11 +111,7 @@ def c_relent(state: BlochQubit, axis: int) -> float:
     against round-off; it vanishes exactly when r lies along the axis or
     r = 0.
     """
-    _check_axis(axis)
-    value = binary_entropy((1.0 + state.r[axis - 1]) / 2.0) - binary_entropy(
-        (1.0 + state.norm) / 2.0
-    )
-    return max(0.0, value)
+    return _at_axis(_relent, state, axis)
 
 
 def c_skew(state: BlochQubit, axis: int) -> float:
@@ -94,14 +125,7 @@ def c_skew(state: BlochQubit, axis: int) -> float:
     removable (the commutator vanishes), so 0 is returned there; lam_minus
     is clamped at 0 for pure states whose norm rounds slightly above 1.
     """
-    _check_axis(axis)
-    norm = state.norm
-    if norm < 1e-12:
-        return 0.0
-    lam_plus = (1.0 + norm) / 2.0
-    lam_minus = max(0.0, (1.0 - norm) / 2.0)
-    transverse = max(0.0, 1.0 - (state.r[axis - 1] / norm) ** 2)
-    return (math.sqrt(lam_plus) - math.sqrt(lam_minus)) ** 2 * transverse
+    return _at_axis(_skew, state, axis)
 
 
 class Measure(enum.Enum):
@@ -117,7 +141,13 @@ class Measure(enum.Enum):
 
     def coherence(self, state: BlochQubit, axis: int) -> float:
         """Evaluate this measure at one Pauli axis."""
-        return _EVALUATE[self](state, axis)
+        return _at_axis(_EVALUATE[self], state, axis)
+
+    def evaluate(self, r: np.ndarray, norm: np.ndarray) -> np.ndarray:
+        """This measure at the three Pauli axes for a stack of Bloch vectors
+        ``r`` (shape (..., 3)) with norms ``norm`` (shape (...)); the result
+        has shape (..., 3). NaN in, NaN out."""
+        return _EVALUATE[self](r, norm)
 
 
 _EPSILON = {
@@ -127,9 +157,9 @@ _EPSILON = {
 }
 
 _EVALUATE = {
-    Measure.L1: c_l1,
-    Measure.RELATIVE_ENTROPY: c_relent,
-    Measure.SKEW_INFORMATION: c_skew,
+    Measure.L1: _l1,
+    Measure.RELATIVE_ENTROPY: _relent,
+    Measure.SKEW_INFORMATION: _skew,
 }
 
 
@@ -166,5 +196,4 @@ def coherence_triple(state: BlochQubit, measure: Measure) -> CoherenceTriple:
     The sum never exceeds ``measure.epsilon`` for a valid state; a breach
     raises ``ConsistencyError`` since it can only come from a numerics bug.
     """
-    values = np.array([measure.coherence(state, axis) for axis in (1, 2, 3)])
-    return CoherenceTriple(values, measure)
+    return CoherenceTriple(measure.evaluate(state.r, np.float64(state.norm)), measure)

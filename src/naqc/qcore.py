@@ -74,9 +74,18 @@ _PROJ = _frozen((_PAULI[0] + np.array([1, -1])[:, None, None] * _PAULI[1:, None]
 def _check_index(name: str, value, allowed: tuple) -> None:
     """``value`` must be an int or numpy integer in ``allowed``; bool and
     floats are rejected even when they compare equal to an allowed value."""
-    is_integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not is_integer or value not in allowed:
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer in {allowed}, got {value!r}")
+    if value not in allowed:
+        raise ValueError(f"{name} {value!r} out of range, expected one of {allowed}")
+
+
+def _qubit_indices(indices, nqubits: int) -> list:
+    """The qubit indices as a list, each an integer in 0..nqubits - 1."""
+    indices = list(indices)
+    for q in indices:
+        _check_index(f"qubit index for {nqubits} qubits", q, tuple(range(nqubits)))
+    return indices
 
 
 def _check_axis(axis: int) -> None:
@@ -102,6 +111,27 @@ def projector(axis: int, outcome: int) -> np.ndarray:
     return _PROJ[axis - 1, outcome]
 
 
+def _validate(mats: np.ndarray) -> None:
+    """Raise ``NotAStateError`` unless every matrix of the ``(..., D, D)``
+    stack is Hermitian within 1e-10, has unit trace within 1e-10 and no
+    eigenvalue below -1e-10. The message gives the worst value in the stack.
+
+    Each guard is written so that NaN fails it (max and argmax pick NaN),
+    and a stack that fails the Hermiticity or trace check never reaches the
+    eigensolver.
+    """
+    herm_defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    if not herm_defect <= HERMITICITY_TOL:
+        raise NotAStateError(f"not Hermitian: max |M - M^dag| = {herm_defect:.3e}")
+    trace = np.ravel(mats.trace(axis1=-2, axis2=-1))
+    trace = trace[np.abs(trace - 1.0).argmax()]
+    if not abs(trace - 1.0) <= TRACE_TOL:
+        raise NotAStateError(f"trace must be 1, got {trace:.12g}")
+    lowest = np.linalg.eigvalsh(mats).min()
+    if not lowest >= EIGVAL_FLOOR:
+        raise NotAStateError(f"negative eigenvalue {lowest:.3e}")
+
+
 class DensityMatrix:
     """Validated density matrix over 1, 2 or 3 qubits.
 
@@ -111,14 +141,15 @@ class DensityMatrix:
     ``matrix`` nor ``nqubits`` can be rebound, so the memo below always
     describes the state it sits on.
 
-    A two- or three-qubit state memoizes its conditional branches (those of
-    Alice's Pauli measurements on two qubits, of Charlie's on three) in a
-    private slot the first time ``naqc.steering`` conditions it, so every
-    measure and every report evaluated on the same instance shares one
-    conditioning pass. The memo holds immutable objects and filling it is
-    idempotent: two threads that race to fill it compute identical branches
-    and either result may stay. Instances are therefore safe to share
-    across threads.
+    A two- or three-qubit state memoizes its conditioning (the outcome
+    probabilities and Bob's Bloch vectors and norms of Alice's Pauli
+    measurements, inside each of Charlie's conditional AB states on three
+    qubits) in a private slot the first time ``naqc.steering`` conditions
+    it, so every measure and every report evaluated on the same instance
+    shares one conditioning pass. The memo holds read-only arrays and
+    filling it is idempotent: two threads that race to fill it compute
+    identical arrays and either result may stay. Instances are therefore
+    safe to share across threads.
     """
 
     __slots__ = ("_matrix", "_nqubits", "_branches")
@@ -130,16 +161,7 @@ class DensityMatrix:
         dim = mat.shape[0]
         if dim not in _QUBITS_OF_DIM:
             raise NotAStateError(f"dimension must be 2, 4 or 8, got {dim}")
-        # every guard is written so that NaN fails it
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
-        if not herm_defect <= HERMITICITY_TOL:
-            raise NotAStateError(f"not Hermitian: max |M - M^dag| = {herm_defect:.3e}")
-        trace = complex(mat.trace())
-        if not abs(trace - 1.0) <= TRACE_TOL:
-            raise NotAStateError(f"trace must be 1, got {trace:.12g}")
-        lowest = float(np.linalg.eigvalsh(mat)[0])
-        if not lowest >= EIGVAL_FLOOR:
-            raise NotAStateError(f"negative eigenvalue {lowest:.3e}")
+        _validate(mat)
         self._matrix = _frozen(mat)
         self._nqubits = _QUBITS_OF_DIM[dim]
         self._branches = None  # filled by naqc.steering on first conditioning
@@ -220,13 +242,12 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept qubits (a nonempty proper subset), which
     stay in their original order."""
     nqubits = rho.nqubits
-    keep = sorted(set(int(q) for q in np.atleast_1d(keep)))
+    keep = _qubit_indices(keep if np.ndim(keep) else [keep], nqubits)
+    keep = sorted(set(keep))
     if not keep or len(keep) >= nqubits:
         raise ValueError(
             f"keep must be a nonempty proper subset of 0..{nqubits - 1}, got {keep}"
         )
-    if any(q < 0 or q >= nqubits for q in keep):
-        raise ValueError(f"keep indices {keep} out of range for {nqubits} qubits")
     arr = rho.matrix.reshape((2,) * (2 * nqubits))
     remaining = nqubits
     for q in reversed(range(nqubits)):
@@ -238,8 +259,11 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def _bloch_vector(m: np.ndarray) -> np.ndarray:
-    """r_i = Tr(m sigma_i) of a 2x2 array, read off its entries."""
-    return np.array([2.0 * m[0, 1].real, 2.0 * m[1, 0].imag, (m[0, 0] - m[1, 1]).real])
+    """r_i = Tr(m sigma_i) of a (..., 2, 2) stack, read off its entries."""
+    return np.stack(
+        [2.0 * m[..., 0, 1].real, 2.0 * m[..., 1, 0].imag, (m[..., 0, 0] - m[..., 1, 1]).real],
+        axis=-1,
+    )
 
 
 def bloch_of_qubit(rho: DensityMatrix) -> BlochQubit:

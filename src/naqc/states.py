@@ -26,7 +26,9 @@ from .qcore import (
     NotAStateError,
     _PAULI,
     _ValueEquality,
+    _check_index,
     _frozen,
+    _qubit_indices,
 )
 
 __all__ = [
@@ -150,8 +152,7 @@ def werner(p: float) -> DensityMatrix:
 
 def maximally_mixed(nqubits: int) -> DensityMatrix:
     """I / 2**n on the requested number of qubits."""
-    if nqubits not in (1, 2, 3):
-        raise ValueError(f"nqubits must be 1, 2 or 3, got {nqubits!r}")
+    _check_index("nqubits", nqubits, (1, 2, 3))
     dim = 2 ** nqubits
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
@@ -162,8 +163,7 @@ def random_pure(nqubits: int, seed) -> DensityMatrix:
     A complex standard-normal vector is normalized and projected, which is
     Haar-distributed. Bitwise reproducible for a fixed seed.
     """
-    if nqubits not in (1, 2, 3):
-        raise ValueError(f"nqubits must be 1, 2 or 3, got {nqubits!r}")
+    _check_index("nqubits", nqubits, (1, 2, 3))
     rng = np.random.default_rng(seed)
     dim = 2 ** nqubits
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -178,13 +178,11 @@ def random_mixed(nqubits: int, rank: int, seed) -> DensityMatrix:
     G G^dag / Tr(G G^dag). Rank 1 reproduces a Haar pure state; full rank
     gives the Hilbert-Schmidt measure. Bitwise reproducible per seed.
     """
-    if nqubits not in (1, 2, 3):
-        raise ValueError(f"nqubits must be 1, 2 or 3, got {nqubits!r}")
+    _check_index("nqubits", nqubits, (1, 2, 3))
     dim = 2 ** nqubits
-    if not 1 <= int(rank) <= dim:
-        raise ValueError(f"rank must lie in 1..{dim}, got {rank!r}")
+    _check_index("rank", rank, tuple(range(1, dim + 1)))
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, int(rank))) + 1j * rng.normal(size=(dim, int(rank)))
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     mat = g @ g.conj().T
     return DensityMatrix(mat / np.trace(mat).real)
 
@@ -203,8 +201,8 @@ def permute_qubits(rho: DensityMatrix, perm) -> DensityMatrix:
 
     Transpositions are involutive and the spectrum is preserved.
     """
-    perm = [int(p) for p in perm]
     n = rho.nqubits
+    perm = _qubit_indices(perm, n)
     if sorted(perm) != list(range(n)):
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
     axes = perm + [p + n for p in perm]

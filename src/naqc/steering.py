@@ -37,6 +37,7 @@ from .qcore import (
     _ValueEquality,
     _bloch_vector,
     _check_axis,
+    _validate,
 )
 
 __all__ = [
@@ -63,8 +64,20 @@ ZERO_PROBABILITY = 1e-12
 
 DOUBLE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
-# The projectors onto the six Pauli outcomes, stacked as P[2 * (axis - 1) + outcome].
+# The projectors onto the six Pauli outcomes, stacked as P[2 * (axis - 1) + outcome],
+# with their row and column entries shaped to broadcast over (..., 6, c, x, c', x').
 _PROJECTORS = _PROJ.reshape(6, 2, 2)
+_ROW = (_PROJECTORS[:, :, 0, None, None, None], _PROJECTORS[:, :, 1, None, None, None])
+_COL = (_PROJECTORS[:, None, None, 0, :, None], _PROJECTORS[:, None, None, 1, :, None])
+
+# For outcome k = 2 (axis - 1) + outcome and shift j, Bob's 0-based axis
+# shift_axis(axis, j) - 1; the gather w[..., _OUTCOME_ROWS, _SHIFT_AXES] puts
+# the term of s_j from outcome k at [..., k, j].
+_OUTCOME_ROWS = np.arange(6)[:, None]
+_SHIFT_AXES = (_OUTCOME_ROWS // 2 + np.arange(3)) % 3
+# the shift matched to Charlie's axis 1, 2, 3 is s_1, s_2, s_0
+_AXES = np.arange(3)
+_MATCHED = (_AXES + 1) % 3
 
 
 def _check_shift(j: int) -> None:
@@ -79,57 +92,148 @@ def shift_axis(axis: int, j: int) -> int:
     return ((axis - 1 + j) % 3) + 1
 
 
-def _condition(rho: DensityMatrix) -> tuple:
-    """Both outcomes of each Pauli measurement on Alice's qubit (two qubits)
-    or Charlie's (three), indexed ``[axis - 1][outcome]``.
+def _outcomes(matrices: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Both outcomes of each Pauli measurement on the first qubit (or the
+    ``last``) of a ``(..., N, N)`` stack of states.
 
-    Outcome ``a`` of an axis has probability Tr[P rho P] with P the
-    projector onto it, and its state is the normalized partial trace of
-    P rho P over the measured qubit: Bob's Bloch vector inside a
-    ``ConditionalBranch`` for two qubits, a validated ``DensityMatrix`` of
-    AB paired with the probability for three. A branch whose probability
-    falls below ZERO_PROBABILITY is dropped: it comes with probability 0.0
-    and the zero Bloch vector, or the state None. The six branches are
-    computed on the first call and kept in the state's memo, which later
-    calls return.
+    Returns the probabilities Tr[P rho P], shape (..., 3, 2), indexed
+    ``[axis - 1, outcome]``, and the normalized partial traces of P rho P
+    over the measured qubit, shape (..., 3, 2, N/2, N/2). An outcome whose
+    probability falls below ZERO_PROBABILITY is dropped: probability 0.0 and
+    the zero matrix.
 
     One stacked pass projects all six outcomes, reading rho as r[c, x, c', x']
     with the measured qubit's indices first. Projector entries are 0, +-1/2
     or +-i/2, so each entry of P rho P is one rounding of the same two exact
     products that kron(P, I) @ rho @ kron(P, I) adds, and both traces sum the
     same entries in the same order: the bits match that matrix product's.
+    Every step is elementwise or per matrix, so no value depends on the
+    stack around it.
     """
-    memo = rho._branches
-    if memo is not None:
-        return memo
-    nqubits = rho.nqubits
-    if nqubits == 2:
-        r = rho.matrix.reshape(2, 2, 2, 2)
+    n = matrices.shape[-1]
+    d = n // 2
+    lead = matrices.shape[:-2]
+    if last:
+        r = matrices.reshape(lead + (d, 2, d, 2)).swapaxes(-4, -3).swapaxes(-2, -1)
     else:
-        r = rho.matrix.reshape(4, 2, 4, 2).transpose(1, 0, 3, 2)
-    row = _PROJECTORS[:, :, :, None, None, None]
-    left = row[:, :, 0] * r[0] + row[:, :, 1] * r[1]  # P rho as [k, c, x, c', x']
-    col = _PROJECTORS[:, None, None, :, :, None]
-    sub = left[:, :, :, :1] * col[:, :, :, 0] + left[:, :, :, 1:] * col[:, :, :, 1]
-    kept = np.trace(sub, axis1=1, axis2=3)
-    if nqubits == 3:
-        sub = sub.transpose(0, 2, 1, 4, 3)  # back to the index order of rho
-    probs = np.trace(sub.reshape(6, rho.dim, rho.dim), axis1=1, axis2=2).real
-    branches = []
-    for k in range(6):
-        axis, outcome = k // 2 + 1, k % 2
-        prob = float(probs[k])
-        if prob < ZERO_PROBABILITY:
-            prob, rest = 0.0, None
-        else:
-            rest = kept[k] / prob
-        if nqubits == 2:
-            bob = BlochQubit(np.zeros(3) if rest is None else _bloch_vector(rest))
-            branches.append(ConditionalBranch(axis, outcome, prob, bob))
-        else:
-            branches.append((prob, None if rest is None else DensityMatrix(rest)))
-    rho._branches = memo = tuple(zip(branches[0::2], branches[1::2]))
+        r = matrices.reshape(lead + (2, d, 2, d))
+    r = r[..., None, None, :, :, :, :]
+    left = _ROW[0] * r[..., 0, :, :, :] + _ROW[1] * r[..., 1, :, :, :]  # P rho
+    sub = left[..., :1, :] * _COL[0] + left[..., 1:, :] * _COL[1]  # (P rho) P
+    kept = np.trace(sub, axis1=-4, axis2=-2)
+    if last:
+        sub = sub.swapaxes(-4, -3).swapaxes(-2, -1)  # back to the index order of rho
+    probs = np.trace(sub.reshape(lead + (6, n, n)), axis1=-2, axis2=-1).real
+    dropped = probs < ZERO_PROBABILITY
+    probs = np.where(dropped, 0.0, probs)
+    rest = kept / np.where(dropped, 1.0, probs)[..., None, None]
+    rest[dropped] = 0.0
+    return probs.reshape(lead + (3, 2)), rest.reshape(lead + (3, 2, d, d))
+
+
+class _Conditioning(NamedTuple):
+    """Alice's conditional states of a stack of states.
+
+    For two-qubit states of shape (...), ``prob`` (..., 3, 2) holds the
+    probability of each outcome ``[axis - 1, outcome]`` of Alice's Pauli
+    measurements (0.0 when dropped), ``bloch`` (..., 3, 2, 3) Bob's Bloch
+    vector in that branch (zero when dropped) and ``norm`` (..., 3, 2) its
+    norm. For three-qubit states ``charlie`` (..., 3, 2) holds the
+    probabilities of Charlie's outcomes and the other three arrays carry
+    two more leading axes, one for each of Charlie's conditional AB states.
+    """
+
+    charlie: np.ndarray | None
+    prob: np.ndarray
+    bloch: np.ndarray
+    norm: np.ndarray
+
+
+def _condition(matrices: np.ndarray) -> _Conditioning:
+    """Condition a ``(..., 4, 4)`` or ``(..., 8, 8)`` stack of valid states.
+
+    Three-qubit states are conditioned on Charlie's outcomes first; the
+    conditional AB states are validated in one call and then conditioned
+    on Alice's outcomes like any two-qubit stack. Bob's Bloch vector is
+    ``_bloch_vector`` of each branch, and its norm the BLAS dot product
+    that ``np.linalg.norm`` takes, so both match ``BlochQubit`` bit for bit.
+    """
+    if matrices.shape[-1] == 8:
+        charlie, ab = _outcomes(matrices, last=True)
+        _validate(ab[charlie != 0.0])
+        return _Conditioning(charlie, *_condition(ab)[1:])
+    prob, rest = _outcomes(matrices, last=False)
+    bloch = _bloch_vector(rest)
+    norm = np.sqrt(np.matmul(bloch[..., None, :], bloch[..., :, None]))[..., 0, 0]
+    return _Conditioning(None, prob, bloch, norm)
+
+
+def _conditioned(rho: DensityMatrix) -> _Conditioning:
+    """The conditioning of one state, memoized on it as read-only arrays."""
+    memo = rho._branches
+    if memo is None:
+        memo = _condition(rho.matrix)
+        for arr in memo:
+            if arr is not None:
+                arr.setflags(write=False)
+        rho._branches = memo
     return memo
+
+
+# The consistency guards of the stacked core. Each looks at every entry of
+# its stack; min and max propagate NaN, so a NaN anywhere fails the guard.
+
+
+def _check_nonnegative(values: np.ndarray) -> None:
+    if not values.min() >= 0.0:
+        raise ConsistencyError(f"negative or NaN shift value {values.min()!r}")
+
+
+def _check_bound(name: str, values: np.ndarray, bound: float) -> None:
+    if not values.max() <= bound + BOUND_TOL:
+        raise ConsistencyError(
+            f"{name} {values.max():.15g} exceeds the all-states bound {bound:.15g}"
+        )
+
+
+def _shifts(cond: _Conditioning, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts (s_0, s_1, s_2), shape (..., 3), of every two-qubit state
+    in the conditioning, and their totals, shape (...).
+
+    Each s_j adds its six terms p * C in the order of the outcomes, and the
+    total is (s_0 + s_1) + s_2. A negative or NaN shift, or a total above
+    the all-states bound 3 * epsilon, anywhere in the stack raises
+    ``ConsistencyError``.
+    """
+    w = cond.prob[..., None] * measure.evaluate(cond.bloch, cond.norm)
+    w = w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES]
+    s = w[..., 0, :] + w[..., 1, :]
+    for k in range(2, 6):
+        s += w[..., k, :]
+    _check_nonnegative(s)
+    total = s[..., 0] + s[..., 1] + s[..., 2]
+    _check_bound("shift total", total, 3.0 * measure.epsilon)
+    return s, total
+
+
+def _tripartite(cond: _Conditioning, measure: Measure) -> np.ndarray:
+    """(t1, t2, t3) of every three-qubit state in the conditioning, shape
+    (..., 3).
+
+    t1 and t2 each add their six terms p(c) * s in the order of Charlie's
+    outcomes, and t3 = t1 + t2. A t3 above 9 * epsilon, or NaN, anywhere in
+    the stack raises ``ConsistencyError``.
+    """
+    s, total = _shifts(cond, measure)
+    matched = s.swapaxes(-1, -2)[..., _AXES, _MATCHED, :]
+    w = cond.charlie[..., None] * np.stack([matched, total - matched], axis=-1)
+    w = w.reshape(w.shape[:-3] + (6, 2))
+    t = w[..., 0, :] + w[..., 1, :]
+    for k in range(2, 6):
+        t += w[..., k, :]
+    t3 = t[..., 0] + t[..., 1]
+    _check_bound("tripartite total", t3, 9.0 * measure.epsilon)
+    return np.concatenate([t, t3[..., None]], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -152,13 +256,18 @@ def conditional_states(
     projected operator. A branch whose probability falls below 1e-12 is
     returned with probability exactly 0 and the zero Bloch vector (the
     maximally mixed state) as placeholder, so its weighted contribution
-    downstream is 0. The state is conditioned once: repeat calls, for any
-    axis, return the branches memoized on ``rho``.
+    downstream is 0. The state is conditioned once, memoized on ``rho``;
+    the branch objects are built from the memo on each call.
     """
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
     _check_axis(axis)
-    return _condition(rho)[int(axis) - 1]
+    cond = _conditioned(rho)
+    i = int(axis) - 1
+    return tuple(
+        ConditionalBranch(i + 1, a, float(cond.prob[i, a]), BlochQubit(cond.bloch[i, a]))
+        for a in (0, 1)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,16 +303,9 @@ class ShiftValues(_ValueEquality):
 
 def shift_values(rho: DensityMatrix, measure: Measure) -> ShiftValues:
     """All three shift functionals of a two-qubit state in one pass."""
-    s = np.zeros(3)
-    for axis in (1, 2, 3):
-        for branch in conditional_states(rho, axis):
-            if branch.probability == 0.0:
-                continue
-            for bob_axis in (1, 2, 3):
-                # bob_axis is shift_axis(axis, j) for this j
-                j = (bob_axis - axis) % 3
-                s[j] += branch.probability * measure.coherence(branch.state, bob_axis)
-    return ShiftValues(s, measure)
+    if rho.nqubits != 2:
+        raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
+    return ShiftValues(_shifts(_conditioned(rho), measure)[0], measure)
 
 
 class CriterionResult(NamedTuple):
@@ -295,22 +397,8 @@ def tripartite_report(rho: DensityMatrix, measure: Measure) -> TripartiteReport:
     """
     if rho.nqubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {rho.nqubits} qubits")
-    t1 = 0.0
-    t2 = 0.0
-    for axis, branches in zip((1, 2, 3), _condition(rho)):
-        matched = axis % 3  # shift paired with Charlie's axis: 1 -> 1, 2 -> 2, 3 -> 0
-        for prob, ab in branches:
-            if ab is None:
-                continue
-            s = shift_values(ab, measure).values
-            t1 += prob * float(s[matched])
-            t2 += prob * float(s.sum() - s[matched])
-    t3 = t1 + t2
+    t1, t2, t3 = _tripartite(_conditioned(rho), measure).tolist()
     eps = measure.epsilon
-    if not t3 <= 9.0 * eps + BOUND_TOL:
-        raise ConsistencyError(
-            f"tripartite total {t3:.15g} exceeds the all-states bound {9 * eps:.15g}"
-        )
     return TripartiteReport(
         _flag(t1, 3.0 * eps),
         _flag(t2, 6.0 * eps),

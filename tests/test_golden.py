@@ -90,9 +90,43 @@ def compute() -> dict:
     return {"reports": reports, "sweep_sha256": {f: sweep_digest(f) for f in SWEEPS}}
 
 
+def differences(actual: dict, golden: dict) -> list[str]:
+    """One line per report kind and measure that differs, with the largest
+    |delta| over its values and its first differing record, then one line
+    per sweep whose digest differs. A last-bit drift shows as a delta near
+    1e-16; a regression as a large one or a flipped flag."""
+    lines = []
+    for kind, measures in golden["reports"].items():
+        for measure, expected in measures.items():
+            got = actual["reports"][kind][measure]
+            differing = [i for i, (a, b) in enumerate(zip(got, expected)) if a != b]
+            if not differing and len(got) == len(expected):
+                continue
+            delta = max(
+                (
+                    abs(float.fromhex(a) - float.fromhex(b))
+                    for g, e in zip(got, expected)
+                    for a, b in zip(g.split()[:-1], e.split()[:-1])
+                ),
+                default=float("nan"),
+            )
+            first = differing[0] if differing else min(len(got), len(expected))
+            lines.append(
+                f"{kind} {measure}: {len(differing)} of {len(expected)} records differ, "
+                f"max |delta| = {delta:.3g}; first is record {first}: "
+                f"got {got[first] if first < len(got) else None!r}, "
+                f"golden {expected[first] if first < len(expected) else None!r}"
+            )
+    for family, digest in golden["sweep_sha256"].items():
+        if actual["sweep_sha256"].get(family) != digest:
+            lines.append(f"sweep {family}: CSV digest {actual['sweep_sha256'].get(family)} != {digest}")
+    return lines
+
+
 def test_outputs_match_golden_bit_for_bit():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert compute() == golden
+    lines = differences(compute(), golden)
+    assert not lines, "outputs differ from golden.json:\n" + "\n".join(lines)
 
 
 if __name__ == "__main__":

@@ -174,6 +174,20 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="out of range"):
             partial_trace(rho, keep)
 
+    @pytest.mark.parametrize(
+        "keep", [1.9, 1.0, True, np.float64(1.0), np.bool_(True), [1.5], [0, True]]
+    )
+    def test_non_integer_keep_is_rejected(self, keep):
+        rho = DensityMatrix(random_density(8, np.random.default_rng(3)))
+        with pytest.raises(ValueError, match="integer"):
+            partial_trace(rho, keep)
+
+    def test_numpy_integer_keep_is_accepted(self):
+        rho = DensityMatrix(random_density(8, np.random.default_rng(3)))
+        expected = partial_trace(rho, [0, 2]).matrix
+        assert partial_trace(rho, np.array([0, 2])).matrix.tobytes() == expected.tobytes()
+        assert np.array_equal(partial_trace(rho, np.int64(1)).matrix, partial_trace(rho, 1).matrix)
+
 
 class TestEigHermitian:
     def test_diagonal_input(self):

@@ -271,6 +271,48 @@ class TestPermuteQubits:
         with pytest.raises(ValueError):
             permute_qubits(rho, (0, 1, 2))
 
+    @pytest.mark.parametrize(
+        "perm", [[1.5, 0.2, 2.7], [1.0, 0.0, 2.0], [True, False, 2], np.array([1.0, 0.0, 2.0])]
+    )
+    def test_non_integer_permutation_is_rejected(self, perm):
+        with pytest.raises(ValueError, match="integer"):
+            permute_qubits(random_mixed(3, 8, seed=5), perm)
+
+    def test_numpy_integer_permutation_is_accepted(self):
+        rho = random_mixed(3, 8, seed=5)
+        expected = permute_qubits(rho, [1, 0, 2]).matrix
+        assert np.array_equal(permute_qubits(rho, np.array([1, 0, 2])).matrix, expected)
+
+
+class TestIntegerArguments:
+    """Qubit counts and ranks must be integers: bool and floats are rejected
+    even where they compare equal to an allowed value."""
+
+    CONSTRUCTORS = {
+        "maximally_mixed": maximally_mixed,
+        "random_pure": lambda n: random_pure(n, 0),
+        "random_mixed": lambda n: random_mixed(n, 1, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    @pytest.mark.parametrize("nqubits", [True, 2.0, np.float64(2.0), np.bool_(True), "2"])
+    def test_non_integer_qubit_count_is_rejected(self, name, nqubits):
+        with pytest.raises(ValueError, match="integer"):
+            self.CONSTRUCTORS[name](nqubits)
+
+    @pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+    def test_numpy_integer_qubit_count_is_accepted(self, name):
+        make = self.CONSTRUCTORS[name]
+        assert np.array_equal(make(np.int64(2)).matrix, make(2).matrix)
+
+    @pytest.mark.parametrize("rank", [2.0, 1.5, True, np.float64(3.0)])
+    def test_non_integer_rank_is_rejected(self, rank):
+        with pytest.raises(ValueError, match="integer"):
+            random_mixed(2, rank, 0)
+
+    def test_numpy_integer_rank_is_accepted(self):
+        assert np.array_equal(random_mixed(2, np.int64(3), 7).matrix, random_mixed(2, 3, 7).matrix)
+
 
 class TestFromFamily:
     def test_known_families(self):

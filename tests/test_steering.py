@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from naqc import qcore, steering
 from naqc.coherence import Measure
 from naqc.qcore import (
     ConsistencyError,
@@ -39,14 +40,15 @@ from naqc.steering import (
     ZERO_PROBABILITY,
     ConditionalBranch,
     ShiftValues,
-    _condition,
+    _conditioned,
+    _outcomes,
     conditional_states,
     shift_axis,
     shift_values,
     steering_report,
     tripartite_report,
 )
-from oracles import oracle_shifts, oracle_t1_t2, partial_trace_matrix
+from oracles import oracle_branches, oracle_shifts, oracle_t1_t2, partial_trace_matrix
 
 SQRT6 = math.sqrt(6.0)
 ALL_MEASURES = list(Measure)
@@ -501,20 +503,28 @@ class TestConditioningMemo:
             assert report_hex(steering_report(rho, measure)) == before[measure]
 
     def test_three_qubit_state_is_validated_seven_times(self, monkeypatch):
+        """The state in one call, then Charlie's six conditional AB states in
+        one stacked call that all three measures share: seven matrices, each
+        validated exactly once."""
         matrix = random_three_qubit(0).matrix
         calls = []
-        original = DensityMatrix.__init__
+        original = qcore._validate
 
-        def counting(self, mat):
-            calls.append(mat.shape)
-            original(self, mat)
+        def counting(mats):
+            calls.append(np.array(mats))
+            original(mats)
 
-        monkeypatch.setattr(DensityMatrix, "__init__", counting)
+        monkeypatch.setattr(qcore, "_validate", counting)
+        monkeypatch.setattr(steering, "_validate", counting)
         rho = DensityMatrix(matrix)
         for measure in ALL_MEASURES:
             tripartite_report(rho, measure)
-        # the state itself, then Charlie's six conditional AB states once
-        assert calls == [(8, 8)] + [(4, 4)] * 6
+        assert [c.shape for c in calls] == [(8, 8), (6, 4, 4)]
+        assert calls[0].tobytes() == matrix.tobytes()
+        # the six validated matrices are the six conditional states, in order
+        expected = [ab for _, _, ab in oracle_branches(matrix, last=True)]
+        assert len(expected) == 6
+        np.testing.assert_allclose(calls[1], expected, atol=1e-12)
 
     def test_threads_sharing_states_read_the_same_reports(self):
         matrices = [random_two_qubit(i).matrix for i in range(4)]
@@ -577,10 +587,12 @@ class TestZeroProbabilityBranches:
         matrix = np.kron(random_two_qubit(3).matrix, np.diag([1.0, 0.0]))
         rho = DensityMatrix(matrix)
         reports = {m: tripartite_report(rho, m) for m in ALL_MEASURES}
-        charlie_z = _condition(rho)[2]
-        assert _condition(rho) is rho._branches  # served from the memo
-        assert charlie_z[0][0] == pytest.approx(1.0, abs=1e-12)
-        assert charlie_z[1] == (0.0, None)
+        cond = _conditioned(rho)
+        assert _conditioned(rho) is rho._branches  # served from the memo
+        assert cond.charlie[2, 0] == pytest.approx(1.0, abs=1e-12)
+        assert cond.charlie[2, 1] == 0.0
+        # the dropped AB state contributes all-zero branches
+        assert not cond.prob[2, 1].any() and not cond.bloch[2, 1].any()
         t1, t2 = oracle_t1_t2(matrix)
         assert reports[Measure.L1].t1.value == pytest.approx(t1, abs=1e-10)
         assert reports[Measure.L1].t2.value == pytest.approx(t2, abs=1e-10)
@@ -625,15 +637,17 @@ def hex_entries(arr: np.ndarray) -> list[str]:
 
 
 def memo_branches(rho: DensityMatrix) -> list:
-    """The branches ``_condition`` memoizes, in the form of ``matmul_branches``."""
+    """The branches of the stacked conditioning, in the form of
+    ``matmul_branches``: Bob's Bloch vectors from the memo (two qubits), or
+    Charlie's AB matrices from the stacked projection (three)."""
+    if rho.nqubits == 2:
+        cond = _conditioned(rho)
+        probs, states = cond.prob, cond.bloch
+    else:
+        probs, states = _outcomes(rho.matrix, last=True)
     branches = []
-    for pair in _condition(rho):
-        for branch in pair:
-            if rho.nqubits == 2:
-                prob, state = branch.probability, branch.state.r
-            else:
-                prob, state = branch[0], None if branch[1] is None else branch[1].matrix
-            branches.append((prob.hex(), None if prob == 0.0 else hex_entries(state)))
+    for prob, state in zip(probs.ravel().tolist(), states.reshape(6, -1)):
+        branches.append((prob.hex(), None if prob == 0.0 else hex_entries(state)))
     return branches
 
 
