@@ -14,9 +14,6 @@ from .coherence import (
     CoherenceTriple,
     Measure,
     binary_entropy,
-    c_l1,
-    c_relent,
-    c_skew,
     coherence_triple,
 )
 from .qcore import (
@@ -51,7 +48,6 @@ from .steering import (
     SteeringReport,
     TripartiteReport,
     conditional_states,
-    shift_axis,
     shift_values,
     steering_report,
     tripartite_report,
@@ -79,9 +75,6 @@ __all__ = [
     "bell",
     "binary_entropy",
     "bloch_of_qubit",
-    "c_l1",
-    "c_relent",
-    "c_skew",
     "coherence_triple",
     "conditional_states",
     "from_bloch",
@@ -96,7 +89,6 @@ __all__ = [
     "pure_alpha",
     "random_mixed",
     "random_pure",
-    "shift_axis",
     "shift_values",
     "steering_report",
     "to_bloch",

@@ -10,18 +10,22 @@ exits 0 either way. Exit codes: 0 success, 2 parse or argument error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 import numpy as np
 
-from .coherence import Measure, coherence_triple
+from .coherence import Measure, _checked_totals
 from .qcore import (
-    BlochQubit,
+    BLOCH_NORM_TOL,
     ConsistencyError,
     DensityMatrix,
     NotAStateError,
     _bloch_vector,
+    _check_bound,
+    _norm,
+    _validate,
 )
 from .states import (
     from_family,
@@ -34,10 +38,9 @@ from .steering import (
     SteeringReport,
     TripartiteReport,
     _condition,
+    _flag,
     _shifts,
     _tripartite,
-    conditional_states,
-    shift_values,
     steering_report,
     tripartite_report,
 )
@@ -55,8 +58,8 @@ SEARCH_CRITERIA = {
     3: ("t1", "t2", "t3"),
 }
 
-# states drawn, stacked and evaluated together by search and the
-# bipartite and tripartite suites; results do not depend on it
+# states (or Bloch vectors) drawn, stacked and evaluated together by every
+# sampling command and by sweep; results do not depend on it
 CHUNK = 64
 
 SUITE_SAMPLES = {
@@ -224,34 +227,22 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
 
 def cmd_sweep(args) -> int:
     measure = Measure(args.measure)
+    eps = measure.epsilon
     grid = _sweep_grid(args.start, args.stop, args.step)
-    if args.family in ("pure_alpha", "werner"):
-        param = "alpha" if args.family == "pure_alpha" else "p"
-        header = f"{param},S0,S12_half,S012_third,epsilon"
-        rows = []
-        for x in grid:
-            rho = from_family(args.family, {param: x})
-            s = shift_values(rho, measure).values
-            rows.append(
-                [x, s[0], (s[1] + s[2]) / 2.0, s.sum() / 3.0, measure.epsilon]
-            )
-    elif args.family == "ghz_alpha":
+    param = "p" if args.family == "werner" else "alpha"
+    if args.family == "ghz_alpha":
         header = "alpha,T1,T2,T3,bound_3eps,bound_9eps"
-        rows = []
-        for x in grid:
-            report = tripartite_report(from_family("ghz_alpha", {"alpha": x}), measure)
-            rows.append(
-                [
-                    x,
-                    report.t1.value,
-                    report.t2.value,
-                    report.t3.value,
-                    report.t1.bound,
-                    report.t3.bound,
-                ]
-            )
     else:
-        raise ValueError(f"unknown sweep family {args.family!r}")
+        header = f"{param},S0,S12_half,S012_third,epsilon"
+    rows = []
+    for xs, matrices in _stacks(grid, lambda x: from_family(args.family, {param: x}).matrix):
+        cond = _condition(matrices)
+        if cond.charlie is None:
+            s = _shifts(cond, measure)[0]
+            columns = [s[:, 0], (s[:, 1] + s[:, 2]) / 2.0, s.sum(axis=-1) / 3.0, eps]
+        else:
+            columns = [*_tripartite(cond, measure).T, 3.0 * eps, 9.0 * eps]
+        rows += np.column_stack(np.broadcast_arrays(xs, *columns)).tolist()
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for row in rows:
@@ -260,20 +251,27 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sample_state(nqubits: int, master_seed: int, index: int) -> tuple[DensityMatrix, str]:
+def _stacks(items, make):
+    """The driver of every sampling command and of sweep: consecutive slices
+    of up to CHUNK ``items``, each with the stack of ``make(item)`` over it,
+    made in order and one chunk at a time."""
+    for start in range(0, len(items), CHUNK):
+        chunk = items[start : start + CHUNK]
+        yield chunk, np.stack([make(item) for item in chunk])
+
+
+def _sample_state(nqubits: int, master_seed: int, index: int) -> DensityMatrix:
+    """Sample ``index``, drawn from ``SeedSequence([master_seed, index])``:
+    Haar-pure at even indices, full-rank Ginibre at odd ones."""
     seed = np.random.SeedSequence([master_seed, index])
     if index % 2 == 0:
-        return random_pure(nqubits, seed), "pure"
-    return random_mixed(nqubits, 2 ** nqubits, seed), "mixed"
+        return random_pure(nqubits, seed)
+    return random_mixed(nqubits, 2 ** nqubits, seed)
 
 
-def _sample_chunks(nqubits: int, master_seed: int, samples: int):
-    """Conditioned stacks of up to CHUNK consecutive samples, each drawn from
-    its own ``SeedSequence([master_seed, index])``, with their first index."""
-    for start in range(0, samples, CHUNK):
-        indices = range(start, min(start + CHUNK, samples))
-        matrices = [_sample_state(nqubits, master_seed, i)[0].matrix for i in indices]
-        yield start, _condition(np.stack(matrices))
+def _sampled(nqubits: int, master_seed: int, count: int):
+    """``_stacks`` of the matrices of samples 0 .. count - 1."""
+    return _stacks(range(count), lambda i: _sample_state(nqubits, master_seed, i).matrix)
 
 
 def _criterion_values(name: str, cond, measure: Measure) -> tuple[np.ndarray, float]:
@@ -301,12 +299,10 @@ def cmd_search(args) -> int:
     if args.samples < 1:
         raise ValueError(f"samples must be at least 1, got {args.samples}")
     measure = Measure(args.measure)
-    best_value = -1.0
-    best_index = -1
-    bound = None
-    for start, cond in _sample_chunks(nqubits, args.seed, args.samples):
-        values, bound = _criterion_values(args.criterion, cond, measure)
-        for index, value in enumerate(values.tolist(), start):
+    best_value, best_index, bound = -1.0, -1, None
+    for indices, matrices in _sampled(nqubits, args.seed, args.samples):
+        values, bound = _criterion_values(args.criterion, _condition(matrices), measure)
+        for index, value in zip(indices, values.tolist()):
             if value > best_value:
                 best_value, best_index = value, index
     best_kind = "pure" if best_index % 2 == 0 else "mixed"
@@ -318,12 +314,11 @@ def cmd_search(args) -> int:
     print(f"master seed: {args.seed}")
     print(f"max value: {fmt(best_value)}")
     print(f"bound: {fmt(bound)}")
-    print(f"violated: {_yesno(best_value > bound + 1e-12)}")
+    print(f"violated: {_yesno(_flag(best_value, bound).violated)}")
     print(f"best sample: index={best_index} kind={best_kind}")
     print(f"reproduce with: numpy SeedSequence([{args.seed}, {best_index}])")
     if nqubits == 2:
-        rho, _ = _sample_state(nqubits, args.seed, best_index)
-        bloch = to_bloch(rho)
+        bloch = to_bloch(_sample_state(nqubits, args.seed, best_index))
         print(f"best state r: {np.array2string(bloch.r, precision=12)}")
         print(f"best state s: {np.array2string(bloch.s, precision=12)}")
         for i, row in enumerate(bloch.T):
@@ -331,31 +326,27 @@ def cmd_search(args) -> int:
     return EXIT_OK
 
 
-class SuiteResult:
-    def __init__(self, lines: list[str], passed: bool) -> None:
-        self.lines = lines
-        self.passed = passed
+SuiteResult = tuple[list[str], bool]  # (lines, passed)
 
 
 def _suite_coherence_complementarity(seed: int, samples: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = {m: np.inf for m in Measure}
-    for _ in range(samples):
-        state = BlochQubit(random_bloch_qubit_vector(rng))
+    for _, r in _stacks(range(samples), lambda i: random_bloch_qubit_vector(rng)):
+        norm = _norm(r)
+        _check_bound("Bloch vector norm", norm, 1.0, BLOCH_NORM_TOL, NotAStateError)
         for m in Measure:
-            margin = m.epsilon - coherence_triple(state, m).total
-            worst[m] = min(worst[m], margin)
-    lines = [
-        f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure
-    ]
-    passed = all(worst[m] >= -1e-9 for m in Measure)
-    return SuiteResult(lines, passed)
+            total = _checked_totals(m.evaluate(r, norm), m)
+            worst[m] = min(worst[m], float(np.min(m.epsilon - total)))
+    lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
+    return lines, all(worst[m] >= -1e-9 for m in Measure)
 
 
 def _suite_bipartite_complementarity(seed: int, samples: int) -> SuiteResult:
     worst = {m: np.inf for m in Measure}
     worst_spread = 0.0
-    for _, cond in _sample_chunks(2, seed, samples):
+    for _, matrices in _sampled(2, seed, samples):
+        cond = _condition(matrices)
         for m in Measure:
             s, total = _shifts(cond, m)
             worst[m] = min(worst[m], float(np.min(3.0 * m.epsilon - total)))
@@ -366,56 +357,50 @@ def _suite_bipartite_complementarity(seed: int, samples: int) -> SuiteResult:
             worst_spread = max(worst_spread, float(spread.max()))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
     lines.append(f"worst decomposition spread: {fmt(worst_spread)}")
-    passed = all(worst[m] >= -1e-9 for m in Measure) and worst_spread <= 1e-12
-    return SuiteResult(lines, passed)
+    return lines, all(worst[m] >= -1e-9 for m in Measure) and worst_spread <= 1e-12
 
 
 def _suite_tripartite_complementarity(seed: int, samples: int) -> SuiteResult:
     worst = {m: np.inf for m in Measure}
     worst_gap = 0.0
-    for _, cond in _sample_chunks(3, seed, samples):
+    for _, matrices in _sampled(3, seed, samples):
+        cond = _condition(matrices)
         for m in Measure:
             t1, t2, t3 = _tripartite(cond, m).T
             worst[m] = min(worst[m], float(np.min(9.0 * m.epsilon - t3)))
             worst_gap = max(worst_gap, float(np.max(np.abs(t3 - (t1 + t2)))))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
     lines.append(f"worst |t3 - (t1 + t2)|: {fmt(worst_gap)}")
-    passed = all(worst[m] >= -1e-9 for m in Measure) and worst_gap <= 1e-12
-    return SuiteResult(lines, passed)
+    return lines, all(worst[m] >= -1e-9 for m in Measure) and worst_gap <= 1e-12
 
 
 def _suite_no_signalling(seed: int, samples: int) -> SuiteResult:
     worst = 0.0
-    for index in range(samples):
-        rho, _ = _sample_state(2, seed, index)
-        reduced = _bloch_vector(rho.matrix[:2, :2] + rho.matrix[2:, 2:])
-        for axis in (1, 2, 3):
-            averaged = np.zeros(3)
-            for branch in conditional_states(rho, axis):
-                averaged += branch.probability * branch.state.r
-            worst = max(worst, float(np.max(np.abs(averaged - reduced))))
-    lines = [f"worst reconstruction residual: {fmt(worst)}"]
-    return SuiteResult(lines, worst <= 1e-10)
+    for _, matrices in _sampled(2, seed, samples):
+        cond = _condition(matrices)
+        reduced = _bloch_vector(matrices[:, :2, :2] + matrices[:, 2:, 2:])
+        # Bob's state averaged over the outcomes of each of Alice's axes
+        averaged = (cond.prob[..., None] * cond.bloch).sum(axis=-2)
+        worst = max(worst, float(np.max(np.abs(averaged - reduced[:, None, :]))))
+    return [f"worst reconstruction residual: {fmt(worst)}"], worst <= 1e-10
 
 
 def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
+    def pair(i: int) -> np.ndarray:
+        return np.stack([_sample_state(2, seed, k).matrix for k in (2 * i, 2 * i + 1)])
+
     worst = np.inf
-    for index in range(samples):
-        rho1, _ = _sample_state(2, seed, 2 * index)
-        rho2, _ = _sample_state(2, seed, 2 * index + 1)
-        weight = np.random.default_rng(
-            np.random.SeedSequence([seed, index, 2])
-        ).uniform()
-        mixed = DensityMatrix(weight * rho1.matrix + (1.0 - weight) * rho2.matrix)
+    for indices, pairs in _stacks(range(samples), pair):
+        seeds = (np.random.SeedSequence([seed, i, 2]) for i in indices)
+        weight = np.array([np.random.default_rng(ss).uniform() for ss in seeds])[:, None]
+        mixed = weight[..., None] * pairs[:, 0] + (1.0 - weight[..., None]) * pairs[:, 1]
+        _validate(mixed)
+        conds = [_condition(mats) for mats in (pairs[:, 0], pairs[:, 1], mixed)]
         for m in Measure:
-            s_mix = shift_values(mixed, m).values
-            s_convex = (
-                weight * shift_values(rho1, m).values
-                + (1.0 - weight) * shift_values(rho2, m).values
-            )
+            s1, s2, s_mix = (_shifts(cond, m)[0] for cond in conds)
+            s_convex = weight * s1 + (1.0 - weight) * s2
             worst = min(worst, float(np.min(s_convex - s_mix)) + 1e-9)
-    lines = [f"worst convexity margin (incl. 1e-9 tolerance): {fmt(worst)}"]
-    return SuiteResult(lines, worst >= 0.0)
+    return [f"worst convexity margin (incl. 1e-9 tolerance): {fmt(worst)}"], worst >= 0.0
 
 
 SUITES = {
@@ -429,22 +414,21 @@ SUITES = {
 
 def cmd_check(args) -> int:
     if args.suite not in SUITES:
-        raise ValueError(
-            f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}"
-        )
+        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     samples = SUITE_SAMPLES[args.suite] if args.samples is None else args.samples
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    result = SUITES[args.suite](args.seed, samples)
+    lines, passed = SUITES[args.suite](args.seed, samples)
     print(f"suite: {args.suite}")
     print(f"samples: {samples}")
     print(f"seed: {args.seed}")
-    for line in result.lines:
+    for line in lines:
         print(line)
-    print(f"result: {'PASS' if result.passed else 'FAIL'}")
-    return EXIT_OK if result.passed else EXIT_SUITE
+    print(f"result: {'PASS' if passed else 'FAIL'}")
+    return EXIT_OK if passed else EXIT_SUITE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="naqc",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import BlochQubit, ConsistencyError, _check_axis, _ValueEquality
+from .qcore import BlochQubit, _check_bound, _check_nonnegative, _frozen, _ValueEquality
 
 __all__ = [
     "EPSILON_L1",
@@ -32,9 +32,6 @@ __all__ = [
     "Measure",
     "CoherenceTriple",
     "binary_entropy",
-    "c_l1",
-    "c_relent",
-    "c_skew",
     "coherence_triple",
 ]
 
@@ -63,6 +60,12 @@ EPSILON_SKEW = 2.0
 
 
 def _l1(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """l1 coherence with respect to each sigma_axis eigenbasis.
+
+    Written in that basis, the state has a single off-diagonal pair whose
+    moduli sum to the transverse Bloch magnitude sqrt(r_j**2 + r_k**2),
+    where j, k are the two axes other than the measured one. Range [0, 1].
+    """
     return np.hypot(r[..., _TRANSVERSE[0]], r[..., _TRANSVERSE[1]])
 
 
@@ -74,48 +77,19 @@ def _entropy(p: np.ndarray) -> np.ndarray:
 
 
 def _relent(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    h = _entropy((1.0 + np.concatenate([r, norm[..., None]], axis=-1)) / 2.0)
-    return np.maximum(0.0, h[..., :3] - h[..., 3:])
-
-
-def _skew(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    small = norm < 1e-12
-    norm = np.where(small, 1.0, norm)[..., None]
-    lam_plus = (1.0 + norm) / 2.0
-    lam_minus = np.maximum(0.0, (1.0 - norm) / 2.0)
-    transverse = np.maximum(0.0, 1.0 - (r / norm) ** 2)
-    value = (np.sqrt(lam_plus) - np.sqrt(lam_minus)) ** 2 * transverse
-    return np.where(small[..., None], 0.0, value)
-
-
-def _at_axis(evaluate, state: BlochQubit, axis: int) -> float:
-    _check_axis(axis)
-    return float(evaluate(state.r, np.float64(state.norm))[axis - 1])
-
-
-def c_l1(state: BlochQubit, axis: int) -> float:
-    """l1 coherence of a qubit with respect to the sigma_axis eigenbasis.
-
-    Written in that basis, the state has a single off-diagonal pair whose
-    moduli sum to the transverse Bloch magnitude sqrt(r_j**2 + r_k**2),
-    where j, k are the two axes other than ``axis``. Range [0, 1].
-    """
-    return _at_axis(_l1, state, axis)
-
-
-def c_relent(state: BlochQubit, axis: int) -> float:
-    """Relative entropy of coherence with respect to the sigma_axis basis.
+    """Relative entropy of coherence with respect to each sigma_axis basis.
 
     Equals the entropy of the dephased state minus the entropy of the
     state, h2((1 + r_axis)/2) - h2((1 + |r|)/2), in bits. Clamped at 0
     against round-off; it vanishes exactly when r lies along the axis or
     r = 0.
     """
-    return _at_axis(_relent, state, axis)
+    h = _entropy((1.0 + np.concatenate([r, norm[..., None]], axis=-1)) / 2.0)
+    return np.maximum(0.0, h[..., :3] - h[..., 3:])
 
 
-def c_skew(state: BlochQubit, axis: int) -> float:
-    """Wigner-Yanase skew information of the qubit with respect to sigma_axis.
+def _skew(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """Wigner-Yanase skew information with respect to each sigma_axis.
 
     The closed form, with lam_pm = (1 +/- |r|)/2,
 
@@ -125,7 +99,13 @@ def c_skew(state: BlochQubit, axis: int) -> float:
     removable (the commutator vanishes), so 0 is returned there; lam_minus
     is clamped at 0 for pure states whose norm rounds slightly above 1.
     """
-    return _at_axis(_skew, state, axis)
+    small = norm < 1e-12
+    norm = np.where(small, 1.0, norm)[..., None]
+    lam_plus = (1.0 + norm) / 2.0
+    lam_minus = np.maximum(0.0, (1.0 - norm) / 2.0)
+    transverse = np.maximum(0.0, 1.0 - (r / norm) ** 2)
+    value = (np.sqrt(lam_plus) - np.sqrt(lam_minus)) ** 2 * transverse
+    return np.where(small[..., None], 0.0, value)
 
 
 class Measure(enum.Enum):
@@ -138,10 +118,6 @@ class Measure(enum.Enum):
     @property
     def epsilon(self) -> float:
         return _EPSILON[self]
-
-    def coherence(self, state: BlochQubit, axis: int) -> float:
-        """Evaluate this measure at one Pauli axis."""
-        return _at_axis(_EVALUATE[self], state, axis)
 
     def evaluate(self, r: np.ndarray, norm: np.ndarray) -> np.ndarray:
         """This measure at the three Pauli axes for a stack of Bloch vectors
@@ -163,6 +139,17 @@ _EVALUATE = {
 }
 
 
+def _checked_totals(values: np.ndarray, measure: Measure) -> np.ndarray:
+    """The sums of a (..., 3) stack of ``measure``'s values. Raises
+    ``ConsistencyError`` on a negative or NaN value or a sum above epsilon."""
+    _check_nonnegative("coherence value", values)
+    totals = values.sum(axis=-1)
+    _check_bound(
+        f"{measure.value} coherence triple sum", totals, measure.epsilon, COHERENCE_SUM_TOL
+    )
+    return totals
+
+
 @dataclass(frozen=True, eq=False)
 class CoherenceTriple(_ValueEquality):
     """Coherence of one state in each Pauli basis, for one measure."""
@@ -174,16 +161,8 @@ class CoherenceTriple(_ValueEquality):
         values = np.array(self.values, dtype=float)
         if values.shape != (3,):
             raise ValueError(f"expected three values, got shape {values.shape}")
-        if not float(values.min()) >= 0.0:
-            raise ConsistencyError(f"negative or NaN coherence value in {values}")
-        total = float(values.sum())
-        if not total <= self.measure.epsilon + COHERENCE_SUM_TOL:
-            raise ConsistencyError(
-                f"coherence triple sum {total:.15g} exceeds the "
-                f"{self.measure.value} bound {self.measure.epsilon:.15g}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _checked_totals(values, self.measure)
+        object.__setattr__(self, "values", _frozen(values))
 
     @property
     def total(self) -> float:

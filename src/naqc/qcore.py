@@ -54,6 +54,29 @@ class ConsistencyError(RuntimeError):
     """
 
 
+# The guards of the stacked computations. Each looks at every entry of its
+# stack; min and max propagate NaN, so a NaN anywhere fails the guard.
+
+
+def _check_nonnegative(name: str, values: np.ndarray) -> None:
+    if not values.min() >= 0.0:
+        raise ConsistencyError(f"negative or NaN {name} {values.min()!r}")
+
+
+def _check_bound(
+    name: str, values: np.ndarray, bound: float, tol: float, error=ConsistencyError
+) -> None:
+    if not values.max() <= bound + tol:
+        raise error(f"{name} {values.max():.15g} exceeds the bound {bound:.15g}")
+
+
+def _norm(r: np.ndarray) -> np.ndarray:
+    """|r| of a (..., 3) stack of real vectors, shape (...). The matmul of a
+    row by a column is the BLAS dot product that ``np.linalg.norm`` takes,
+    so each norm matches it bit for bit."""
+    return np.sqrt(np.matmul(r[..., None, :], r[..., :, None]))[..., 0, 0]
+
+
 def _frozen(mat: np.ndarray) -> np.ndarray:
     mat.setflags(write=False)
     return mat
@@ -231,11 +254,10 @@ class BlochQubit(_ValueEquality):
         r = np.array(self.r, dtype=float)
         if r.shape != (3,):
             raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
-        norm = float(np.linalg.norm(r))
-        if not norm <= 1.0 + BLOCH_NORM_TOL:
-            raise NotAStateError(f"Bloch vector norm {norm:.12g} exceeds 1")
+        norm = _norm(r)
+        _check_bound("Bloch vector norm", norm, 1.0, BLOCH_NORM_TOL, NotAStateError)
         object.__setattr__(self, "r", _frozen(r))
-        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "norm", float(norm))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:

@@ -26,8 +26,10 @@ from .qcore import (
     NotAStateError,
     _PAULI,
     _ValueEquality,
+    _check_bound,
     _check_index,
     _frozen,
+    _norm,
     _qubit_indices,
 )
 
@@ -67,15 +69,11 @@ class TwoQubitBloch(_ValueEquality):
         T = np.array(self.T, dtype=float)
         if r.shape != (3,) or s.shape != (3,) or T.shape != (3, 3):
             raise ValueError("expected r, s of shape (3,) and T of shape (3, 3)")
-        if not np.linalg.norm(r) <= 1.0 + BLOCH_NORM_TOL:
-            raise NotAStateError(f"|r| = {np.linalg.norm(r):.12g} exceeds 1")
-        if not np.linalg.norm(s) <= 1.0 + BLOCH_NORM_TOL:
-            raise NotAStateError(f"|s| = {np.linalg.norm(s):.12g} exceeds 1")
-        if not float(np.max(np.abs(T))) <= 1.0 + BLOCH_NORM_TOL:
-            raise NotAStateError("correlation matrix entries must lie in [-1, 1]")
+        _check_bound("|r|", _norm(r), 1.0, BLOCH_NORM_TOL, NotAStateError)
+        _check_bound("|s|", _norm(s), 1.0, BLOCH_NORM_TOL, NotAStateError)
+        _check_bound("correlation |T_ij|", np.abs(T), 1.0, BLOCH_NORM_TOL, NotAStateError)
         for name, arr in (("r", r), ("s", s), ("T", T)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(arr))
 
 
 def from_bloch(params: TwoQubitBloch) -> DensityMatrix:
@@ -187,12 +185,10 @@ def random_mixed(nqubits: int, rank: int, seed) -> DensityMatrix:
     return DensityMatrix(mat / np.trace(mat).real)
 
 
-def random_bloch_qubit_vector(rng: np.random.Generator, pure: bool = False) -> np.ndarray:
-    """Bloch vector drawn uniformly from the ball (or the sphere if pure)."""
+def random_bloch_qubit_vector(rng: np.random.Generator) -> np.ndarray:
+    """Bloch vector drawn uniformly from the ball."""
     direction = rng.normal(size=3)
     direction /= np.linalg.norm(direction)
-    if pure:
-        return direction
     return direction * rng.uniform() ** (1.0 / 3.0)
 
 

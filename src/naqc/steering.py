@@ -31,12 +31,15 @@ import numpy as np
 from .coherence import Measure
 from .qcore import (
     BlochQubit,
-    ConsistencyError,
     DensityMatrix,
     _PROJ,
     _ValueEquality,
     _bloch_vector,
     _check_axis,
+    _check_bound,
+    _check_nonnegative,
+    _frozen,
+    _norm,
     _validate,
 )
 
@@ -44,7 +47,6 @@ __all__ = [
     "VIOLATION_TOL",
     "BOUND_TOL",
     "ZERO_PROBABILITY",
-    "shift_axis",
     "ConditionalBranch",
     "conditional_states",
     "ShiftValues",
@@ -70,26 +72,15 @@ _PROJECTORS = _PROJ.reshape(6, 2, 2)
 _ROW = (_PROJECTORS[:, :, 0, None, None, None], _PROJECTORS[:, :, 1, None, None, None])
 _COL = (_PROJECTORS[:, None, None, 0, :, None], _PROJECTORS[:, None, None, 1, :, None])
 
-# For outcome k = 2 (axis - 1) + outcome and shift j, Bob's 0-based axis
-# shift_axis(axis, j) - 1; the gather w[..., _OUTCOME_ROWS, _SHIFT_AXES] puts
-# the term of s_j from outcome k at [..., k, j].
+# For outcome k = 2 (axis - 1) + outcome and shift j, Bob's 0-based axis is
+# (axis - 1 + j) mod 3, a cyclic step from Alice's; the gather
+# w[..., _OUTCOME_ROWS, _SHIFT_AXES] puts the term of s_j from outcome k at
+# [..., k, j].
 _OUTCOME_ROWS = np.arange(6)[:, None]
 _SHIFT_AXES = (_OUTCOME_ROWS // 2 + np.arange(3)) % 3
 # the shift matched to Charlie's axis 1, 2, 3 is s_1, s_2, s_0
 _AXES = np.arange(3)
 _MATCHED = (_AXES + 1) % 3
-
-
-def _check_shift(j: int) -> None:
-    if j not in (0, 1, 2):
-        raise ValueError(f"shift index must be 0, 1 or 2, got {j!r}")
-
-
-def shift_axis(axis: int, j: int) -> int:
-    """Bob's coherence axis for Alice's axis under shift j: cyclic step."""
-    _check_axis(axis)
-    _check_shift(j)
-    return ((axis - 1 + j) % 3) + 1
 
 
 def _outcomes(matrices: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -155,8 +146,8 @@ def _condition(matrices: np.ndarray) -> _Conditioning:
     Three-qubit states are conditioned on Charlie's outcomes first; the
     conditional AB states are validated in one call and then conditioned
     on Alice's outcomes like any two-qubit stack. Bob's Bloch vector is
-    ``_bloch_vector`` of each branch, and its norm the BLAS dot product
-    that ``np.linalg.norm`` takes, so both match ``BlochQubit`` bit for bit.
+    ``_bloch_vector`` of each branch and its norm ``_norm``, so both match
+    ``BlochQubit`` bit for bit.
     """
     if matrices.shape[-1] == 8:
         charlie, ab = _outcomes(matrices, last=True)
@@ -164,8 +155,7 @@ def _condition(matrices: np.ndarray) -> _Conditioning:
         return _Conditioning(charlie, *_condition(ab)[1:])
     prob, rest = _outcomes(matrices, last=False)
     bloch = _bloch_vector(rest)
-    norm = np.sqrt(np.matmul(bloch[..., None, :], bloch[..., :, None]))[..., 0, 0]
-    return _Conditioning(None, prob, bloch, norm)
+    return _Conditioning(None, prob, bloch, _norm(bloch))
 
 
 def _conditioned(rho: DensityMatrix) -> _Conditioning:
@@ -178,22 +168,6 @@ def _conditioned(rho: DensityMatrix) -> _Conditioning:
                 arr.setflags(write=False)
         rho._branches = memo
     return memo
-
-
-# The consistency guards of the stacked core. Each looks at every entry of
-# its stack; min and max propagate NaN, so a NaN anywhere fails the guard.
-
-
-def _check_nonnegative(values: np.ndarray) -> None:
-    if not values.min() >= 0.0:
-        raise ConsistencyError(f"negative or NaN shift value {values.min()!r}")
-
-
-def _check_bound(name: str, values: np.ndarray, bound: float) -> None:
-    if not values.max() <= bound + BOUND_TOL:
-        raise ConsistencyError(
-            f"{name} {values.max():.15g} exceeds the all-states bound {bound:.15g}"
-        )
 
 
 def _shifts(cond: _Conditioning, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
@@ -210,9 +184,9 @@ def _shifts(cond: _Conditioning, measure: Measure) -> tuple[np.ndarray, np.ndarr
     s = w[..., 0, :] + w[..., 1, :]
     for k in range(2, 6):
         s += w[..., k, :]
-    _check_nonnegative(s)
+    _check_nonnegative("shift value", s)
     total = s[..., 0] + s[..., 1] + s[..., 2]
-    _check_bound("shift total", total, 3.0 * measure.epsilon)
+    _check_bound("shift total", total, 3.0 * measure.epsilon, BOUND_TOL)
     return s, total
 
 
@@ -232,7 +206,7 @@ def _tripartite(cond: _Conditioning, measure: Measure) -> np.ndarray:
     for k in range(2, 6):
         t += w[..., k, :]
     t3 = t[..., 0] + t[..., 1]
-    _check_bound("tripartite total", t3, 9.0 * measure.epsilon)
+    _check_bound("tripartite total", t3, 9.0 * measure.epsilon, BOUND_TOL)
     return np.concatenate([t, t3[..., None]], axis=-1)
 
 
@@ -285,16 +259,9 @@ class ShiftValues(_ValueEquality):
         values = np.array(self.values, dtype=float)
         if values.shape != (3,):
             raise ValueError(f"expected three shift values, got shape {values.shape}")
-        if not float(values.min()) >= 0.0:
-            raise ConsistencyError(f"negative or NaN shift value in {values}")
-        total = float(values.sum())
-        bound = 3.0 * self.measure.epsilon
-        if not total <= bound + BOUND_TOL:
-            raise ConsistencyError(
-                f"shift total {total:.15g} exceeds the all-states bound {bound:.15g}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        _check_nonnegative("shift value", values)
+        _check_bound("shift total", values.sum(), 3.0 * self.measure.epsilon, BOUND_TOL)
+        object.__setattr__(self, "values", _frozen(values))
 
     @property
     def total(self) -> float:

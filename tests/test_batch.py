@@ -23,12 +23,13 @@ from naqc.qcore import (
     ConsistencyError,
     DensityMatrix,
     NotAStateError,
+    _check_bound,
+    _check_nonnegative,
     _validate,
 )
 from naqc.states import ghz_alpha, pure_alpha, random_mixed, random_pure, werner
 from naqc.steering import (
-    _check_bound,
-    _check_nonnegative,
+    BOUND_TOL,
     _condition,
     _conditioned,
     _shifts,
@@ -178,47 +179,60 @@ CLI_COMMANDS = [
      "--samples", "16", "--seed", "4"],
     ["search", "--nqubits", "3", "--criterion", "t1", "--measure", "relent",
      "--samples", "9", "--seed", "4"],
+    ["check", "--suite", "coherence-complementarity", "--samples", "23", "--seed", "4"],
     ["check", "--suite", "bipartite-complementarity", "--samples", "23", "--seed", "4"],
     ["check", "--suite", "tripartite-complementarity", "--samples", "9", "--seed", "4"],
+    ["check", "--suite", "no-signalling", "--samples", "23", "--seed", "4"],
+    ["check", "--suite", "mixing-monotonicity", "--samples", "23", "--seed", "4"],
+    ["sweep", "--family", "pure_alpha", "--from", "0", "--to", "1", "--step", "0.05"],
+    ["sweep", "--family", "werner", "--from", "0", "--to", "1", "--step", "0.05",
+     "--measure", "relent"],
+    ["sweep", "--family", "ghz_alpha", "--from", "0", "--to", "1", "--step", "0.05",
+     "--measure", "skew"],
 ]  # fmt: skip
 
 
-def cli_stdout(argv: list) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+def cli_output(argv: list, out) -> str:
+    """The stdout of one command, followed by the CSV it writes for a sweep."""
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         assert cli.main(argv) == 0
-    return out.getvalue()
+    return stdout.getvalue() + (out.read_text(encoding="utf-8") if argv[0] == "sweep" else "")
 
 
 @pytest.mark.parametrize(
     "argv", CLI_COMMANDS, ids=lambda argv: "-".join(a for a in argv if a[0] != "-")
 )
-def test_cli_output_does_not_depend_on_the_chunk_size(argv, monkeypatch):
-    expected = cli_stdout(argv)
+def test_cli_output_does_not_depend_on_the_chunk_size(argv, monkeypatch, tmp_path):
+    out = tmp_path / "sweep.csv"
+    monkeypatch.setattr(cli, "CHUNK", 64)
+    expected = cli_output(argv, out)
     for chunk in (1, 7):
         monkeypatch.setattr(cli, "CHUNK", chunk)
-        assert cli_stdout(argv) == expected
+        assert cli_output(argv, out) == expected
 
 
 class TestStackedGuards:
     """Each guard looks at every entry of its stack, and NaN fails it."""
 
     def test_nonnegativity_guard(self):
-        _check_nonnegative(np.zeros((4, 3)))
+        _check_nonnegative("shift value", np.zeros((4, 3)))
         for poison in (np.nan, -1e-300):
             values = np.ones((4, 3))
             values[2, 1] = poison
-            with pytest.raises(ConsistencyError, match="negative or NaN"):
-                _check_nonnegative(values)
+            with pytest.raises(ConsistencyError, match="negative or NaN shift value"):
+                _check_nonnegative("shift value", values)
 
     @pytest.mark.parametrize("name, bound", [("shift total", 6.0), ("tripartite total", 18.0)])
     def test_bound_guards(self, name, bound):
         values = np.full(5, bound)
-        _check_bound(name, values, bound)
+        _check_bound(name, values, bound, BOUND_TOL)
         for poison in (np.nan, bound + 2e-9):
             values[3] = poison
             with pytest.raises(ConsistencyError, match=f"{name} .* exceeds"):
-                _check_bound(name, values, bound)
+                _check_bound(name, values, bound, BOUND_TOL)
 
     @pytest.mark.parametrize(
         "nqubits, field",

@@ -2,13 +2,17 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import naqc
+from naqc import cli
 from naqc.cli import (
     EXIT_CONSISTENCY,
     EXIT_OK,
@@ -353,6 +357,53 @@ class TestCheck:
 
     def test_unknown_suite_is_parse_error(self, capsys):
         assert main(["check", "--suite", "nope"]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("poison", [np.nan, 1.5])
+    def test_coherence_suite_rejects_an_invalid_draw(self, poison, monkeypatch, capsys):
+        draw = cli.random_bloch_qubit_vector
+        count = iter(range(100))
+
+        def poisoned(rng):
+            r = draw(rng)
+            return np.array([poison, 0.0, 0.0]) if next(count) == 5 else r
+
+        monkeypatch.setattr(cli, "random_bloch_qubit_vector", poisoned)
+        code = main(["check", "--suite", "coherence-complementarity", "--samples", "20"])
+        assert code == EXIT_STATE
+        assert "Bloch vector norm" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process. Commands run one after
+    another in one process, a failing parse among them, must print and
+    exit exactly as each does in a process of its own."""
+
+    COMMANDS = [
+        ["search", "--nqubits", "2", "--criterion", "double12", "--samples", "20", "--seed", "3"],
+        ["search", "--nqubits", "2", "--criterion", "triple", "--samples", "x", "--seed", "3"],
+        ["check", "--suite", "no-signalling", "--samples", "20", "--seed", "3"],
+    ]  # fmt: skip
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_one_process_matches_separate_processes(self, capsys):
+        env = {**os.environ, "PYTHONPATH": str(Path(naqc.__file__).parents[1])}
+        separate = []
+        for argv in self.COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "naqc", *argv], capture_output=True, text=True, env=env
+            )
+            separate.append((proc.returncode, proc.stdout))
+        together = []
+        for argv in self.COMMANDS:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            together.append((code, capsys.readouterr().out))
+        assert together == separate
+        assert [code for code, _ in together] == [EXIT_OK, EXIT_PARSE, EXIT_OK]
 
 
 class TestEntryPoint:

@@ -3,10 +3,12 @@
 ``golden.json`` holds, for a fixed seeded set of states (30 random and 10
 family two-qubit states, 8 random and 2 GHZ-family three-qubit states),
 the exact ``float.hex`` of every value and bound of ``steering_report`` and
-``tripartite_report`` under all three measures, with the violation flags,
-and the SHA-256 of the CSV bytes that ``naqc sweep`` writes for the
-``pure_alpha`` and ``ghz_alpha`` families (skew, step 0.01). The test
-recomputes all of them and requires equality.
+``tripartite_report`` under all three measures, with the violation flags;
+the SHA-256 of the CSV bytes that ``naqc sweep`` writes for the
+``pure_alpha``, ``ghz_alpha`` and ``werner`` families (skew, step 0.01);
+and the SHA-256 of the exit code and stdout of every ``naqc check`` suite
+and of two ``naqc search`` runs (``CLI_RUNS``). The test recomputes all of
+them and requires equality.
 
 A change that alters any output bit on purpose (reordered floating-point
 work, a new generator) is a contract change: regenerate the file with
@@ -34,7 +36,22 @@ from naqc.steering import steering_report, tripartite_report
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SEED = 20240
-SWEEPS = ("pure_alpha", "ghz_alpha")
+SWEEPS = ("pure_alpha", "ghz_alpha", "werner")
+SUITES = (
+    "coherence-complementarity",
+    "bipartite-complementarity",
+    "tripartite-complementarity",
+    "no-signalling",
+    "mixing-monotonicity",
+)
+CLI_RUNS = {
+    **{f"check {suite}": ["check", "--suite", suite, "--samples", "300", "--seed", "1"]
+       for suite in SUITES},
+    "search 2q double12 l1": ["search", "--nqubits", "2", "--criterion", "double12",
+                              "--measure", "l1", "--samples", "300", "--seed", "1"],
+    "search 3q t1 skew": ["search", "--nqubits", "3", "--criterion", "t1",
+                          "--measure", "skew", "--samples", "100", "--seed", "1"],
+}  # fmt: skip
 
 
 def random_states(nqubits: int, count: int) -> list:
@@ -80,6 +97,14 @@ def sweep_digest(family: str) -> str:
         return hashlib.sha256(out.read_bytes()).hexdigest()
 
 
+def cli_digest(argv: list) -> str:
+    """SHA-256 of the exit code and the stdout of one command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return hashlib.sha256(f"{code}\n{out.getvalue()}".encode()).hexdigest()
+
+
 def compute() -> dict:
     reports = {}
     for nqubits, states in golden_states().items():
@@ -87,13 +112,17 @@ def compute() -> dict:
         reports[f"{nqubits}q"] = {
             m.value: [report_record(report(rho, m)) for rho in states] for m in Measure
         }
-    return {"reports": reports, "sweep_sha256": {f: sweep_digest(f) for f in SWEEPS}}
+    return {
+        "reports": reports,
+        "sweep_sha256": {f: sweep_digest(f) for f in SWEEPS},
+        "cli_sha256": {name: cli_digest(argv) for name, argv in CLI_RUNS.items()},
+    }
 
 
 def differences(actual: dict, golden: dict) -> list[str]:
     """One line per report kind and measure that differs, with the largest
     |delta| over its values and its first differing record, then one line
-    per sweep whose digest differs. A last-bit drift shows as a delta near
+    per sweep or command whose digest differs. A last-bit drift shows as a delta near
     1e-16; a regression as a large one or a flipped flag."""
     lines = []
     for kind, measures in golden["reports"].items():
@@ -120,6 +149,9 @@ def differences(actual: dict, golden: dict) -> list[str]:
     for family, digest in golden["sweep_sha256"].items():
         if actual["sweep_sha256"].get(family) != digest:
             lines.append(f"sweep {family}: CSV digest {actual['sweep_sha256'].get(family)} != {digest}")
+    for name, digest in golden["cli_sha256"].items():
+        if actual["cli_sha256"].get(name) != digest:
+            lines.append(f"{name}: output digest {actual['cli_sha256'].get(name)} != {digest}")
     return lines
 
 

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from naqc.qcore import (
+    BLOCH_NORM_TOL,
     BlochQubit,
     DensityMatrix,
     NotAStateError,
+    _norm,
     bloch_of_qubit,
     partial_trace,
     pauli,
@@ -281,8 +283,21 @@ class TestBlochConversion:
             BlochQubit(np.array([1.0, 0.0]))
 
     def test_bloch_vector_rejects_nan(self):
-        with pytest.raises(NotAStateError):
+        with pytest.raises(NotAStateError, match="Bloch vector norm nan exceeds"):
             BlochQubit(np.array([np.nan, 0.0, 0.0]))
+
+    def test_bloch_norm_tolerance(self):
+        BlochQubit(np.array([0.0, 0.0, 1.0 + 0.5 * BLOCH_NORM_TOL]))
+        with pytest.raises(NotAStateError, match="Bloch vector norm .* exceeds"):
+            BlochQubit(np.array([0.0, 0.0, 1.0 + 2.0 * BLOCH_NORM_TOL]))
+
+    def test_stacked_norm_matches_linalg_norm_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        stack = rng.normal(size=(500, 3)) * rng.choice([1e-9, 1e-3, 1.0, 1e3], size=(500, 1))
+        expected = np.array([np.linalg.norm(v) for v in stack])
+        assert _norm(stack).tobytes() == expected.tobytes()
+        assert _norm(stack.reshape(50, 10, 3)).tobytes() == expected.tobytes()
+        assert all(float(_norm(v)) == np.linalg.norm(v) for v in stack)
 
     def test_norm_is_stored_at_construction(self):
         state = BlochQubit(np.array([0.6, 0.0, 0.8]) * 0.5)
