@@ -27,13 +27,7 @@ from .qcore import (
     _norm,
     _validate,
 )
-from .states import (
-    from_family,
-    random_bloch_qubit_vector,
-    random_mixed,
-    random_pure,
-    to_bloch,
-)
+from .states import _random_states, from_family, random_bloch_qubit_vector, to_bloch
 from .steering import (
     SteeringReport,
     TripartiteReport,
@@ -235,8 +229,8 @@ def cmd_sweep(args) -> int:
     else:
         header = f"{param},S0,S12_half,S012_third,epsilon"
     rows = []
-    for xs, matrices in _stacks(grid, lambda x: from_family(args.family, {param: x}).matrix):
-        cond = _condition(matrices)
+    for xs in _chunks(grid):
+        cond = _condition(np.stack([from_family(args.family, {param: x}).matrix for x in xs]))
         if cond.charlie is None:
             s = _shifts(cond, measure)[0]
             columns = [s[:, 0], (s[:, 1] + s[:, 2]) / 2.0, s.sum(axis=-1) / 3.0, eps]
@@ -251,27 +245,27 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _stacks(items, make):
-    """The driver of every sampling command and of sweep: consecutive slices
-    of up to CHUNK ``items``, each with the stack of ``make(item)`` over it,
-    made in order and one chunk at a time."""
-    for start in range(0, len(items), CHUNK):
-        chunk = items[start : start + CHUNK]
-        yield chunk, np.stack([make(item) for item in chunk])
+def _chunks(items):
+    """Consecutive slices of up to CHUNK ``items``, each made and evaluated as one stack."""
+    return (items[start : start + CHUNK] for start in range(0, len(items), CHUNK))
 
 
-def _sample_state(nqubits: int, master_seed: int, index: int) -> DensityMatrix:
-    """Sample ``index``, drawn from ``SeedSequence([master_seed, index])``:
-    Haar-pure at even indices, full-rank Ginibre at odd ones."""
-    seed = np.random.SeedSequence([master_seed, index])
-    if index % 2 == 0:
-        return random_pure(nqubits, seed)
-    return random_mixed(nqubits, 2 ** nqubits, seed)
+def _samples(nqubits: int, master_seed: int, indices: range) -> np.ndarray:
+    """The validated stack of samples ``indices``: sample i is drawn from
+    ``SeedSequence([master_seed, i])``, Haar-pure at even i and full-rank
+    Ginibre at odd i."""
+    seeds = [np.random.SeedSequence([master_seed, i]) for i in indices]
+    mats = np.empty((len(seeds),) + (2**nqubits,) * 2, dtype=complex)
+    even = indices[0] % 2  # the position of the first even index
+    mats[even::2] = _random_states(nqubits, seeds[even::2])
+    mats[1 - even :: 2] = _random_states(nqubits, seeds[1 - even :: 2], 2**nqubits)
+    _validate(mats)
+    return mats
 
 
 def _sampled(nqubits: int, master_seed: int, count: int):
-    """``_stacks`` of the matrices of samples 0 .. count - 1."""
-    return _stacks(range(count), lambda i: _sample_state(nqubits, master_seed, i).matrix)
+    """The ``_chunks`` of samples 0 .. count - 1, each with its stack."""
+    return ((idx, _samples(nqubits, master_seed, idx)) for idx in _chunks(range(count)))
 
 
 def _criterion_values(name: str, cond, measure: Measure) -> tuple[np.ndarray, float]:
@@ -299,12 +293,12 @@ def cmd_search(args) -> int:
     if args.samples < 1:
         raise ValueError(f"samples must be at least 1, got {args.samples}")
     measure = Measure(args.measure)
-    best_value, best_index, bound = -1.0, -1, None
+    best_value = -1.0
     for indices, matrices in _sampled(nqubits, args.seed, args.samples):
         values, bound = _criterion_values(args.criterion, _condition(matrices), measure)
-        for index, value in zip(indices, values.tolist()):
-            if value > best_value:
-                best_value, best_index = value, index
+        k = int(values.argmax())  # the first maximum, as the strict > below keeps
+        if values[k] > best_value:
+            best_value, best_index, best_matrix = float(values[k]), indices[k], matrices[k]
     best_kind = "pure" if best_index % 2 == 0 else "mixed"
     npure = (args.samples + 1) // 2
     print(f"criterion: {args.criterion}")
@@ -318,7 +312,7 @@ def cmd_search(args) -> int:
     print(f"best sample: index={best_index} kind={best_kind}")
     print(f"reproduce with: numpy SeedSequence([{args.seed}, {best_index}])")
     if nqubits == 2:
-        bloch = to_bloch(_sample_state(nqubits, args.seed, best_index))
+        bloch = to_bloch(DensityMatrix(best_matrix))
         print(f"best state r: {np.array2string(bloch.r, precision=12)}")
         print(f"best state s: {np.array2string(bloch.s, precision=12)}")
         for i, row in enumerate(bloch.T):
@@ -332,7 +326,8 @@ SuiteResult = tuple[list[str], bool]  # (lines, passed)
 def _suite_coherence_complementarity(seed: int, samples: int) -> SuiteResult:
     rng = np.random.default_rng(seed)
     worst = {m: np.inf for m in Measure}
-    for _, r in _stacks(range(samples), lambda i: random_bloch_qubit_vector(rng)):
+    for indices in _chunks(range(samples)):
+        r = np.stack([random_bloch_qubit_vector(rng) for _ in indices])
         norm = _norm(r)
         _check_bound("Bloch vector norm", norm, 1.0, BLOCH_NORM_TOL, NotAStateError)
         for m in Measure:
@@ -386,16 +381,16 @@ def _suite_no_signalling(seed: int, samples: int) -> SuiteResult:
 
 
 def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
-    def pair(i: int) -> np.ndarray:
-        return np.stack([_sample_state(2, seed, k).matrix for k in (2 * i, 2 * i + 1)])
-
     worst = np.inf
-    for indices, pairs in _stacks(range(samples), pair):
+    for indices in _chunks(range(samples)):
+        # samples 2i and 2i + 1 of each pair index i, interleaved
+        drawn = _samples(2, seed, range(2 * indices.start, 2 * indices.stop))
         seeds = (np.random.SeedSequence([seed, i, 2]) for i in indices)
         weight = np.array([np.random.default_rng(ss).uniform() for ss in seeds])[:, None]
-        mixed = weight[..., None] * pairs[:, 0] + (1.0 - weight[..., None]) * pairs[:, 1]
+        first, second = drawn[0::2], drawn[1::2]
+        mixed = weight[..., None] * first + (1.0 - weight[..., None]) * second
         _validate(mixed)
-        conds = [_condition(mats) for mats in (pairs[:, 0], pairs[:, 1], mixed)]
+        conds = [_condition(mats) for mats in (first, second, mixed)]
         for m in Measure:
             s1, s2, s_mix = (_shifts(cond, m)[0] for cond in conds)
             s_convex = weight * s1 + (1.0 - weight) * s2

@@ -98,11 +98,6 @@ def to_bloch(rho: DensityMatrix) -> TwoQubitBloch:
     return TwoQubitBloch(R[1:, 0], R[0, 1:], R[1:, 1:])
 
 
-def _projector_of(vec: np.ndarray) -> DensityMatrix:
-    vec = np.asarray(vec, dtype=complex)
-    return DensityMatrix(np.outer(vec, vec.conj()))
-
-
 def _check_unit_interval(name: str, value: float) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
@@ -116,7 +111,7 @@ def pure_alpha(alpha: float) -> DensityMatrix:
     vec = np.zeros(4, dtype=complex)
     vec[0] = np.sqrt(alpha)
     vec[3] = np.sqrt(1.0 - alpha)
-    return _projector_of(vec)
+    return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 def ghz_alpha(alpha: float) -> DensityMatrix:
@@ -129,7 +124,7 @@ def ghz_alpha(alpha: float) -> DensityMatrix:
     vec = np.zeros(8, dtype=complex)
     vec[0] = alpha
     vec[7] = np.sqrt(1.0 - alpha ** 2)
-    return _projector_of(vec)
+    return DensityMatrix(np.outer(vec, vec.conj()))
 
 
 def bell() -> DensityMatrix:
@@ -155,6 +150,32 @@ def maximally_mixed(nqubits: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
+def _random_states(nqubits: int, seeds, rank: int | None = None) -> np.ndarray:
+    """Random states, stacked as ``(len(seeds), 2**n, 2**n)``, not validated.
+
+    State k is drawn from its own ``default_rng(seeds[k])``: a Haar-random
+    pure state when ``rank`` is None, else a Ginibre-induced state of that
+    rank. Only the generators and their draws run per state; the finish
+    runs once on the stack, and every step is elementwise or per matrix, so
+    each state has the bits of a stack of one, whatever stack it is in. The
+    squared norm of a pure draw is the BLAS dot of its strided real and
+    imaginary parts, which is what ``np.linalg.norm`` takes (a contiguous
+    copy, ``einsum`` or ``sum`` would round differently).
+    """
+    dim = 2 ** nqubits
+    size, columns = (dim, 1) if rank is None else ((dim, rank), rank)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = np.array([(rng.normal(size=size), rng.normal(size=size)) for rng in rngs])
+    draws = draws.reshape(len(rngs), 2, dim, columns)
+    g = draws[:, 0] + 1j * draws[:, 1]
+    if rank is None:
+        re, im = g.real, g.imag
+        g = g / np.sqrt(re.swapaxes(-1, -2) @ re + im.swapaxes(-1, -2) @ im)
+        return g * g.conj().swapaxes(-1, -2)
+    mats = g @ g.conj().swapaxes(-1, -2)
+    return mats / mats.trace(axis1=-2, axis2=-1).real[:, None, None]
+
+
 def random_pure(nqubits: int, seed) -> DensityMatrix:
     """Haar-random pure state on 1, 2 or 3 qubits.
 
@@ -162,11 +183,7 @@ def random_pure(nqubits: int, seed) -> DensityMatrix:
     Haar-distributed. Bitwise reproducible for a fixed seed.
     """
     _check_index("nqubits", nqubits, (1, 2, 3))
-    rng = np.random.default_rng(seed)
-    dim = 2 ** nqubits
-    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    vec /= np.linalg.norm(vec)
-    return _projector_of(vec)
+    return DensityMatrix(_random_states(nqubits, [seed])[0])
 
 
 def random_mixed(nqubits: int, rank: int, seed) -> DensityMatrix:
@@ -177,12 +194,8 @@ def random_mixed(nqubits: int, rank: int, seed) -> DensityMatrix:
     gives the Hilbert-Schmidt measure. Bitwise reproducible per seed.
     """
     _check_index("nqubits", nqubits, (1, 2, 3))
-    dim = 2 ** nqubits
-    _check_index("rank", rank, tuple(range(1, dim + 1)))
-    rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
-    mat = g @ g.conj().T
-    return DensityMatrix(mat / np.trace(mat).real)
+    _check_index("rank", rank, tuple(range(1, 2 ** nqubits + 1)))
+    return DensityMatrix(_random_states(nqubits, [seed], rank)[0])
 
 
 def random_bloch_qubit_vector(rng: np.random.Generator) -> np.ndarray:

@@ -272,7 +272,9 @@ def shift_values(rho: DensityMatrix, measure: Measure) -> ShiftValues:
     """All three shift functionals of a two-qubit state in one pass."""
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
-    return ShiftValues(_shifts(_conditioned(rho), measure)[0], measure)
+    sv = object.__new__(ShiftValues)  # _shifts runs the guards of __post_init__
+    vars(sv).update(values=_frozen(_shifts(_conditioned(rho), measure)[0]), measure=measure)
+    return sv
 
 
 class CriterionResult(NamedTuple):

@@ -6,7 +6,9 @@ matrix of a Bloch vector, a partial trace of raw arrays, the (r, s, T) form
 by traces against Kronecker products of Pauli matrices, and the l1 shift
 functionals and tripartite criteria computed from projectors and partial
 traces. The tests use them to check the closed forms of ``naqc`` against
-direct matrix computations.
+direct matrix computations. ``sampled_matrix`` is the seeded sampler
+written draw by draw, the bit-exact reference for the stacked one, and
+``bits`` the view that compares arrays bit for bit.
 """
 
 import math
@@ -34,6 +36,27 @@ def eig_hermitian(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
     w, v = np.linalg.eigh(mat)
     return w[::-1].copy(), v[:, ::-1].copy()
+
+
+def sampled_matrix(nqubits: int, seed, rank: int | None = None) -> np.ndarray:
+    """One seeded random state, drawn and finished on its own: a Haar-random
+    pure state (``rank`` None) normalized by ``np.linalg.norm`` and projected
+    by ``np.outer``, or the Ginibre state G G^dag / Tr(G G^dag) of that rank."""
+    rng = np.random.default_rng(seed)
+    dim = 2 ** nqubits
+    if rank is None:
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        vec /= np.linalg.norm(vec)
+        return np.outer(vec, vec.conj())
+    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
+def bits(mats: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a float or complex array: equal bits, equal
+    words (0.0 and -0.0 differ, and so do two NaNs of different payload)."""
+    return np.ascontiguousarray(mats).view(np.uint64)
 
 
 def sqrt_psd(rho: DensityMatrix) -> np.ndarray:

@@ -7,7 +7,8 @@ one. Every step is elementwise or per matrix, so a state's values must not
 depend on the stack it sits in: the tests below require equal bits at stack
 sizes 1, 2, 7 and all states at once, agreement with the density-matrix
 oracle, identical CLI output for any chunk size, and guards that trip on
-NaN anywhere in a stack.
+NaN anywhere in a stack. The CLI draws each chunk of samples as one stack;
+its bits must be those of the samples drawn one at a time.
 """
 
 import contextlib
@@ -37,7 +38,7 @@ from naqc.steering import (
     steering_report,
     tripartite_report,
 )
-from oracles import SIGMAS, oracle_branches
+from oracles import SIGMAS, bits, oracle_branches, sampled_matrix
 
 SEED = 31337
 STACK_SIZES = (1, 2, 7, None)  # None: all states in one stack
@@ -212,6 +213,34 @@ def test_cli_output_does_not_depend_on_the_chunk_size(argv, monkeypatch, tmp_pat
     for chunk in (1, 7):
         monkeypatch.setattr(cli, "CHUNK", chunk)
         assert cli_output(argv, out) == expected
+
+
+def cli_sample(nqubits: int, master_seed: int, index: int) -> np.ndarray:
+    """The CLI's sample ``index``, drawn on its own: Haar-pure at even
+    indices, full-rank Ginibre at odd ones."""
+    seed = np.random.SeedSequence([master_seed, index])
+    return sampled_matrix(nqubits, seed, None if index % 2 == 0 else 2**nqubits)
+
+
+@pytest.mark.parametrize("nqubits", [2, 3])
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_sampled_chunks_are_the_per_index_draws(nqubits, chunk, monkeypatch):
+    monkeypatch.setattr(cli, "CHUNK", chunk)
+    count = 150
+    chunks = list(cli._sampled(nqubits, SEED, count))
+    starts = range(0, count, chunk)
+    assert [list(indices) for indices, _ in chunks] == [
+        list(range(start, min(start + chunk, count))) for start in starts
+    ]
+    expected = np.stack([cli_sample(nqubits, SEED, i) for i in range(count)])
+    assert np.array_equal(bits(np.concatenate([mats for _, mats in chunks])), bits(expected))
+
+
+@pytest.mark.parametrize("nqubits", [2, 3])
+@pytest.mark.parametrize("indices", [range(5, 12), range(9, 10), range(8, 9)])
+def test_a_chunk_may_start_at_any_index(nqubits, indices):
+    expected = np.stack([cli_sample(nqubits, SEED, i) for i in indices])
+    assert np.array_equal(bits(cli._samples(nqubits, SEED, indices)), bits(expected))
 
 
 class TestStackedGuards:

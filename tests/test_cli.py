@@ -31,6 +31,14 @@ from naqc.states import bell, maximally_mixed, pure_alpha
 SCI_NUMBER = re.compile(r"^-?\d\.\d{14}e[+-]\d{2,3}$")
 
 
+def child_env() -> dict:
+    """The environment for a ``python -m naqc`` child process, with this
+    checkout's ``src`` first on its path."""
+    src = str(Path(naqc.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, path]) if path else src}
+
+
 def write_doc(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -373,6 +381,40 @@ class TestCheck:
         assert "Bloch vector norm" in capsys.readouterr().err
 
 
+SAMPLING_COMMANDS = [
+    ["search", "--nqubits", "2", "--criterion", "double12", "--samples", "20"],
+    ["search", "--nqubits", "3", "--criterion", "t1", "--samples", "20"],
+    ["check", "--suite", "bipartite-complementarity", "--samples", "20"],
+    ["check", "--suite", "tripartite-complementarity", "--samples", "20"],
+    ["check", "--suite", "no-signalling", "--samples", "20"],
+    ["check", "--suite", "mixing-monotonicity", "--samples", "20"],
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("poison, message", [("nan", "nan"), ("not PSD", "negative eigenvalue")])
+@pytest.mark.parametrize("argv", SAMPLING_COMMANDS, ids=lambda argv: "-".join(argv[:4]))
+def test_an_invalid_draw_is_rejected(argv, poison, message, monkeypatch, capsys):
+    """The stacked check of each chunk of draws turns one bad draw into
+    exit 3 before any of the chunk is evaluated."""
+    draw = cli._random_states
+
+    def poisoned(nqubits, seeds, rank=None):
+        mats = draw(nqubits, seeds, rank)
+        if rank is not None and len(mats):
+            k = len(mats) // 2
+            if poison == "nan":
+                mats[k, 1, 1] = np.nan
+            else:  # Hermitian with unit trace and the eigenvalue -0.5
+                mats[k] = np.diag([1.5, -0.5] + [0.0] * (mats.shape[-1] - 2))
+        return mats
+
+    monkeypatch.setattr(cli, "_random_states", poisoned)
+    assert main(argv + ["--seed", "2"]) == EXIT_STATE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid state" in captured.err and message in captured.err
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process. Commands run one after
     another in one process, a failing parse among them, must print and
@@ -388,11 +430,13 @@ class TestParserReuse:
         assert cli.build_parser() is cli.build_parser()
 
     def test_one_process_matches_separate_processes(self, capsys):
-        env = {**os.environ, "PYTHONPATH": str(Path(naqc.__file__).parents[1])}
         separate = []
         for argv in self.COMMANDS:
             proc = subprocess.run(
-                [sys.executable, "-m", "naqc", *argv], capture_output=True, text=True, env=env
+                [sys.executable, "-m", "naqc", *argv],
+                capture_output=True,
+                text=True,
+                env=child_env(),
             )
             separate.append((proc.returncode, proc.stdout))
         together = []
@@ -413,6 +457,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "naqc", "evaluate", "--state", path],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert "nqubits: 2" in proc.stdout

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from naqc.qcore import DensityMatrix, NotAStateError, partial_trace
+from naqc.qcore import DensityMatrix, NotAStateError, _validate, partial_trace
 from naqc.states import (
     TwoQubitBloch,
+    _random_states,
     bell,
     from_bloch,
     from_family,
@@ -19,7 +20,7 @@ from naqc.states import (
     to_bloch,
     werner,
 )
-from oracles import eig_hermitian, kron_from_bloch, kron_to_bloch
+from oracles import bits, eig_hermitian, kron_from_bloch, kron_to_bloch, sampled_matrix
 
 
 def bloch_form_states():
@@ -203,10 +204,11 @@ class TestRandomPure:
         assert np.linalg.norm(r) < 0.05
 
     def test_validated_draws(self):
-        # constructor validation runs on every draw; a pass means all valid
+        """The draws of seeds 0 .. 9999 are all valid states. They are drawn as
+        one stack, which equals ``random_pure`` draw by draw bit for bit
+        (``TestStackedSampler``), and validated by one stacked check."""
         for nqubits in (1, 2, 3):
-            for seed in range(10_000):
-                random_pure(nqubits, seed)
+            _validate(_random_states(nqubits, range(10_000)))
 
 
 class TestRandomMixed:
@@ -234,9 +236,33 @@ class TestRandomMixed:
 
     @pytest.mark.parametrize("nqubits", [1, 2, 3])
     def test_validated_draws_at_every_rank(self, nqubits):
+        """As ``TestRandomPure.test_validated_draws``, for ``random_mixed`` at
+        every rank: one stack and one stacked check per rank."""
         for rank in range(1, 2 ** nqubits + 1):
-            for seed in range(10_000):
-                random_mixed(nqubits, rank, seed)
+            _validate(_random_states(nqubits, range(10_000), rank))
+
+
+class TestStackedSampler:
+    """``states._random_states`` draws per seed and finishes the whole stack
+    at once; each state must have the bits of ``oracles.sampled_matrix``,
+    which draws and finishes one state at a time as ``np.linalg.norm``,
+    ``np.outer`` and a single matrix product do."""
+
+    CASES = [(n, rank) for n in (1, 2, 3) for rank in (None, *range(1, 2**n + 1))]
+
+    @pytest.mark.parametrize("nqubits, rank", CASES)
+    def test_stack_equals_the_per_draw_path_bit_for_bit(self, nqubits, rank):
+        seeds = [np.random.SeedSequence([4200, nqubits, k]) for k in range(500)]
+        expected = np.stack([sampled_matrix(nqubits, ss, rank) for ss in seeds])
+        assert np.array_equal(bits(_random_states(nqubits, seeds, rank)), bits(expected))
+        # any stack: the stack of one of the public constructors, and stacks of 7
+        public = [
+            random_pure(nqubits, ss) if rank is None else random_mixed(nqubits, rank, ss)
+            for ss in seeds[:50]
+        ]
+        assert np.array_equal(bits(np.stack([rho.matrix for rho in public])), bits(expected[:50]))
+        sevens = [_random_states(nqubits, seeds[k : k + 7], rank) for k in range(0, 500, 7)]
+        assert np.array_equal(bits(np.concatenate(sevens)), bits(expected))
 
 
 class TestPermuteQubits:

@@ -239,6 +239,13 @@ class TestShiftValues:
         with pytest.raises(ConsistencyError, match="negative or NaN shift value"):
             ShiftValues(np.array([np.nan, 0.0, 0.0]), Measure.L1)
 
+    def test_values_are_read_only(self):
+        # shift_values skips the constructor, whose guards _shifts has run
+        sv = shift_values(random_two_qubit(3), Measure.RELATIVE_ENTROPY)
+        assert sv.values.shape == (3,) and sv.values.dtype == float
+        assert not sv.values.flags.writeable
+        assert sv == ShiftValues(sv.values, Measure.RELATIVE_ENTROPY)
+
     def test_value_equality_and_hash(self):
         a = shift_values(bell(), Measure.L1)
         b = ShiftValues(a.values.copy(), Measure.L1)
