@@ -27,7 +27,13 @@ from .qcore import (
     _norm,
     _validate,
 )
-from .states import _random_states, from_family, random_bloch_qubit_vector, to_bloch
+from .states import (
+    _generators,
+    _random_states,
+    from_family,
+    random_bloch_qubit_vector,
+    to_bloch,
+)
 from .steering import (
     SteeringReport,
     TripartiteReport,
@@ -78,6 +84,17 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _check_numbers(key: str, value) -> None:
+    """Raise ``DocumentError`` unless ``value`` is a JSON number (a float,
+    or an int that converts to one; not a bool) or a list nested from them.
+    Non-finite floats pass: the state and family checks reject them."""
+    if isinstance(value, list):
+        for item in value:
+            _check_numbers(key, item)
+    elif not (type(value) is float or type(value) is int and abs(value) <= sys.float_info.max):
+        raise DocumentError(f"{key!r} entries must be JSON numbers that fit a float: {value!r}")
+
+
 def decode_state_document(doc) -> DensityMatrix:
     """Decode a JSON state document: a dense matrix block or a family block."""
     if not isinstance(doc, dict):
@@ -99,6 +116,8 @@ def decode_state_document(doc) -> DensityMatrix:
                 f"nqubits must be the integer 1, 2 or 3, got {nqubits!r}"
             )
         dim = 2 ** nqubits
+        _check_numbers("re", doc["re"])
+        _check_numbers("im", doc["im"])
         try:
             re = np.asarray(doc["re"], dtype=float)
             im = np.asarray(doc["im"], dtype=float)
@@ -118,6 +137,8 @@ def decode_state_document(doc) -> DensityMatrix:
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise DocumentError("'params' must be an object")
+    for key, value in params.items():
+        _check_numbers(key, value)
     return from_family(family, params)
 
 
@@ -215,8 +236,13 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"sweep range is empty: from {start} to {stop}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return [min(start + k * step, stop) for k in range(count)]
+    count = np.floor((stop - start) / step + 1e-9) + 1
+    if not np.isfinite(count):
+        raise ValueError(
+            f"sweep point count must be finite, got {count} points "
+            f"from {start} to {stop} step {step}"
+        )
+    return [min(start + k * step, stop) for k in range(int(count))]
 
 
 def cmd_sweep(args) -> int:
@@ -254,11 +280,11 @@ def _samples(nqubits: int, master_seed: int, indices: range) -> np.ndarray:
     """The validated stack of samples ``indices``: sample i is drawn from
     ``SeedSequence([master_seed, i])``, Haar-pure at even i and full-rank
     Ginibre at odd i."""
-    seeds = [np.random.SeedSequence([master_seed, i]) for i in indices]
-    mats = np.empty((len(seeds),) + (2**nqubits,) * 2, dtype=complex)
+    rngs = _generators([[master_seed, i] for i in indices])
+    mats = np.empty((len(rngs),) + (2**nqubits,) * 2, dtype=complex)
     even = indices[0] % 2  # the position of the first even index
-    mats[even::2] = _random_states(nqubits, seeds[even::2])
-    mats[1 - even :: 2] = _random_states(nqubits, seeds[1 - even :: 2], 2**nqubits)
+    mats[even::2] = _random_states(nqubits, rngs[even::2])
+    mats[1 - even :: 2] = _random_states(nqubits, rngs[1 - even :: 2], 2**nqubits)
     _validate(mats)
     return mats
 
@@ -385,8 +411,8 @@ def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
     for indices in _chunks(range(samples)):
         # samples 2i and 2i + 1 of each pair index i, interleaved
         drawn = _samples(2, seed, range(2 * indices.start, 2 * indices.stop))
-        seeds = (np.random.SeedSequence([seed, i, 2]) for i in indices)
-        weight = np.array([np.random.default_rng(ss).uniform() for ss in seeds])[:, None]
+        rngs = _generators([[seed, i, 2] for i in indices])
+        weight = np.array([rng.uniform() for rng in rngs])[:, None]
         first, second = drawn[0::2], drawn[1::2]
         mixed = weight[..., None] * first + (1.0 - weight[..., None]) * second
         _validate(mixed)

@@ -10,12 +10,15 @@ check. Together they form R_ij = Tr(rho sigma_i (x) sigma_j) with
 sigma_0 = I (r = R[1:, 0], s = R[0, 1:], T = R[1:, 1:]); both conversions
 are one contraction with the 16 products sigma_i (x) sigma_j.
 
-Random generation is deterministic per 64-bit seed; each call owns a
-private generator, so there is no global RNG state.
+Random generation is deterministic per seed; each call owns a private
+generator, so there is no global RNG state. ``_generators`` sets up the
+generators of many ``SeedSequence`` entropies at once, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +102,10 @@ def to_bloch(rho: DensityMatrix) -> TwoQubitBloch:
 
 
 def _check_unit_interval(name: str, value: float) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return value
@@ -150,22 +156,89 @@ def maximally_mixed(nqubits: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
-def _random_states(nqubits: int, seeds, rank: int | None = None) -> np.ndarray:
-    """Random states, stacked as ``(len(seeds), 2**n, 2**n)``, not validated.
+# SeedSequence.generate_state's hash constants: hc[0] = 0x8b51f9dd and
+# hc[k + 1] = hc[k] * 0x58f38ded mod 2**32
+_HASH_B = np.array(
+    [0x8B51F9DD * pow(0x58F38DED, k, 2**32) % 2**32 for k in range(9)], dtype=np.uint32
+)
 
-    State k is drawn from its own ``default_rng(seeds[k])``: a Haar-random
-    pure state when ``rank`` is None, else a Ginibre-induced state of that
-    rank. Only the generators and their draws run per state; the finish
-    runs once on the stack, and every step is elementwise or per matrix, so
-    each state has the bits of a stack of one, whatever stack it is in. The
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian 32-bit words of a non-negative int, at least one,
+    as ``SeedSequence`` splits its entropy."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` holding the ``generate_state(4, uint64)`` words
+    of one ``SeedSequence``, made ahead of time; ``PCG64`` asks for exactly
+    these. It is defined on first use: importing ``numpy.random`` takes
+    about 20 ms, which ``evaluate`` and ``sweep`` never need."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"only PCG64's 4 uint64 words are kept, not {n_words} {dtype}")
+            return self.words
+
+    return SeedWords
+
+
+def _generators(entropies) -> list[np.random.Generator]:
+    """One generator per entropy list, each in the state of
+    ``np.random.default_rng(np.random.SeedSequence(entropy))``.
+
+    ``SeedSequence`` is given its entropy as the uint32 words it would split
+    it into, which skips its Python-level coercion but mixes the same pool.
+    The seed words ``PCG64`` draws from each pool (``generate_state(4,
+    uint64)``) are hashed for all pools in one numpy pass.
+    """
+    pools = np.array(
+        [
+            np.random.SeedSequence(
+                np.array([w for n in entropy for w in _uint32_words(n)], dtype=np.uint32)
+            ).pool
+            for entropy in entropies
+        ],
+        dtype=np.uint32,
+    ).reshape(-1, 4)
+    words = np.tile(pools, 2) ^ _HASH_B[:8]  # output word k hashes pool word k % 4
+    words *= _HASH_B[1:]
+    words ^= words >> 16
+    seeds = words.astype("<u4").view("<u8").astype(np.uint64)
+    seed_words = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
+
+
+def _random_states(nqubits: int, rngs, rank: int | None = None) -> np.ndarray:
+    """Random states, stacked as ``(len(rngs), 2**n, 2**n)``, not validated.
+
+    State k is drawn from ``default_rng(rngs[k])``: a generator (such as
+    those of ``_generators``) is used as it is, a seed gets a generator of
+    its own. Each generator makes one ``normal`` call for the real and the
+    imaginary block together, which has the bits of two calls. State k is
+    a Haar-random pure state when ``rank`` is None, else a Ginibre-induced
+    state of that rank. Only the draws run per state; the finish runs once
+    on the stack, and every step is elementwise or per matrix, so each
+    state has the bits of a stack of one, whatever stack it is in. The
     squared norm of a pure draw is the BLAS dot of its strided real and
     imaginary parts, which is what ``np.linalg.norm`` takes (a contiguous
     copy, ``einsum`` or ``sum`` would round differently).
     """
     dim = 2 ** nqubits
-    size, columns = (dim, 1) if rank is None else ((dim, rank), rank)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    draws = np.array([(rng.normal(size=size), rng.normal(size=size)) for rng in rngs])
+    columns = 1 if rank is None else rank
+    draws = np.array([np.random.default_rng(rng).normal(size=(2, dim, columns)) for rng in rngs])
     draws = draws.reshape(len(rngs), 2, dim, columns)
     g = draws[:, 0] + 1j * draws[:, 1]
     if rank is None:

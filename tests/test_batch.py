@@ -28,7 +28,7 @@ from naqc.qcore import (
     _check_nonnegative,
     _validate,
 )
-from naqc.states import ghz_alpha, pure_alpha, random_mixed, random_pure, werner
+from naqc.states import _generators, ghz_alpha, pure_alpha, random_mixed, random_pure, werner
 from naqc.steering import (
     BOUND_TOL,
     _condition,
@@ -222,25 +222,77 @@ def cli_sample(nqubits: int, master_seed: int, index: int) -> np.ndarray:
     return sampled_matrix(nqubits, seed, None if index % 2 == 0 else 2**nqubits)
 
 
-@pytest.mark.parametrize("nqubits", [2, 3])
-@pytest.mark.parametrize("chunk", [1, 7, 64])
-def test_sampled_chunks_are_the_per_index_draws(nqubits, chunk, monkeypatch):
+# master seeds of 1, 1, 2, 3 and 5 32-bit words: the entropy [seed, index]
+# that states._generators splits into words changes length at each boundary
+MASTER_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7]
+
+
+def seeded_cases(cases: dict) -> list:
+    """pytest params for ``cases`` ({id: args}) at SEED under the id alone,
+    then at each of MASTER_SEEDS with the seed added to the id."""
+    return [
+        pytest.param(*args, seed, id=name if seed == SEED else f"{name}-seed{seed}")
+        for seed in (SEED, *MASTER_SEEDS)
+        for name, args in cases.items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "nqubits, chunk, master_seed",
+    seeded_cases({f"{chunk}-{n}": (n, chunk) for n in (2, 3) for chunk in (1, 7, 64)}),
+)
+def test_sampled_chunks_are_the_per_index_draws(nqubits, chunk, master_seed, monkeypatch):
     monkeypatch.setattr(cli, "CHUNK", chunk)
     count = 150
-    chunks = list(cli._sampled(nqubits, SEED, count))
+    chunks = list(cli._sampled(nqubits, master_seed, count))
     starts = range(0, count, chunk)
     assert [list(indices) for indices, _ in chunks] == [
         list(range(start, min(start + chunk, count))) for start in starts
     ]
-    expected = np.stack([cli_sample(nqubits, SEED, i) for i in range(count)])
+    expected = np.stack([cli_sample(nqubits, master_seed, i) for i in range(count)])
     assert np.array_equal(bits(np.concatenate([mats for _, mats in chunks])), bits(expected))
 
 
-@pytest.mark.parametrize("nqubits", [2, 3])
-@pytest.mark.parametrize("indices", [range(5, 12), range(9, 10), range(8, 9)])
-def test_a_chunk_may_start_at_any_index(nqubits, indices):
-    expected = np.stack([cli_sample(nqubits, SEED, i) for i in indices])
-    assert np.array_equal(bits(cli._samples(nqubits, SEED, indices)), bits(expected))
+# the last range straddles index 2**32, where [seed, index] gains a word
+INDEX_RANGES = [range(5, 12), range(9, 10), range(8, 9), range(2**32 - 3, 2**32 + 4)]
+
+
+@pytest.mark.parametrize(
+    "nqubits, indices, master_seed",
+    seeded_cases(
+        {f"indices{k}-{n}": (n, indices) for k, indices in enumerate(INDEX_RANGES) for n in (2, 3)}
+    ),
+)
+def test_a_chunk_may_start_at_any_index(nqubits, indices, master_seed):
+    expected = np.stack([cli_sample(nqubits, master_seed, i) for i in indices])
+    assert np.array_equal(bits(cli._samples(nqubits, master_seed, indices)), bits(expected))
+
+
+def test_built_generators_are_in_the_seed_sequence_state():
+    """``states._generators`` stands in for ``default_rng(SeedSequence(e))``:
+    every generator it builds starts in that generator's state, for
+    entropies of 2 to 7 words, indices on both sides of 2**32 and the
+    mixing suite's three-entry ``[seed, i, 2]``."""
+    entropies = [
+        entropy
+        for seed in MASTER_SEEDS
+        for entropy in (
+            *([seed, i] for i in range(2000)),
+            *([seed, i] for i in range(2**32 - 500, 2**32 + 500)),
+            *([seed, i, 2] for i in range(1000)),
+        )
+    ]
+    assert len(entropies) == 20_000
+    built = _generators(entropies)
+    assert len(built) == len(entropies)
+    for entropy, rng in zip(entropies, built):
+        expected = np.random.default_rng(np.random.SeedSequence(entropy))
+        assert rng.bit_generator.state == expected.bit_generator.state, entropy
+    # the seed sequence behind them holds PCG64's four words and nothing else
+    assert built[0].bit_generator.seed_seq.generate_state(4, np.uint64).shape == (4,)
+    for request in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
+        with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
+            built[0].bit_generator.seed_seq.generate_state(*request)
 
 
 class TestStackedGuards:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,8 @@ from naqc.cli import (
 )
 from naqc.coherence import Measure
 from naqc.qcore import NotAStateError
-from naqc.states import bell, maximally_mixed, pure_alpha
+from naqc.states import bell, maximally_mixed, pure_alpha, random_mixed, random_pure
+from naqc.steering import steering_report, tripartite_report
 
 SCI_NUMBER = re.compile(r"^-?\d\.\d{14}e[+-]\d{2,3}$")
 
@@ -87,6 +89,38 @@ class TestStateDocuments:
         path = write_doc(tmp_path, "d.json", doc)
         assert main(["evaluate", "--state", path]) == EXIT_PARSE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "key, doc",
+        [
+            ("re", {"nqubits": 2, "re": [["0.25", 0, 0, 0], [0, 0.25, 0, 0],
+                                         [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+                    "im": [[0] * 4] * 4}),
+            ("re", {"nqubits": 1, "re": [[True, 0], [0, 0]], "im": [[0, 0], [0, 0]]}),
+            ("im", {"nqubits": 1, "re": [[1, 0], [0, 0]], "im": [[0, False], [0, 0]]}),
+            ("re", {"nqubits": 1, "re": [[1, 10**400], [0, 0]], "im": [[0, 0], [0, 0]]}),
+            ("p", {"family": "werner", "params": {"p": True}}),
+            ("alpha", {"family": "pure_alpha", "params": {"alpha": "0.5"}}),
+            ("alpha", {"family": "pure_alpha", "params": {"alpha": [0.5]}}),
+            ("alpha", {"family": "ghz_alpha", "params": {"alpha": None}}),
+            ("r", {"family": "general_bloch",
+                   "params": {"r": ["0", 0, 0], "s": [0, 0, 0], "T": [[0] * 3] * 3}}),
+            ("s", {"family": "general_bloch",
+                   "params": {"r": [0, 0, 0], "s": [0, False, 0], "T": [[0] * 3] * 3}}),
+            ("T", {"family": "general_bloch",
+                   "params": {"r": [0, 0, 0], "s": [0, 0, 0],
+                              "T": [[True, 0, 0], [0, -1, 0], [0, 0, 1]]}}),
+        ],
+    )  # fmt: skip
+    def test_non_number_entries_are_parse_errors(self, tmp_path, capsys, key, doc):
+        """Strings, booleans and nulls are not read as numbers, nor are ints
+        a float cannot hold; read as numbers, each of these documents would
+        evaluate or crash. The error names the key."""
+        path = write_doc(tmp_path, "d.json", doc)
+        assert main(["evaluate", "--state", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.search(rf"\b{key}\b", captured.err)
 
     def test_invalid_dense_state(self):
         doc = dense_doc_of(bell())
@@ -257,6 +291,7 @@ class TestSweep:
             ("0", "nan", "0.5"),
             ("nan", "1", "0.5"),
             ("0", "1", "nan"),
+            ("0", "1", "1e-320"),  # finite, but 1 / step points overflow
         ],
     )
     def test_non_finite_bounds_are_parse_errors(self, tmp_path, capsys, bounds):
@@ -314,6 +349,35 @@ class TestSearch:
         out = capsys.readouterr().out
         value = float(re.search(r"max value: (\S+)", out).group(1))
         assert value <= 9 * 2.0 + 1e-9
+
+    @pytest.mark.parametrize(
+        "nqubits, criterion, measure, seed",
+        [(2, "double12", "l1", 7), (2, "triple", "skew", 2**64 + 5), (3, "t1", "relent", 2**40)],
+    )
+    def test_best_sample_replays_from_its_seed_sequence(
+        self, capsys, nqubits, criterion, measure, seed
+    ):
+        """The printed best sample is state K of the public samplers seeded
+        with ``SeedSequence([seed, K])``: pure at even K, full-rank at odd K."""
+        args = [
+            "search", "--nqubits", str(nqubits), "--criterion", criterion,
+            "--measure", measure, "--samples", "40", "--seed", str(seed),
+        ]  # fmt: skip
+        assert main(args) == EXIT_OK
+        out = capsys.readouterr().out
+        index = int(re.search(r"^best sample: index=(\d+) ", out, re.M).group(1))
+        assert f"reproduce with: numpy SeedSequence([{seed}, {index}])" in out
+        ss = np.random.SeedSequence([seed, index])
+        if index % 2 == 0:
+            rho = random_pure(nqubits, ss)
+        else:
+            rho = random_mixed(nqubits, 2**nqubits, ss)
+        if nqubits == 3:
+            result = getattr(tripartite_report(rho, Measure(measure)), criterion)
+        else:
+            report = steering_report(rho, Measure(measure))
+            result = report.triple if criterion == "triple" else dict(report.doubles)[(1, 2)]
+        assert f"\nmax value: {fmt(result.value)}\n" in out
 
     def test_criterion_must_match_qubit_count(self, capsys):
         code = main([
@@ -413,6 +477,27 @@ def test_an_invalid_draw_is_rejected(argv, poison, message, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid state" in captured.err and message in captured.err
+
+
+@pytest.mark.parametrize("argv", SAMPLING_COMMANDS, ids=lambda argv: "-".join(argv[:4]))
+def test_a_negative_seed_is_a_parse_error(argv):
+    """A negative master seed fails with numpy's ``SeedSequence`` message,
+    and fails at once: cutting a negative int into 32-bit words never ends,
+    and its list of words grows without bound. The child gets 30 s and
+    1 GiB of address space, so such a loop fails the test quickly."""
+    with pytest.raises(ValueError) as numpy_error:
+        np.random.SeedSequence([-1, 0])
+    proc = subprocess.run(
+        [sys.executable, "-m", "naqc", *argv, "--seed", "-1"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+    )
+    assert proc.returncode == EXIT_PARSE
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {numpy_error.value}\n"
 
 
 class TestParserReuse:
