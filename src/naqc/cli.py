@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -35,10 +36,13 @@ from .states import (
     to_bloch,
 )
 from .steering import (
+    CRITERIA,
+    CriterionResult,
     SteeringReport,
     TripartiteReport,
     _condition,
-    _flag,
+    _criteria,
+    _decompositions,
     _shifts,
     _tripartite,
     steering_report,
@@ -52,11 +56,6 @@ EXIT_CONSISTENCY = 4
 EXIT_SUITE = 5
 
 MEASURE_CHOICES = ("l1", "relent", "skew")
-
-SEARCH_CRITERIA = {
-    2: ("single0", "single1", "single2", "double01", "double02", "double12", "triple"),
-    3: ("t1", "t2", "t3"),
-}
 
 # states (or Bloch vectors) drawn, stacked and evaluated together by every
 # sampling command and by sweep; results do not depend on it
@@ -143,15 +142,32 @@ def decode_state_document(doc) -> DensityMatrix:
 
 
 def load_state_document(path: str) -> DensityMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return decode_state_document(doc)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        return decode_state_document(doc)
+    except RecursionError as exc:
+        # json.load and _check_numbers recurse once per level of nesting
+        raise DocumentError("state document is nested too deeply") from exc
 
 
 def _measures(selector: str) -> list[Measure]:
     if selector == "all":
         return [Measure.L1, Measure.RELATIVE_ENTROPY, Measure.SKEW_INFORMATION]
     return [Measure(selector)]
+
+
+def _criterion_lines(labelled: list[tuple[str, CriterionResult]]) -> list[str]:
+    """One line per (label, result); the last criterion holds for every
+    state, so its line says whether it is satisfied, not violated."""
+    lines = []
+    for n, (label, res) in enumerate(labelled, 1):
+        if n < len(labelled):
+            flag = f"violated={_yesno(res.violated)}"
+        else:
+            flag = f"satisfied={_yesno(not res.violated)}"
+        lines.append(f"{label}: value={fmt(res.value)} bound={fmt(res.bound)} {flag}")
+    return lines
 
 
 def render_steering_report(report: SteeringReport) -> list[str]:
@@ -164,43 +180,24 @@ def render_steering_report(report: SteeringReport) -> list[str]:
         f"s1: {fmt(s[1])}",
         f"s2: {fmt(s[2])}",
     ]
-    for j, res in enumerate(report.singles):
-        label = f"single j={j}" if j == 0 else f"single j={j} (generalized)"
-        lines.append(
-            f"{label}: value={fmt(res.value)} bound={fmt(res.bound)} "
-            f"violated={_yesno(res.violated)}"
-        )
-    for (j, k), res in report.doubles:
-        lines.append(
-            f"double jk={j}{k}: value={fmt(res.value)} bound={fmt(res.bound)} "
-            f"violated={_yesno(res.violated)}"
-        )
-    t = report.triple
-    lines.append(
-        f"triple: value={fmt(t.value)} bound={fmt(t.bound)} "
-        f"satisfied={_yesno(not t.violated)}"
-    )
+    labelled = [
+        (f"single j={j}" if j == 0 else f"single j={j} (generalized)", res)
+        for j, res in enumerate(report.singles)
+    ]
+    labelled += [(f"double jk={j}{k}", res) for (j, k), res in report.doubles]
+    lines += _criterion_lines(labelled + [("triple", report.triple)])
     for label, value in report.decompositions:
         lines.append(f"decomposition {label}: {fmt(value)}")
     return lines
 
 
 def render_tripartite_report(report: TripartiteReport) -> list[str]:
-    lines = [
+    results = (report.t1, report.t2, report.t3)
+    return [
         f"measure: {report.measure.value}",
         f"epsilon: {fmt(report.measure.epsilon)}",
+        *_criterion_lines(list(zip(CRITERIA[3], results))),
     ]
-    for name, res in (("t1", report.t1), ("t2", report.t2)):
-        lines.append(
-            f"{name}: value={fmt(res.value)} bound={fmt(res.bound)} "
-            f"violated={_yesno(res.violated)}"
-        )
-    t3 = report.t3
-    lines.append(
-        f"t3: value={fmt(t3.value)} bound={fmt(t3.bound)} "
-        f"satisfied={_yesno(not t3.violated)}"
-    )
-    return lines
 
 
 def evaluate_lines(rho: DensityMatrix, measures: list[Measure]) -> list[str]:
@@ -226,7 +223,9 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
+def _sweep_grid(start: float, stop: float, step: float) -> tuple[int, Callable[[int], float]]:
+    """The number of sweep points and the map from k to point k, which is
+    min(start + k * step, stop); no point is made before it is asked for."""
     if not np.isfinite([start, stop, step]).all():
         raise ValueError(
             f"sweep bounds and step must be finite, "
@@ -236,38 +235,45 @@ def _sweep_grid(start: float, stop: float, step: float) -> list[float]:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"sweep range is empty: from {start} to {stop}")
-    count = np.floor((stop - start) / step + 1e-9) + 1
+    # the slack absorbs round-off: 1e-9 that of short grids, 1e-12 per
+    # point that of long ones
+    count = np.floor((stop - start) / step * (1.0 + 1e-12) + 1e-9) + 1
     if not np.isfinite(count):
         raise ValueError(
             f"sweep point count must be finite, got {count} points "
             f"from {start} to {stop} step {step}"
         )
-    return [min(start + k * step, stop) for k in range(int(count))]
+    return int(count), lambda k: min(start + k * step, stop)
 
 
 def cmd_sweep(args) -> int:
     measure = Measure(args.measure)
-    eps = measure.epsilon
-    grid = _sweep_grid(args.start, args.stop, args.step)
+    count, point = _sweep_grid(args.start, args.stop, args.step)
     param = "p" if args.family == "werner" else "alpha"
-    if args.family == "ghz_alpha":
+    nqubits = 3 if args.family == "ghz_alpha" else 2
+    if nqubits == 3:
         header = "alpha,T1,T2,T3,bound_3eps,bound_9eps"
     else:
         header = f"{param},S0,S12_half,S012_third,epsilon"
-    rows = []
-    for xs in _chunks(grid):
-        cond = _condition(np.stack([from_family(args.family, {param: x}).matrix for x in xs]))
-        if cond.charlie is None:
-            s = _shifts(cond, measure)[0]
-            columns = [s[:, 0], (s[:, 1] + s[:, 2]) / 2.0, s.sum(axis=-1) / 3.0, eps]
-        else:
-            columns = [*_tripartite(cond, measure).T, 3.0 * eps, 9.0 * eps]
-        rows += np.column_stack(np.broadcast_arrays(xs, *columns)).tolist()
+    # the grid runs from its first point to its last, so both in range
+    # means every point is: a bad parameter fails before the file is opened
+    for k in (0, count - 1):
+        from_family(args.family, {param: point(k)})
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
-    print(f"wrote {len(rows)} rows to {args.out}")
+        for ks in _chunks(range(count)):
+            xs = [point(k) for k in ks]
+            cond = _condition(np.stack([from_family(args.family, {param: x}).matrix for x in xs]))
+            if nqubits == 2:
+                c = _criteria(2, _shifts(cond, measure)[0].T, measure)
+                single, double, triple = c["single0"], c["double12"], c["triple"]
+                columns = [single.value, double.value / 2.0, triple.value / 3.0, single.bound]
+            else:
+                t1, t2, t3 = _criteria(3, _tripartite(cond, measure).T, measure).values()
+                columns = [t1.value, t2.value, t3.value, t1.bound, t3.bound]
+            for row in np.column_stack(np.broadcast_arrays(xs, *columns)).tolist():
+                fh.write(",".join(fmt(v) for v in row) + "\n")
+    print(f"wrote {count} rows to {args.out}")
     return EXIT_OK
 
 
@@ -294,37 +300,25 @@ def _sampled(nqubits: int, master_seed: int, count: int):
     return ((idx, _samples(nqubits, master_seed, idx)) for idx in _chunks(range(count)))
 
 
-def _criterion_values(name: str, cond, measure: Measure) -> tuple[np.ndarray, float]:
-    """A search criterion's value for every state of a conditioned stack,
-    read as the reports read it, and its bound."""
-    eps = measure.epsilon
-    if name in SEARCH_CRITERIA[3]:
-        k = int(name[1]) - 1
-        return _tripartite(cond, measure)[:, k], (3.0, 6.0, 9.0)[k] * eps
-    s, total = _shifts(cond, measure)
-    if name.startswith("single"):
-        return s[:, int(name[-1])], eps
-    if name.startswith("double"):
-        return s[:, int(name[-2])] + s[:, int(name[-1])], 2.0 * eps
-    return total, 3.0 * eps
-
-
 def cmd_search(args) -> int:
     nqubits = args.nqubits
-    if args.criterion not in SEARCH_CRITERIA[nqubits]:
+    if args.criterion not in CRITERIA[nqubits]:
         raise ValueError(
             f"criterion {args.criterion!r} is not valid for {nqubits} qubits; "
-            f"choose from {SEARCH_CRITERIA[nqubits]}"
+            f"choose from {tuple(CRITERIA[nqubits])}"
         )
     if args.samples < 1:
         raise ValueError(f"samples must be at least 1, got {args.samples}")
     measure = Measure(args.measure)
-    best_value = -1.0
+    best = None
     for indices, matrices in _sampled(nqubits, args.seed, args.samples):
-        values, bound = _criterion_values(args.criterion, _condition(matrices), measure)
-        k = int(values.argmax())  # the first maximum, as the strict > below keeps
-        if values[k] > best_value:
-            best_value, best_index, best_matrix = float(values[k]), indices[k], matrices[k]
+        cond = _condition(matrices)
+        parts = _shifts(cond, measure)[0] if nqubits == 2 else _tripartite(cond, measure)
+        res = _criteria(nqubits, parts.T, measure)[args.criterion]
+        k = int(res.value.argmax())  # the first maximum, as the strict > below keeps
+        if best is None or res.value[k] > best.value:
+            best = CriterionResult(float(res.value[k]), res.bound, bool(res.violated[k]))
+            best_index, best_matrix = indices[k], matrices[k]
     best_kind = "pure" if best_index % 2 == 0 else "mixed"
     npure = (args.samples + 1) // 2
     print(f"criterion: {args.criterion}")
@@ -332,9 +326,9 @@ def cmd_search(args) -> int:
     print(f"nqubits: {nqubits}")
     print(f"samples: {args.samples} ({npure} pure, {args.samples - npure} mixed)")
     print(f"master seed: {args.seed}")
-    print(f"max value: {fmt(best_value)}")
-    print(f"bound: {fmt(bound)}")
-    print(f"violated: {_yesno(_flag(best_value, bound).violated)}")
+    print(f"max value: {fmt(best.value)}")
+    print(f"bound: {fmt(best.bound)}")
+    print(f"violated: {_yesno(best.violated)}")
     print(f"best sample: index={best_index} kind={best_kind}")
     print(f"reproduce with: numpy SeedSequence([{args.seed}, {best_index}])")
     if nqubits == 2:
@@ -369,11 +363,10 @@ def _suite_bipartite_complementarity(seed: int, samples: int) -> SuiteResult:
     for _, matrices in _sampled(2, seed, samples):
         cond = _condition(matrices)
         for m in Measure:
-            s, total = _shifts(cond, m)
-            worst[m] = min(worst[m], float(np.min(3.0 * m.epsilon - total)))
-            s0, s1, s2 = s[:, 0], s[:, 1], s[:, 2]
-            # the four groupings of SteeringReport.decompositions
-            groupings = (s0 + s1 + s2, (s0 + s1) + s2, (s0 + s2) + s1, (s1 + s2) + s0)
+            s = _shifts(cond, m)[0].T
+            *_, total = _criteria(2, s, m).values()
+            worst[m] = min(worst[m], float(np.min(total.bound - total.value)))
+            groupings = [value for _, value in _decompositions(*s)]
             spread = np.max(groupings, axis=0) - np.min(groupings, axis=0)
             worst_spread = max(worst_spread, float(spread.max()))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
@@ -388,7 +381,8 @@ def _suite_tripartite_complementarity(seed: int, samples: int) -> SuiteResult:
         cond = _condition(matrices)
         for m in Measure:
             t1, t2, t3 = _tripartite(cond, m).T
-            worst[m] = min(worst[m], float(np.min(9.0 * m.epsilon - t3)))
+            *_, total = _criteria(3, (t1, t2, t3), m).values()
+            worst[m] = min(worst[m], float(np.min(total.bound - total.value)))
             worst_gap = max(worst_gap, float(np.max(np.abs(t3 - (t1 + t2)))))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
     lines.append(f"worst |t3 - (t1 + t2)|: {fmt(worst_gap)}")

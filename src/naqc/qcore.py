@@ -134,23 +134,33 @@ def projector(axis: int, outcome: int) -> np.ndarray:
     return _PROJ[axis - 1, outcome]
 
 
-def _validate(mats: np.ndarray) -> None:
+def _validate(mats: np.ndarray, weights: np.ndarray | None = None) -> None:
     """Raise ``NotAStateError`` unless every matrix of the ``(..., D, D)``
     stack is Hermitian within 1e-10, has unit trace within 1e-10 and no
     eigenvalue below -1e-10. The message gives the worst value in the stack.
+
+    With ``weights`` in [0, 1] (shape (...)), a stack that fails the
+    Hermiticity or the eigenvalue check is checked again as each matrix
+    times its weight.
 
     Each guard is written so that NaN fails it (max and argmax pick NaN),
     and a stack that fails the Hermiticity or trace check never reaches the
     eigensolver.
     """
-    herm_defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    defect = np.abs(mats - mats.conj().swapaxes(-1, -2))
+    herm_defect = defect.max()
+    if weights is not None and not herm_defect <= HERMITICITY_TOL:
+        herm_defect = (defect * weights[..., None, None]).max()
     if not herm_defect <= HERMITICITY_TOL:
         raise NotAStateError(f"not Hermitian: max |M - M^dag| = {herm_defect:.3e}")
     trace = np.ravel(mats.trace(axis1=-2, axis2=-1))
     trace = trace[np.abs(trace - 1.0).argmax()]
     if not abs(trace - 1.0) <= TRACE_TOL:
         raise NotAStateError(f"trace must be 1, got {trace:.12g}")
-    lowest = np.linalg.eigvalsh(mats).min()
+    eigvals = np.linalg.eigvalsh(mats)
+    lowest = eigvals.min()
+    if weights is not None and not lowest >= EIGVAL_FLOOR:
+        lowest = (eigvals * weights[..., None]).min()
     if not lowest >= EIGVAL_FLOOR:
         raise NotAStateError(f"negative eigenvalue {lowest:.3e}")
 

@@ -23,6 +23,7 @@ three-qubit state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,8 +31,10 @@ import numpy as np
 
 from .coherence import Measure
 from .qcore import (
+    BLOCH_NORM_TOL,
     BlochQubit,
     DensityMatrix,
+    NotAStateError,
     _PROJ,
     _ValueEquality,
     _bloch_vector,
@@ -55,6 +58,7 @@ __all__ = [
     "SteeringReport",
     "steering_report",
     "DOUBLE_PAIRS",
+    "CRITERIA",
     "TripartiteReport",
     "tripartite_report",
 ]
@@ -65,6 +69,19 @@ BOUND_TOL = 1e-9
 ZERO_PROBABILITY = 1e-12
 
 DOUBLE_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+# Every criterion, in the reports' order: the parts it adds, left to right,
+# and its bound in units of epsilon. The parts are shift indices j of s_j on
+# two qubits and positions in (t1, t2, t3) on three. The last criterion of
+# each table holds for every state, so it is never flagged.
+CRITERIA = {
+    2: {
+        **{f"single{j}": ((j,), 1.0) for j in range(3)},
+        **{f"double{j}{k}": ((j, k), 2.0) for j, k in DOUBLE_PAIRS},
+        "triple": ((0, 1, 2), 3.0),
+    },
+    3: {"t1": ((0,), 3.0), "t2": ((1,), 6.0), "t3": ((2,), 9.0)},
+}
 
 # The projectors onto the six Pauli outcomes, stacked as P[2 * (axis - 1) + outcome],
 # with their row and column entries shaped to broadcast over (..., 6, c, x, c', x').
@@ -145,13 +162,15 @@ def _condition(matrices: np.ndarray) -> _Conditioning:
 
     Three-qubit states are conditioned on Charlie's outcomes first; the
     conditional AB states are validated in one call and then conditioned
-    on Alice's outcomes like any two-qubit stack. Bob's Bloch vector is
-    ``_bloch_vector`` of each branch and its norm ``_norm``, so both match
-    ``BlochQubit`` bit for bit.
+    on Alice's outcomes like any two-qubit stack; an AB state of probability
+    p is validated as p * rho_AB, which has the slack of the state. Bob's
+    Bloch vector is ``_bloch_vector`` of each branch and its norm
+    ``_norm``, so both match ``BlochQubit`` bit for bit.
     """
     if matrices.shape[-1] == 8:
         charlie, ab = _outcomes(matrices, last=True)
-        _validate(ab[charlie != 0.0])
+        kept = charlie != 0.0
+        _validate(ab[kept], charlie[kept])
         return _Conditioning(charlie, *_condition(ab)[1:])
     prob, rest = _outcomes(matrices, last=False)
     bloch = _bloch_vector(rest)
@@ -170,23 +189,35 @@ def _conditioned(rho: DensityMatrix) -> _Conditioning:
     return memo
 
 
+def _outcome_sum(w: np.ndarray) -> np.ndarray:
+    """The six outcome terms ``w[..., k, :]`` added in the order of k."""
+    total = w[..., 0, :] + w[..., 1, :]
+    for k in range(2, 6):
+        total += w[..., k, :]
+    return total
+
+
 def _shifts(cond: _Conditioning, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
     """The shifts (s_0, s_1, s_2), shape (..., 3), of every two-qubit state
     in the conditioning, and their totals, shape (...).
 
     Each s_j adds its six terms p * C in the order of the outcomes, and the
     total is (s_0 + s_1) + s_2. A negative or NaN shift, or a total above
-    the all-states bound 3 * epsilon, anywhere in the stack raises
-    ``ConsistencyError``.
+    the all-states bound 3 * epsilon (by more than BOUND_TOL / p in an AB
+    state Charlie conditioned with probability p), anywhere in the stack
+    raises ``ConsistencyError``.
     """
     w = cond.prob[..., None] * measure.evaluate(cond.bloch, cond.norm)
-    w = w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES]
-    s = w[..., 0, :] + w[..., 1, :]
-    for k in range(2, 6):
-        s += w[..., k, :]
+    s = _outcome_sum(w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES])
     _check_nonnegative("shift value", s)
     total = s[..., 0] + s[..., 1] + s[..., 2]
-    _check_bound("shift total", total, 3.0 * measure.epsilon, BOUND_TOL)
+    bound = 3.0 * measure.epsilon
+    if cond.charlie is None:
+        _check_bound("shift total", total, bound, BOUND_TOL)
+    elif not total.max() <= bound + BOUND_TOL:
+        # Charlie's AB state of probability p holds the three-qubit state's
+        # slack scaled by 1 / p, so its excess is weighed by p
+        _check_bound("weighted shift total excess", cond.charlie * (total - bound), 0.0, BOUND_TOL)
     return s, total
 
 
@@ -201,10 +232,7 @@ def _tripartite(cond: _Conditioning, measure: Measure) -> np.ndarray:
     s, total = _shifts(cond, measure)
     matched = s.swapaxes(-1, -2)[..., _AXES, _MATCHED, :]
     w = cond.charlie[..., None] * np.stack([matched, total - matched], axis=-1)
-    w = w.reshape(w.shape[:-3] + (6, 2))
-    t = w[..., 0, :] + w[..., 1, :]
-    for k in range(2, 6):
-        t += w[..., k, :]
+    t = _outcome_sum(w.reshape(w.shape[:-3] + (6, 2)))
     t3 = t[..., 0] + t[..., 1]
     _check_bound("tripartite total", t3, 9.0 * measure.epsilon, BOUND_TOL)
     return np.concatenate([t, t3[..., None]], axis=-1)
@@ -232,16 +260,25 @@ def conditional_states(
     maximally mixed state) as placeholder, so its weighted contribution
     downstream is 0. The state is conditioned once, memoized on ``rho``;
     the branch objects are built from the memo on each call.
+
+    Dividing by the probability p scales the eigenvalue slack ``rho`` was
+    accepted with by 1 / p, so a branch's Bloch vector may be up to
+    BLOCH_NORM_TOL / p longer than 1. One longer than 1 + BLOCH_NORM_TOL
+    is scaled back onto the unit sphere; shorter ones are kept as they are.
     """
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
     _check_axis(axis)
     cond = _conditioned(rho)
     i = int(axis) - 1
-    return tuple(
-        ConditionalBranch(i + 1, a, float(cond.prob[i, a]), BlochQubit(cond.bloch[i, a]))
-        for a in (0, 1)
-    )
+    branches = []
+    for a in (0, 1):
+        p, r, norm = cond.prob[i, a], cond.bloch[i, a], cond.norm[i, a]
+        if norm > 1.0 + BLOCH_NORM_TOL:
+            _check_bound("Bloch vector norm", norm, 1.0, BLOCH_NORM_TOL / p, NotAStateError)
+            r = r / norm
+        branches.append(ConditionalBranch(i + 1, a, float(p), BlochQubit(r)))
+    return tuple(branches)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,8 +322,37 @@ class CriterionResult(NamedTuple):
     violated: bool
 
 
-def _flag(value: float, bound: float) -> CriterionResult:
-    return CriterionResult(value, bound, value > bound + VIOLATION_TOL)
+def _criteria(nqubits: int, values, measure: Measure) -> dict[str, CriterionResult]:
+    """Every criterion of ``CRITERIA[nqubits]``, by name, from the values of
+    the parts: the three shifts on two qubits, (t1, t2, t3) on three.
+
+    ``values[j]`` is part j, a float for one state or an array over a stack.
+    Either way each criterion adds its parts left to right, so a state's
+    results have the same bits alone and in a stack.
+    """
+    table = CRITERIA[nqubits]
+    eps = measure.epsilon
+    results = {}
+    for n, (name, (parts, units)) in enumerate(table.items(), 1):
+        value = values[parts[0]]
+        for j in parts[1:]:
+            value = value + values[j]
+        bound = units * eps
+        # the last criterion holds for every state: no value is flagged
+        tol = VIOLATION_TOL if n < len(table) else math.inf
+        results[name] = CriterionResult(value, bound, value > bound + tol)
+    return results
+
+
+def _decompositions(s0, s1, s2) -> tuple:
+    """The four groupings of the three-shift total, labelled as in
+    ``SteeringReport.decompositions``: floats for one state, or arrays."""
+    return (
+        ("0+1+2", s0 + s1 + s2),
+        ("01+2", (s0 + s1) + s2),
+        ("02+1", (s0 + s2) + s1),
+        ("12+0", (s1 + s2) + s0),
+    )
 
 
 @dataclass(frozen=True)
@@ -325,21 +391,10 @@ class SteeringReport:
 def steering_report(rho: DensityMatrix, measure: Measure) -> SteeringReport:
     """Assemble singles, doubles, the triple and its decompositions."""
     sv = shift_values(rho, measure)
-    s0, s1, s2 = (float(x) for x in sv.values)
-    eps = measure.epsilon
-    singles = tuple(_flag(s, eps) for s in (s0, s1, s2))
-    doubles = tuple(
-        ((j, k), _flag(float(sv.values[j] + sv.values[k]), 2.0 * eps))
-        for j, k in DOUBLE_PAIRS
-    )
-    triple = CriterionResult(sv.total, 3.0 * eps, False)
-    decompositions = (
-        ("0+1+2", s0 + s1 + s2),
-        ("01+2", (s0 + s1) + s2),
-        ("02+1", (s0 + s2) + s1),
-        ("12+0", (s1 + s2) + s0),
-    )
-    return SteeringReport(sv, singles, doubles, triple, decompositions)
+    s = sv.values.tolist()
+    results = list(_criteria(2, s, measure).values())
+    doubles = tuple(zip(DOUBLE_PAIRS, results[3:6]))
+    return SteeringReport(sv, tuple(results[:3]), doubles, results[6], _decompositions(*s))
 
 
 @dataclass(frozen=True)
@@ -366,11 +421,5 @@ def tripartite_report(rho: DensityMatrix, measure: Measure) -> TripartiteReport:
     """
     if rho.nqubits != 3:
         raise ValueError(f"expected a 3-qubit state, got {rho.nqubits} qubits")
-    t1, t2, t3 = _tripartite(_conditioned(rho), measure).tolist()
-    eps = measure.epsilon
-    return TripartiteReport(
-        _flag(t1, 3.0 * eps),
-        _flag(t2, 6.0 * eps),
-        CriterionResult(t3, 9.0 * eps, False),
-        measure,
-    )
+    t = _tripartite(_conditioned(rho), measure).tolist()
+    return TripartiteReport(*_criteria(3, t, measure).values(), measure)

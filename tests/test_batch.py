@@ -31,8 +31,10 @@ from naqc.qcore import (
 from naqc.states import _generators, ghz_alpha, pure_alpha, random_mixed, random_pure, werner
 from naqc.steering import (
     BOUND_TOL,
+    CRITERIA,
     _condition,
     _conditioned,
+    _criteria,
     _shifts,
     _tripartite,
     steering_report,
@@ -94,6 +96,44 @@ def test_reports_are_bitwise_equal_at_every_stack_size(nqubits, size):
         values = np.concatenate([stack_values(cond, measure) for cond in conds])
         expected = np.array([report_values(rho, measure) for rho in states])
         assert values.tobytes() == expected.tobytes()
+
+
+# each criterion's field in the reports, written out apart from CRITERIA
+REPORT_FIELDS = {
+    "single0": lambda report: report.singles[0],
+    "single1": lambda report: report.singles[1],
+    "single2": lambda report: report.singles[2],
+    "double01": lambda report: dict(report.doubles)[(0, 1)],
+    "double02": lambda report: dict(report.doubles)[(0, 2)],
+    "double12": lambda report: dict(report.doubles)[(1, 2)],
+    "triple": lambda report: report.triple,
+    "t1": lambda report: report.t1,
+    "t2": lambda report: report.t2,
+    "t3": lambda report: report.t3,
+}
+
+
+@pytest.mark.parametrize("nqubits", [2, 3])
+@pytest.mark.parametrize("size", (1, 7, None))
+def test_stacked_criteria_are_the_report_fields(nqubits, size):
+    """Each column ``_criteria`` gives for a stack holds the value, bound and
+    flag of the report field of that criterion, bit for bit."""
+    assert [*CRITERIA[2], *CRITERIA[3]] == list(REPORT_FIELDS)
+    states = STATES[nqubits]
+    report = steering_report if nqubits == 2 else tripartite_report
+    for measure in Measure:
+        columns = [
+            _criteria(nqubits, stack_values(_condition(matrices), measure).T, measure)
+            for matrices in stacked(states, size)
+        ]
+        for name in CRITERIA[nqubits]:
+            fields = [REPORT_FIELDS[name](report(rho, measure)) for rho in states]
+            results = [column[name] for column in columns]
+            values = np.concatenate([res.value for res in results]).tolist()
+            assert [v.hex() for v in values] == [f.value.hex() for f in fields], name
+            assert {res.bound.hex() for res in results} == {f.bound.hex() for f in fields}
+            flags = np.concatenate([res.violated for res in results]).tolist()
+            assert flags == [f.violated for f in fields], name
 
 
 @pytest.mark.parametrize("nqubits", [2, 3])

@@ -7,6 +7,7 @@ import re
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,17 +29,21 @@ from naqc.cli import (
 from naqc.coherence import Measure
 from naqc.qcore import NotAStateError
 from naqc.states import bell, maximally_mixed, pure_alpha, random_mixed, random_pure
-from naqc.steering import steering_report, tripartite_report
+from naqc.steering import CRITERIA, steering_report, tripartite_report
 
 SCI_NUMBER = re.compile(r"^-?\d\.\d{14}e[+-]\d{2,3}$")
 
 
 def child_env() -> dict:
     """The environment for a ``python -m naqc`` child process, with this
-    checkout's ``src`` first on its path."""
+    checkout's ``src`` first on its path and every warning an error."""
     src = str(Path(naqc.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, path]) if path else src}
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([src, path]) if path else src,
+        "PYTHONWARNINGS": "error",
+    }
 
 
 def write_doc(tmp_path, name, doc):
@@ -171,6 +176,18 @@ class TestEvaluate:
     def test_missing_file_is_parse_error(self, capsys):
         assert main(["evaluate", "--state", "/nonexistent.json"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("depth", [990, 100_000])
+    def test_deeply_nested_document_is_parse_error(self, tmp_path, capsys, depth):
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"nqubits": 2, "re": ' + "[" * depth + "]" * depth + ', "im": []}',
+            encoding="utf-8",
+        )
+        assert main(["evaluate", "--state", str(path)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state document is nested too deeply\n"
+
     def test_single_qubit_state_is_state_error(self, tmp_path, capsys):
         doc = {"nqubits": 1, "re": [[0.5, 0], [0, 0.5]], "im": [[0, 0], [0, 0]]}
         path = write_doc(tmp_path, "one.json", doc)
@@ -199,6 +216,23 @@ class TestEvaluate:
             tmp_path, "bad.json", {"family": "pure_alpha", "params": {"alpha": 1.5}}
         )
         assert main(["evaluate", "--state", path]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("defect", ["eigenvalue", "hermiticity"])
+    def test_low_probability_branches_of_an_accepted_state(self, tmp_path, capsys, defect):
+        """Charlie finds the AB state on |00> and |01> with p ~ 1e-8, and
+        dividing by p scales the slack the state was accepted with by 1 / p:
+        an eigenvalue of -5e-11, or |M - M^dag| = 8e-11. The state is still
+        evaluated."""
+        if defect == "eigenvalue":
+            matrix = np.diag([1 - 1e-8 + 5e-11, 1e-8, 0, -5e-11, 0, 0, 0, 0])
+        else:
+            matrix = np.diag([1 - 1e-8, 1e-8, 0, 0, 0, 0, 0, 0]).astype(complex)
+            matrix[1, 3] = matrix[3, 1] = 4e-11j
+        doc = {"nqubits": 3, "re": matrix.real.tolist(), "im": matrix.imag.tolist()}
+        path = write_doc(tmp_path, "low.json", doc)
+        assert main(["evaluate", "--state", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("t3: ") == 3
 
 
 def run_sweep(tmp_path, name, *args):
@@ -305,6 +339,30 @@ class TestSweep:
         assert "finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_range_parameter_writes_no_file(self, tmp_path, capsys):
+        code, out = run_sweep(
+            tmp_path, "x.csv",
+            "--family", "werner",
+            "--from", "0", "--to", "2", "--step", "0.5",
+        )  # fmt: skip
+        assert code == EXIT_PARSE
+        assert "must lie in [0, 1], got 2.0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_points_are_made_when_asked_for(self):
+        """A billion points take no memory until they are asked for; point k
+        is min(start + k * step, stop)."""
+        tracemalloc.start()
+        try:
+            count, point = cli._sweep_grid(0.0, 1.0, 1e-9)
+            points = [point(k) for k in (0, 5, 6, count - 1)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == 1_000_000_001
+        assert points == [0.0, 5 * 1e-9, 6 * 1e-9, 1.0]
+        assert peak < 2**20
+
     def test_unwritable_path_is_error(self, capsys):
         code = main([
             "sweep", "--family", "pure_alpha",
@@ -377,7 +435,24 @@ class TestSearch:
         else:
             report = steering_report(rho, Measure(measure))
             result = report.triple if criterion == "triple" else dict(report.doubles)[(1, 2)]
-        assert f"\nmax value: {fmt(result.value)}\n" in out
+        violated = "yes" if result.violated else "no"
+        assert (
+            f"\nmax value: {fmt(result.value)}\nbound: {fmt(result.bound)}\n"
+            f"violated: {violated}\n"
+        ) in out
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_search_accepts_exactly_the_table_criteria(self, capsys, nqubits):
+        names = [*CRITERIA[2], *CRITERIA[3], "single3", "double21", "t0", "t4", "total"]
+        for name in names:
+            code = main([
+                "search", "--nqubits", str(nqubits), "--criterion", name,
+                "--samples", "3", "--seed", "1",
+            ])  # fmt: skip
+            assert (code == EXIT_OK) == (name in CRITERIA[nqubits]), name
+        assert capsys.readouterr().err.count("is not valid for") == len(names) - len(
+            CRITERIA[nqubits]
+        )
 
     def test_criterion_must_match_qubit_count(self, capsys):
         code = main([

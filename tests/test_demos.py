@@ -2,8 +2,9 @@
 
 Each demo runs in its own interpreter with ``src`` on ``PYTHONPATH``, as
 from a checkout without installing, and must exit 0 after printing
-something. Temporary files the demos write go to pytest's temporary
-directory, and a demo must leave that directory empty.
+something; every warning is an error. Temporary files the demos write go
+to pytest's temporary directory, and a demo must leave that directory
+empty.
 """
 
 import os
@@ -24,7 +25,12 @@ def test_every_demo_is_collected():
 @pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
 def test_demo_runs(demo, tmp_path):
     paths = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), TMPDIR=str(tmp_path))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(paths),
+        PYTHONWARNINGS="error",
+        TMPDIR=str(tmp_path),
+    )
     result = subprocess.run(
         [sys.executable, str(demo)],
         cwd=ROOT,

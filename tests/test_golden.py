@@ -8,7 +8,8 @@ the SHA-256 of the CSV bytes that ``naqc sweep`` writes for the
 ``pure_alpha``, ``ghz_alpha`` and ``werner`` families (skew, step 0.01);
 and the SHA-256 of the exit code and stdout of every ``naqc check`` suite
 and of two ``naqc search`` runs (``CLI_RUNS``). The test recomputes all of
-them and requires equality.
+them and requires equality. ``EVALUATE_SHA256`` pins the bytes ``naqc
+evaluate`` prints for every golden state under all three measures.
 
 A change that alters any output bit on purpose (reordered floating-point
 work, a new generator) is a contract change: regenerate the file with
@@ -16,7 +17,8 @@ work, a new generator) is a contract change: regenerate the file with
     PYTHONPATH=src python tests/test_golden.py
 
 and commit it together with the change and the reason in CHANGES.md. Never
-regenerate it to make an unintended difference go away.
+regenerate it to make an unintended difference go away. The same run
+prints the evaluate digest, for a deliberate change of ``EVALUATE_SHA256``.
 """
 
 import contextlib
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from naqc.cli import main
+from naqc.cli import evaluate_lines, main
 from naqc.coherence import Measure
 from naqc.states import ghz_alpha, pure_alpha, random_mixed, random_pure, werner
 from naqc.steering import steering_report, tripartite_report
@@ -52,6 +54,7 @@ CLI_RUNS = {
     "search 3q t1 skew": ["search", "--nqubits", "3", "--criterion", "t1",
                           "--measure", "skew", "--samples", "100", "--seed", "1"],
 }  # fmt: skip
+EVALUATE_SHA256 = "b902e20dc5ec1410f36b072f3a45fc93d9d31359845f36920ea23d64c0a7fce6"
 
 
 def random_states(nqubits: int, count: int) -> list:
@@ -155,6 +158,22 @@ def differences(actual: dict, golden: dict) -> list[str]:
     return lines
 
 
+def evaluate_digest() -> str:
+    """SHA-256 of the lines ``naqc evaluate --measure all`` prints for every
+    golden state, two-qubit states first."""
+    text = "".join(
+        line + "\n"
+        for states in golden_states().values()
+        for rho in states
+        for line in evaluate_lines(rho, list(Measure))
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_evaluate_output_matches_its_digest():
+    assert evaluate_digest() == EVALUATE_SHA256
+
+
 def test_outputs_match_golden_bit_for_bit():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     lines = differences(compute(), golden)
@@ -164,3 +183,4 @@ def test_outputs_match_golden_bit_for_bit():
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(compute(), indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
+    print(f"EVALUATE_SHA256 = {evaluate_digest()!r}")

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 from naqc import qcore, steering
 from naqc.coherence import Measure
 from naqc.qcore import (
+    BLOCH_NORM_TOL,
     ConsistencyError,
     DensityMatrix,
     NotAStateError,
+    _validate,
     projector,
 )
 from naqc.states import (
@@ -518,9 +520,9 @@ class TestConditioningMemo:
         calls = []
         original = qcore._validate
 
-        def counting(mats):
+        def counting(mats, weights=None):
             calls.append(np.array(mats))
-            original(mats)
+            original(mats, weights)
 
         monkeypatch.setattr(qcore, "_validate", counting)
         monkeypatch.setattr(steering, "_validate", counting)
@@ -607,6 +609,46 @@ class TestZeroProbabilityBranches:
         for measure in ALL_MEASURES:
             again = tripartite_report(DensityMatrix(matrix), measure)
             assert report_hex(again) == report_hex(reports[measure])
+
+
+class TestLowProbabilityBranches:
+    """Conditioning divides by the outcome probability p, which scales the
+    slack a state was accepted with by 1 / p; the conditional checks allow
+    that much and no more."""
+
+    # Alice's outcome z = 1 has p ~ 1e-8 and holds the eigenvalue -5e-11
+    MATRIX = np.diag([1 - 1e-8 + 5e-11, 0, 1e-8, -5e-11]).astype(complex)
+
+    def test_a_long_bloch_vector_is_scaled_onto_the_sphere(self):
+        rho = DensityMatrix(self.MATRIX)
+        cond = _conditioned(rho)
+        assert cond.norm[2, 1] > 1.0 + BLOCH_NORM_TOL
+        kept, low = conditional_states(rho, 3)
+        assert low.probability == cond.prob[2, 1]
+        assert low.state.r.tobytes() == (cond.bloch[2, 1] / cond.norm[2, 1]).tobytes()
+        assert low.state.norm == pytest.approx(1.0, abs=1e-15)
+        # a vector within 1 + BLOCH_NORM_TOL is kept as it is
+        assert kept.state.r.tobytes() == cond.bloch[2, 0].tobytes()
+
+    def test_a_vector_too_long_for_its_probability_is_rejected(self):
+        rho = DensityMatrix(bell().matrix)
+        memo = _conditioned(rho)
+        bloch, norm = memo.bloch.copy(), memo.norm.copy()
+        bloch[2, 0], norm[2, 0] = [0.0, 0.0, 1.0 + 3e-9], 1.0 + 3e-9  # p = 1/2 allows 2e-9
+        rho._branches = memo._replace(bloch=bloch, norm=norm)
+        with pytest.raises(NotAStateError, match="Bloch vector norm"):
+            conditional_states(rho, 3)
+
+    def test_weighted_validation_holds_the_block_to_the_floor(self):
+        block = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)[None]
+        _validate(block, np.array([2e-10]))  # eigenvalue -1e-10 of p * block
+        with pytest.raises(NotAStateError, match="negative eigenvalue -1.500e-10"):
+            _validate(block, np.array([3e-10]))
+        skewed = np.eye(4, dtype=complex)[None] / 4
+        skewed[0, 0, 1] = 1e-3j
+        _validate(skewed, np.array([1e-7]))  # |M - M^dag| of p * block is 1e-10
+        with pytest.raises(NotAStateError, match="not Hermitian"):
+            _validate(skewed, np.array([2e-7]))
 
 
 def matmul_branches(rho: DensityMatrix) -> list:
