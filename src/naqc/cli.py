@@ -29,11 +29,11 @@ from .qcore import (
     _validate,
 )
 from .states import (
+    _bloch_of,
     _generators,
     _random_states,
     from_family,
     random_bloch_qubit_vector,
-    to_bloch,
 )
 from .steering import (
     CRITERIA,
@@ -77,6 +77,44 @@ class DocumentError(ValueError):
 def fmt(x: float) -> str:
     """Fixed 15-significant-digit scientific notation, round-trip safe."""
     return f"{float(x):.14e}"
+
+
+def _vector_str(x: np.ndarray) -> str:
+    """``np.array2string(x, precision=12)`` of a 1-D float vector of finite
+    values short enough for one line (3 values always are), without
+    ``array2string``'s per-call set-up.
+
+    It follows numpy's ``FloatingFormat`` in its default ``maxprec`` mode. A
+    first pass prints each value to at most 12 digits with trailing zeros
+    trimmed, the second pads them to one width: positional notation pads
+    with spaces only, so it reuses the first pass; scientific notation (a
+    nonzero magnitude below 1e-4 or from 1e8 on, or a max/min ratio above
+    1e3) gives every value as many fraction digits as the longest and its
+    exponent as many digits as the widest, which ``format_float_scientific``
+    prints again.
+    """
+    values = [float(v) for v in x]
+    magnitudes = [abs(v) for v in values if v != 0.0]
+    if magnitudes and (
+        max(magnitudes) >= 1e8 or min(magnitudes) < 1e-4 or max(magnitudes) / min(magnitudes) > 1e3
+    ):
+        parts = [np.format_float_scientific(v, precision=12, trim=".").split("e") for v in values]
+        pad_left = max(mantissa.index(".") for mantissa, _ in parts)
+        digits = max(len(mantissa) - mantissa.index(".") - 1 for mantissa, _ in parts)
+        exp_digits = max(len(exponent) for _, exponent in parts) - 1
+        words = [
+            np.format_float_scientific(
+                v, precision=digits, min_digits=digits, trim="k",
+                pad_left=pad_left, exp_digits=exp_digits,
+            )
+            for v in values
+        ]  # fmt: skip
+    else:
+        strs = [np.format_float_positional(v, precision=12, trim=".") for v in values]
+        pad_left = max(s.index(".") for s in strs)
+        width = pad_left + 1 + max(len(s) - s.index(".") - 1 for s in strs)
+        words = [s.rjust(pad_left + len(s) - s.index(".")).ljust(width) for s in strs]
+    return "[" + " ".join(words) + "]"
 
 
 def _yesno(flag: bool) -> str:
@@ -286,7 +324,7 @@ def _samples(nqubits: int, master_seed: int, indices: range) -> np.ndarray:
     """The validated stack of samples ``indices``: sample i is drawn from
     ``SeedSequence([master_seed, i])``, Haar-pure at even i and full-rank
     Ginibre at odd i."""
-    rngs = _generators([[master_seed, i] for i in indices])
+    rngs = _generators(master_seed, indices)
     mats = np.empty((len(rngs),) + (2**nqubits,) * 2, dtype=complex)
     even = indices[0] % 2  # the position of the first even index
     mats[even::2] = _random_states(nqubits, rngs[even::2])
@@ -332,11 +370,11 @@ def cmd_search(args) -> int:
     print(f"best sample: index={best_index} kind={best_kind}")
     print(f"reproduce with: numpy SeedSequence([{args.seed}, {best_index}])")
     if nqubits == 2:
-        bloch = to_bloch(DensityMatrix(best_matrix))
-        print(f"best state r: {np.array2string(bloch.r, precision=12)}")
-        print(f"best state s: {np.array2string(bloch.s, precision=12)}")
+        bloch = _bloch_of(best_matrix)  # validated with its chunk
+        print(f"best state r: {_vector_str(bloch.r)}")
+        print(f"best state s: {_vector_str(bloch.s)}")
         for i, row in enumerate(bloch.T):
-            print(f"best state T[{i}]: {np.array2string(row, precision=12)}")
+            print(f"best state T[{i}]: {_vector_str(row)}")
     return EXIT_OK
 
 
@@ -380,10 +418,14 @@ def _suite_tripartite_complementarity(seed: int, samples: int) -> SuiteResult:
     for _, matrices in _sampled(3, seed, samples):
         cond = _condition(matrices)
         for m in Measure:
-            t1, t2, t3 = _tripartite(cond, m).T
+            shifts = _shifts(cond, m)
+            t1, t2, t3 = _tripartite(cond, m, shifts).T
             *_, total = _criteria(3, (t1, t2, t3), m).values()
-            worst[m] = min(worst[m], float(np.min(total.bound - total.value)))
-            worst_gap = max(worst_gap, float(np.max(np.abs(t3 - (t1 + t2)))))
+            worst[m] = min(worst[m], float((total.bound - total.value).min()))
+            # t1 + t2 added the other way round: Charlie's outcomes weighting
+            # the shift totals of his AB states, not t1 and t2 term by term
+            added = (cond.charlie * shifts[1]).sum(axis=(-2, -1))
+            worst_gap = max(worst_gap, float(np.abs(t3 - added).max()))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
     lines.append(f"worst |t3 - (t1 + t2)|: {fmt(worst_gap)}")
     return lines, all(worst[m] >= -1e-9 for m in Measure) and worst_gap <= 1e-12
@@ -405,7 +447,7 @@ def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
     for indices in _chunks(range(samples)):
         # samples 2i and 2i + 1 of each pair index i, interleaved
         drawn = _samples(2, seed, range(2 * indices.start, 2 * indices.stop))
-        rngs = _generators([[seed, i, 2] for i in indices])
+        rngs = _generators(seed, indices, (2,))
         weight = np.array([rng.uniform() for rng in rngs])[:, None]
         first, second = drawn[0::2], drawn[1::2]
         mixed = weight[..., None] * first + (1.0 - weight[..., None]) * second

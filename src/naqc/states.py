@@ -12,7 +12,8 @@ are one contraction with the 16 products sigma_i (x) sigma_j.
 
 Random generation is deterministic per seed; each call owns a private
 generator, so there is no global RNG state. ``_generators`` sets up the
-generators of many ``SeedSequence`` entropies at once, bit for bit.
+generators of the ``SeedSequence`` entropies ``[seed, i]`` of a range of
+indices i at once, bit for bit.
 """
 
 from __future__ import annotations
@@ -97,7 +98,12 @@ def to_bloch(rho: DensityMatrix) -> TwoQubitBloch:
     """Extract (r, s, T) from a two-qubit state by Pauli traces."""
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
-    R = np.trace(rho.matrix @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4)
+    return _bloch_of(rho.matrix)
+
+
+def _bloch_of(matrix: np.ndarray) -> TwoQubitBloch:
+    """(r, s, T) of a 4x4 matrix already validated as a state, by Pauli traces."""
+    R = np.trace(matrix @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4)
     return TwoQubitBloch(R[1:, 0], R[0, 1:], R[1:, 1:])
 
 
@@ -195,28 +201,40 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _generators(entropies) -> list[np.random.Generator]:
-    """One generator per entropy list, each in the state of
-    ``np.random.default_rng(np.random.SeedSequence(entropy))``.
+def _generators(
+    master_seed: int, indices: range, tail: tuple[int, ...] = ()
+) -> list[np.random.Generator]:
+    """One generator per index i of the step-1 range ``indices`` (below
+    2**64), each in the state of
+    ``np.random.default_rng(np.random.SeedSequence([master_seed, i, *tail]))``.
 
-    ``SeedSequence`` is given its entropy as the uint32 words it would split
-    it into, which skips its Python-level coercion but mixes the same pool.
-    The seed words ``PCG64`` draws from each pool (``generate_state(4,
-    uint64)``) are hashed for all pools in one numpy pass.
+    ``SeedSequence`` is given each entropy as the uint32 words it would split
+    it into: the words of ``master_seed``, then of i, then of ``tail``. The
+    words of a whole range are one ``(n, L)`` array, made in two parts when
+    the range straddles 2**32, where i gains its second word. This skips
+    ``SeedSequence``'s Python-level coercion but mixes the same pool. The
+    seed words ``PCG64`` draws from each pool (``generate_state(4, uint64)``)
+    are hashed for all pools in one numpy pass.
     """
-    pools = np.array(
-        [
-            np.random.SeedSequence(
-                np.array([w for n in entropy for w in _uint32_words(n)], dtype=np.uint32)
-            ).pool
-            for entropy in entropies
-        ],
-        dtype=np.uint32,
-    ).reshape(-1, 4)
-    words = np.tile(pools, 2) ^ _HASH_B[:8]  # output word k hashes pool word k % 4
+    head = _uint32_words(master_seed)
+    rest = [w for n in tail for w in _uint32_words(n)]
+    cut = min(max(indices.start, 2**32), indices.stop)
+    pools = []
+    for part, width in ((range(indices.start, cut), 1), (range(cut, indices.stop), 2)):
+        if not part:
+            continue
+        entropy = np.empty((len(part), len(head) + width + len(rest)), dtype=np.uint32)
+        entropy[:, : len(head)] = head
+        low_high = np.arange(part.start, part.stop, dtype="<u8").view("<u4").reshape(-1, 2)
+        entropy[:, len(head) : len(head) + width] = low_high[:, :width]
+        entropy[:, len(head) + width :] = rest
+        pools += [np.random.SeedSequence(row).pool for row in entropy]
+    pools = np.array(pools, dtype=np.uint32).reshape(-1, 1, 4)
+    # output word k hashes pool word k % 4
+    words = (pools ^ _HASH_B[:8].reshape(2, 4)).reshape(-1, 8)
     words *= _HASH_B[1:]
     words ^= words >> 16
-    seeds = words.astype("<u4").view("<u8").astype(np.uint64)
+    seeds = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     seed_words = _seed_words_type()
     return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
 

@@ -221,15 +221,18 @@ def _shifts(cond: _Conditioning, measure: Measure) -> tuple[np.ndarray, np.ndarr
     return s, total
 
 
-def _tripartite(cond: _Conditioning, measure: Measure) -> np.ndarray:
+def _tripartite(
+    cond: _Conditioning, measure: Measure, shifts: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """(t1, t2, t3) of every three-qubit state in the conditioning, shape
-    (..., 3).
+    (..., 3), from ``shifts``, which is ``_shifts(cond, measure)`` (computed
+    here when not given).
 
     t1 and t2 each add their six terms p(c) * s in the order of Charlie's
     outcomes, and t3 = t1 + t2. A t3 above 9 * epsilon, or NaN, anywhere in
     the stack raises ``ConsistencyError``.
     """
-    s, total = _shifts(cond, measure)
+    s, total = _shifts(cond, measure) if shifts is None else shifts
     matched = s.swapaxes(-1, -2)[..., _AXES, _MATCHED, :]
     w = cond.charlie[..., None] * np.stack([matched, total - matched], axis=-1)
     t = _outcome_sum(w.reshape(w.shape[:-3] + (6, 2)))

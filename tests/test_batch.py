@@ -308,31 +308,62 @@ def test_a_chunk_may_start_at_any_index(nqubits, indices, master_seed):
     assert np.array_equal(bits(cli._samples(nqubits, master_seed, indices)), bits(expected))
 
 
+def assert_seed_sequence_states(built: list, seed: int, indices, tail: tuple) -> None:
+    """Generator k of ``built`` is in the state of
+    ``default_rng(SeedSequence([seed, indices[k], *tail]))``."""
+    assert len(built) == len(indices)
+    for i, rng in zip(indices, built):
+        expected = np.random.default_rng(np.random.SeedSequence([seed, i, *tail]))
+        assert rng.bit_generator.state == expected.bit_generator.state, (seed, i, tail)
+
+
 def test_built_generators_are_in_the_seed_sequence_state():
     """``states._generators`` stands in for ``default_rng(SeedSequence(e))``:
     every generator it builds starts in that generator's state, for
     entropies of 2 to 7 words, indices on both sides of 2**32 and the
     mixing suite's three-entry ``[seed, i, 2]``."""
-    entropies = [
-        entropy
-        for seed in MASTER_SEEDS
-        for entropy in (
-            *([seed, i] for i in range(2000)),
-            *([seed, i] for i in range(2**32 - 500, 2**32 + 500)),
-            *([seed, i, 2] for i in range(1000)),
-        )
-    ]
-    assert len(entropies) == 20_000
-    built = _generators(entropies)
-    assert len(built) == len(entropies)
-    for entropy, rng in zip(entropies, built):
-        expected = np.random.default_rng(np.random.SeedSequence(entropy))
-        assert rng.bit_generator.state == expected.bit_generator.state, entropy
+    calls = [(range(2000), ()), (range(2**32 - 500, 2**32 + 500), ()), (range(1000), (2,))]
+    count = 0
+    for seed in MASTER_SEEDS:
+        for indices, tail in calls:
+            built = _generators(seed, indices, tail)
+            assert_seed_sequence_states(built, seed, indices, tail)
+            count += len(built)
+    assert count == 20_000
     # the seed sequence behind them holds PCG64's four words and nothing else
     assert built[0].bit_generator.seed_seq.generate_state(4, np.uint64).shape == (4,)
     for request in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
         with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
             built[0].bit_generator.seed_seq.generate_state(*request)
+
+
+# chunks of 1 and 2 indices on either side of 2**32 and up to the last
+# index below 2**64, an empty chunk, and three that straddle 2**32
+SHORT_CHUNKS = [
+    range(0, 1), range(9, 10), range(0, 2), range(7, 9), range(2**32, 2**32 + 1),
+    range(2**32 + 6, 2**32 + 8), range(2**64 - 2, 2**64), range(5, 5),
+    range(2**32 - 1, 2**32 + 1), range(2**32 - 1, 2**32 + 2), range(2**32 - 2, 2**32 + 1),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("tail", [(), (2,)], ids=["pair", "tail2"])
+@pytest.mark.parametrize("seed", MASTER_SEEDS)
+def test_generators_of_short_and_straddling_chunks(seed, tail):
+    for indices in SHORT_CHUNKS:
+        assert_seed_sequence_states(_generators(seed, indices, tail), seed, indices, tail)
+
+
+@pytest.mark.parametrize("tail", [(), (2,)], ids=["pair", "tail2"])
+def test_straddling_chunks_in_mixed_order(tail):
+    """Chunks of 1 to 3 indices around 2**32, built in shuffled order: a
+    chunk's generators depend on its own indices alone, in index order."""
+    rng = np.random.default_rng(SEED)
+    edges = [2**32 - 6, 2**32 - 5, 2**32 - 3, 2**32 - 1, 2**32 + 1, 2**32 + 2, 2**32 + 5]
+    chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
+    for k in rng.permutation(len(chunks)):
+        for seed in (SEED, 2**32 + 9):
+            indices = chunks[k]
+            assert_seed_sequence_states(_generators(seed, indices, tail), seed, indices, tail)
 
 
 class TestStackedGuards:

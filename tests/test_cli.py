@@ -12,14 +12,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naqc
-from naqc import cli
+from naqc import cli, qcore, steering
 from naqc.cli import (
     EXIT_CONSISTENCY,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_STATE,
+    EXIT_SUITE,
     DocumentError,
     decode_state_document,
     evaluate_lines,
@@ -468,6 +471,96 @@ class TestSearch:
         ])
         assert code == EXIT_PARSE
 
+    def test_each_chunk_is_validated_once_and_nothing_after(self, monkeypatch, capsys):
+        """The best state is printed from its validated chunk: no second
+        validation, no ``DensityMatrix`` and no ``np.array2string``."""
+        validated, built, formatted = [], [], []
+        validate = qcore._validate
+        init = qcore.DensityMatrix.__init__
+
+        def counting_validate(mats, weights=None):
+            validated.append(mats.shape)
+            validate(mats, weights)
+
+        def counting_init(self, matrix):
+            built.append(matrix)
+            init(self, matrix)
+
+        for module in (qcore, cli, steering):
+            monkeypatch.setattr(module, "_validate", counting_validate)
+        monkeypatch.setattr(qcore.DensityMatrix, "__init__", counting_init)
+        monkeypatch.setattr(np, "array2string", lambda *a, **k: formatted.append(a))
+        monkeypatch.setattr(cli, "CHUNK", 64)
+        argv = [
+            "search", "--nqubits", "2", "--criterion", "double12",
+            "--samples", "150", "--seed", "7",
+        ]  # fmt: skip
+        assert main(argv) == EXIT_OK
+        assert validated == [(64, 4, 4), (64, 4, 4), (22, 4, 4)]
+        assert built == [] and formatted == []
+        assert capsys.readouterr().out.count("best state ") == 5
+
+
+# the ends of positional notation: a magnitude below 1e-4 or from 1e8 on,
+# or a max/min ratio above 1e3, switches to scientific
+NEAR_CUTOFFS = [
+    [1e-4, 0.05, 0.0999],
+    [np.nextafter(1e-4, 0.0), 0.05, 0.0999],
+    [1e-4, 0.1, -0.05],
+    [1e-4, np.nextafter(0.1, 1.0), 0.05],
+    [0.25, 250.0, -1.0],
+    [0.25, np.nextafter(250.0, 300.0), -1.0],
+    [np.nextafter(1e8, 0.0), 1e7, 2e5],
+    [1e8, 1e7, 2e5],
+]
+VECTORS = [
+    [0.0, 0.0, 0.0],
+    [-0.0, 0.0, -0.0],
+    [-0.0, 0.5, 0.0],
+    [1.0, -1.0, 1.0],
+    [-1.0, -1.0, -1.0],
+    [1.0, 0.0, -0.0],
+    *NEAR_CUTOFFS,
+    [1e-5, 1e-100, 0.5],  # exponents of two and three digits
+    [-1e-5, 1e-100, 1e100],
+    [5e-324, 1e-310, 0.123456789012],  # subnormals print digits beyond their shortest repr
+    [0.1234567890125, -0.1234567890135, 0.9999999999995],  # round at the 12th digit
+    [0.9999999999999, -0.4999999999999, 1e-13],
+    [0.1234567890125, 1.2345678901249e-5, 0.5],
+    [1 / 3, -2 / 3, 0.1],
+]
+
+
+class TestVectorStr:
+    """``cli._vector_str`` prints exactly what ``np.array2string(x,
+    precision=12)`` prints for search's best state."""
+
+    @pytest.mark.parametrize("values", VECTORS)
+    def test_known_cases(self, values):
+        x = np.array(values, dtype=float)
+        assert cli._vector_str(x) == np.array2string(x, precision=12)
+
+    @pytest.mark.parametrize("values", [[0.5, 0.25], [1e-7], [-2.0, 1e-9, 3.0, 0.125]])
+    def test_other_lengths(self, values):
+        x = np.array(values, dtype=float)
+        assert cli._vector_str(x) == np.array2string(x, precision=12)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
+    @settings(max_examples=2000, derandomize=True, deadline=None)
+    def test_any_finite_vector(self, values):
+        x = np.array(values, dtype=float)
+        assert cli._vector_str(x) == np.array2string(x, precision=12)
+
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        st.lists(st.integers(-6, 1), min_size=3, max_size=3),
+    )
+    @settings(max_examples=1000, derandomize=True, deadline=None)
+    def test_bloch_sized_vectors(self, values, exponents):
+        """Entries of r, s and T, at magnitudes around the two cutoffs."""
+        x = np.array(values) * 10.0 ** np.array(exponents, dtype=float)
+        assert cli._vector_str(x) == np.array2string(x, precision=12)
+
 
 class TestCheck:
     @pytest.mark.parametrize(
@@ -501,6 +594,28 @@ class TestCheck:
         assert code == EXIT_PARSE
         assert captured.out == ""
         assert "samples must be at least 1" in captured.err
+
+    def test_tripartite_check_compares_t3_with_the_shift_totals(self, monkeypatch, capsys):
+        """t3 is held to Charlie's outcomes weighting the AB shift totals, a
+        sum ``_tripartite`` does not add: t1 and t3 moved together by 1e-9,
+        so that t3 = t1 + t2 still holds, fail the suite."""
+        argv = ["check", "--suite", "tripartite-complementarity", "--samples", "20"]
+        assert main(argv) == EXIT_OK
+        gap = re.search(r"^worst \|t3 - \(t1 \+ t2\)\|: (\S+)$", capsys.readouterr().out, re.M)
+        assert 0.0 <= float(gap.group(1)) <= 1e-12
+        tripartite = cli._tripartite
+
+        def shifted(cond, measure, shifts=None):
+            t = tripartite(cond, measure, shifts)
+            t[..., [0, 2]] += 1e-9
+            return t
+
+        monkeypatch.setattr(cli, "_tripartite", shifted)
+        assert main(argv) == EXIT_SUITE
+        out = capsys.readouterr().out
+        gap = re.search(r"^worst \|t3 - \(t1 \+ t2\)\|: (\S+)$", out, re.M)
+        assert float(gap.group(1)) == pytest.approx(1e-9, rel=1e-3)
+        assert "result: FAIL" in out
 
     def test_unknown_suite_is_parse_error(self, capsys):
         assert main(["check", "--suite", "nope"]) == EXIT_PARSE
