@@ -399,14 +399,13 @@ def _suite_bipartite_complementarity(seed: int, samples: int) -> SuiteResult:
     worst = {m: np.inf for m in Measure}
     worst_spread = 0.0
     for _, matrices in _sampled(2, seed, samples):
-        cond = _condition(matrices)
-        for m in Measure:
-            s = _shifts(cond, m)[0].T
-            *_, total = _criteria(2, s, m).values()
+        s = _shifts(_condition(matrices), tuple(Measure))[0]
+        for m, s_m in zip(Measure, s):
+            *_, total = _criteria(2, s_m.T, m).values()
             worst[m] = min(worst[m], float(np.min(total.bound - total.value)))
-            groupings = [value for _, value in _decompositions(*s)]
-            spread = np.max(groupings, axis=0) - np.min(groupings, axis=0)
-            worst_spread = max(worst_spread, float(spread.max()))
+        groupings = [value for _, value in _decompositions(*np.moveaxis(s, -1, 0))]
+        spread = np.max(groupings, axis=0) - np.min(groupings, axis=0)
+        worst_spread = max(worst_spread, float(spread.max()))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
     lines.append(f"worst decomposition spread: {fmt(worst_spread)}")
     return lines, all(worst[m] >= -1e-9 for m in Measure) and worst_spread <= 1e-12
@@ -417,15 +416,15 @@ def _suite_tripartite_complementarity(seed: int, samples: int) -> SuiteResult:
     worst_gap = 0.0
     for _, matrices in _sampled(3, seed, samples):
         cond = _condition(matrices)
-        for m in Measure:
-            shifts = _shifts(cond, m)
-            t1, t2, t3 = _tripartite(cond, m, shifts).T
-            *_, total = _criteria(3, (t1, t2, t3), m).values()
+        shifts = _shifts(cond, tuple(Measure))
+        t = _tripartite(cond, tuple(Measure), shifts)
+        for m, t_m in zip(Measure, t):
+            *_, total = _criteria(3, t_m.T, m).values()
             worst[m] = min(worst[m], float((total.bound - total.value).min()))
-            # t1 + t2 added the other way round: Charlie's outcomes weighting
-            # the shift totals of his AB states, not t1 and t2 term by term
-            added = (cond.charlie * shifts[1]).sum(axis=(-2, -1))
-            worst_gap = max(worst_gap, float(np.abs(t3 - added).max()))
+        # t1 + t2 added the other way round: Charlie's outcomes weighting
+        # the shift totals of his AB states, not t1 and t2 term by term
+        added = (cond.charlie * shifts[1]).sum(axis=(-2, -1))
+        worst_gap = max(worst_gap, float(np.abs(t[..., 2] - added).max()))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
     lines.append(f"worst |t3 - (t1 + t2)|: {fmt(worst_gap)}")
     return lines, all(worst[m] >= -1e-9 for m in Measure) and worst_gap <= 1e-12
@@ -452,11 +451,9 @@ def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
         first, second = drawn[0::2], drawn[1::2]
         mixed = weight[..., None] * first + (1.0 - weight[..., None]) * second
         _validate(mixed)
-        conds = [_condition(mats) for mats in (first, second, mixed)]
-        for m in Measure:
-            s1, s2, s_mix = (_shifts(cond, m)[0] for cond in conds)
-            s_convex = weight * s1 + (1.0 - weight) * s2
-            worst = min(worst, float(np.min(s_convex - s_mix)) + 1e-9)
+        s = _shifts(_condition(np.stack([first, second, mixed])), tuple(Measure))[0]
+        s_convex = weight * s[:, 0] + (1.0 - weight) * s[:, 1]
+        worst = min(worst, float(np.min(s_convex - s[:, 2])) + 1e-9)
     return [f"worst convexity margin (incl. 1e-9 tolerance): {fmt(worst)}"], worst >= 0.0
 
 

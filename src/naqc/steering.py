@@ -83,11 +83,11 @@ CRITERIA = {
     3: {"t1": ((0,), 3.0), "t2": ((1,), 6.0), "t3": ((2,), 9.0)},
 }
 
-# The projectors onto the six Pauli outcomes, stacked as P[2 * (axis - 1) + outcome],
-# with their row and column entries shaped to broadcast over (..., 6, c, x, c', x').
+# The projectors onto the six Pauli outcomes, P[k] for k = 2 * (axis - 1) + outcome,
+# as columns over the twelve rows (k, c): _ROW[b] holds P[k, c, b], _COL[b] P[k, b, c].
 _PROJECTORS = _PROJ.reshape(6, 2, 2)
-_ROW = (_PROJECTORS[:, :, 0, None, None, None], _PROJECTORS[:, :, 1, None, None, None])
-_COL = (_PROJECTORS[:, None, None, 0, :, None], _PROJECTORS[:, None, None, 1, :, None])
+_ROW = tuple(_PROJECTORS[:, :, b].reshape(12, 1) for b in (0, 1))
+_COL = tuple(_PROJECTORS[:, b, :].reshape(12, 1) for b in (0, 1))
 
 # For outcome k = 2 (axis - 1) + outcome and shift j, Bob's 0-based axis is
 # (axis - 1 + j) mod 3, a cyclic step from Alice's; the gather
@@ -110,28 +110,29 @@ def _outcomes(matrices: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]
     probability falls below ZERO_PROBABILITY is dropped: probability 0.0 and
     the zero matrix.
 
-    One stacked pass projects all six outcomes, reading rho as r[c, x, c', x']
-    with the measured qubit's indices first. Projector entries are 0, +-1/2
-    or +-i/2, so each entry of P rho P is one rounding of the same two exact
-    products that kron(P, I) @ rho @ kron(P, I) adds, and both traces sum the
-    same entries in the same order: the bits match that matrix product's.
-    Every step is elementwise or per matrix, so no value depends on the
-    stack around it.
+    One stacked pass projects all six outcomes, reading rho as r[a, b, x, x']
+    (the measured qubit's indices first): rows P[c, 0] r[0] + P[c, 1] r[1] of
+    P rho, then only the blocks c' = c of P rho P, which both traces read.
+    Projector entries are 0, +-1/2 or +-i/2, so each entry is one rounding of
+    the two exact products kron(P, I) @ rho @ kron(P, I) adds, and both traces
+    sum the same entries in the same order: the bits match, in any stack.
     """
     n = matrices.shape[-1]
     d = n // 2
     lead = matrices.shape[:-2]
     if last:
-        r = matrices.reshape(lead + (d, 2, d, 2)).swapaxes(-4, -3).swapaxes(-2, -1)
+        r = matrices.reshape(lead + (d, 2, d, 2)).transpose(*range(len(lead)), -3, -1, -4, -2)
     else:
-        r = matrices.reshape(lead + (2, d, 2, d))
-    r = r[..., None, None, :, :, :, :]
-    left = _ROW[0] * r[..., 0, :, :, :] + _ROW[1] * r[..., 1, :, :, :]  # P rho
-    sub = left[..., :1, :] * _COL[0] + left[..., 1:, :] * _COL[1]  # (P rho) P
-    kept = np.trace(sub, axis1=-4, axis2=-2)
+        r = matrices.reshape(lead + (2, d, 2, d)).swapaxes(-3, -2)
+    r = r.reshape(lead + (2, 1, 2 * d * d))
+    left = _ROW[0] * r[..., 0, :, :] + _ROW[1] * r[..., 1, :, :]  # P rho, rows (k, c)
+    sub = left[..., : d * d] * _COL[0] + left[..., d * d :] * _COL[1]  # blocks c' = c
+    sub = sub.reshape(lead + (6, 2, d, d))
+    kept = sub[..., 0, :, :] + sub[..., 1, :, :]
+    diag = np.diagonal(sub, axis1=-2, axis2=-1)  # [k, c, x]
     if last:
-        sub = sub.swapaxes(-4, -3).swapaxes(-2, -1)  # back to the index order of rho
-    probs = np.trace(sub.reshape(lead + (6, n, n)), axis1=-2, axis2=-1).real
+        diag = diag.swapaxes(-2, -1)  # the order of rho's own diagonal
+    probs = diag.reshape(lead + (6, n)).sum(axis=-1).real
     dropped = probs < ZERO_PROBABILITY
     probs = np.where(dropped, 0.0, probs)
     rest = kept / np.where(dropped, 1.0, probs)[..., None, None]
@@ -197,47 +198,59 @@ def _outcome_sum(w: np.ndarray) -> np.ndarray:
     return total
 
 
-def _shifts(cond: _Conditioning, measure: Measure) -> tuple[np.ndarray, np.ndarray]:
-    """The shifts (s_0, s_1, s_2), shape (..., 3), of every two-qubit state
-    in the conditioning, and their totals, shape (...).
+def _each(measures, *stacks):
+    """``(measure, *slices)`` of each measure along the stacks' measure axis."""
+    return ((measures, *stacks),) if isinstance(measures, Measure) else zip(measures, *stacks)
 
-    Each s_j adds its six terms p * C in the order of the outcomes, and the
-    total is (s_0 + s_1) + s_2. A negative or NaN shift, or a total above
-    the all-states bound 3 * epsilon (by more than BOUND_TOL / p in an AB
-    state Charlie conditioned with probability p), anywhere in the stack
-    raises ``ConsistencyError``.
+
+def _shifts(cond: _Conditioning, measures) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts (s_0, s_1, s_2), shape (..., 3), of every two-qubit state
+    in the conditioning, and their totals, shape (...), for one ``Measure``
+    or, along a leading measure axis, a tuple of them.
+
+    With the measures' values stacked, each s_j adds its six terms p * C in
+    the order of the outcomes and the total is (s_0 + s_1) + s_2, once for
+    all: a measure's slice has the bits of it scored alone. A negative or
+    NaN shift, or a total above the measure's bound 3 * epsilon (by more
+    than BOUND_TOL / p in an AB state Charlie conditioned with probability
+    p), anywhere in the stack raises ``ConsistencyError``.
     """
-    w = cond.prob[..., None] * measure.evaluate(cond.bloch, cond.norm)
+    if isinstance(measures, Measure):
+        c = measures.evaluate(cond.bloch, cond.norm)
+    else:
+        c = np.stack([m.evaluate(cond.bloch, cond.norm) for m in measures])
+    w = cond.prob[..., None] * c
     s = _outcome_sum(w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES])
-    _check_nonnegative("shift value", s)
     total = s[..., 0] + s[..., 1] + s[..., 2]
-    bound = 3.0 * measure.epsilon
-    if cond.charlie is None:
-        _check_bound("shift total", total, bound, BOUND_TOL)
-    elif not total.max() <= bound + BOUND_TOL:
-        # Charlie's AB state of probability p holds the three-qubit state's
-        # slack scaled by 1 / p, so its excess is weighed by p
-        _check_bound("weighted shift total excess", cond.charlie * (total - bound), 0.0, BOUND_TOL)
+    for measure, s_m, total_m in _each(measures, s, total):
+        _check_nonnegative("shift value", s_m)
+        bound = 3.0 * measure.epsilon
+        if cond.charlie is None:
+            _check_bound("shift total", total_m, bound, BOUND_TOL)
+        elif not total_m.max() <= bound + BOUND_TOL:
+            # Charlie's AB state of probability p holds the three-qubit state's
+            # slack scaled by 1 / p, so its excess is weighed by p
+            excess = cond.charlie * (total_m - bound)
+            _check_bound("weighted shift total excess", excess, 0.0, BOUND_TOL)
     return s, total
 
 
-def _tripartite(
-    cond: _Conditioning, measure: Measure, shifts: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
+def _tripartite(cond: _Conditioning, measures, shifts=None) -> np.ndarray:
     """(t1, t2, t3) of every three-qubit state in the conditioning, shape
-    (..., 3), from ``shifts``, which is ``_shifts(cond, measure)`` (computed
-    here when not given).
+    (..., 3), for ``measures`` as in ``_shifts``, from ``shifts``, which is
+    ``_shifts(cond, measures)`` (computed here when not given).
 
     t1 and t2 each add their six terms p(c) * s in the order of Charlie's
-    outcomes, and t3 = t1 + t2. A t3 above 9 * epsilon, or NaN, anywhere in
-    the stack raises ``ConsistencyError``.
+    outcomes, and t3 = t1 + t2. A t3 above the measure's 9 * epsilon, or
+    NaN, anywhere in the stack raises ``ConsistencyError``.
     """
-    s, total = _shifts(cond, measure) if shifts is None else shifts
+    s, total = _shifts(cond, measures) if shifts is None else shifts
     matched = s.swapaxes(-1, -2)[..., _AXES, _MATCHED, :]
     w = cond.charlie[..., None] * np.stack([matched, total - matched], axis=-1)
     t = _outcome_sum(w.reshape(w.shape[:-3] + (6, 2)))
     t3 = t[..., 0] + t[..., 1]
-    _check_bound("tripartite total", t3, 9.0 * measure.epsilon, BOUND_TOL)
+    for measure, t3_m in _each(measures, t3):
+        _check_bound("tripartite total", t3_m, 9.0 * measure.epsilon, BOUND_TOL)
     return np.concatenate([t, t3[..., None]], axis=-1)
 
 

@@ -598,15 +598,18 @@ class TestCheck:
     def test_tripartite_check_compares_t3_with_the_shift_totals(self, monkeypatch, capsys):
         """t3 is held to Charlie's outcomes weighting the AB shift totals, a
         sum ``_tripartite`` does not add: t1 and t3 moved together by 1e-9,
-        so that t3 = t1 + t2 still holds, fail the suite."""
+        so that t3 = t1 + t2 still holds, fail the suite. The suite scores
+        all three measures in one call, so the shift reaches each of them."""
         argv = ["check", "--suite", "tripartite-complementarity", "--samples", "20"]
         assert main(argv) == EXIT_OK
         gap = re.search(r"^worst \|t3 - \(t1 \+ t2\)\|: (\S+)$", capsys.readouterr().out, re.M)
         assert 0.0 <= float(gap.group(1)) <= 1e-12
         tripartite = cli._tripartite
 
-        def shifted(cond, measure, shifts=None):
-            t = tripartite(cond, measure, shifts)
+        def shifted(cond, measures, shifts):
+            assert measures == tuple(Measure)
+            t = tripartite(cond, measures, shifts)
+            assert t.shape[0] == len(measures)
             t[..., [0, 2]] += 1e-9
             return t
 
