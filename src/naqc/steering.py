@@ -34,7 +34,6 @@ from .qcore import (
     BLOCH_NORM_TOL,
     BlochQubit,
     DensityMatrix,
-    NotAStateError,
     _PROJ,
     _ValueEquality,
     _bloch_vector,
@@ -43,7 +42,6 @@ from .qcore import (
     _check_nonnegative,
     _frozen,
     _norm,
-    _validate,
 )
 
 __all__ = [
@@ -158,24 +156,29 @@ class _Conditioning(NamedTuple):
     norm: np.ndarray
 
 
-def _condition(matrices: np.ndarray) -> _Conditioning:
+def _condition(matrices: np.ndarray, charlie: np.ndarray | None = None) -> _Conditioning:
     """Condition a ``(..., 4, 4)`` or ``(..., 8, 8)`` stack of valid states.
 
-    Three-qubit states are conditioned on Charlie's outcomes first; the
-    conditional AB states are validated in one call and then conditioned
-    on Alice's outcomes like any two-qubit stack; an AB state of probability
-    p is validated as p * rho_AB, which has the slack of the state. Bob's
-    Bloch vector is ``_bloch_vector`` of each branch and its norm
-    ``_norm``, so both match ``BlochQubit`` bit for bit.
+    Three-qubit states are conditioned on Charlie's outcomes first, and his
+    conditional AB states, with ``charlie`` their probabilities, on Alice's
+    like any two-qubit stack. Bob's Bloch vector is ``_bloch_vector`` of each
+    branch and its norm ``_norm``, so both match ``BlochQubit`` bit for bit.
+
+    A branch reached with probability w (Alice's p, times Charlie's on three
+    qubits) holds w * rho_B, a compression of the state, whose eigenvalues
+    keep the state's floor of -1e-10; so w * (|b| - 1) <= 2e-10. One guard
+    holds the whole stack to w * (|b| - 1) <= BLOCH_NORM_TOL and raises
+    ``ConsistencyError`` on a breach or on NaN.
     """
     if matrices.shape[-1] == 8:
         charlie, ab = _outcomes(matrices, last=True)
-        kept = charlie != 0.0
-        _validate(ab[kept], charlie[kept])
-        return _Conditioning(charlie, *_condition(ab)[1:])
+        return _condition(ab, charlie)
     prob, rest = _outcomes(matrices, last=False)
     bloch = _bloch_vector(rest)
-    return _Conditioning(None, prob, bloch, _norm(bloch))
+    norm = _norm(bloch)
+    weight = prob if charlie is None else charlie[..., None, None] * prob
+    _check_bound("weighted Bloch vector norm excess", weight * (norm - 1.0), 0.0, BLOCH_NORM_TOL)
+    return _Conditioning(charlie, prob, bloch, norm)
 
 
 def _conditioned(rho: DensityMatrix) -> _Conditioning:
@@ -278,9 +281,9 @@ def conditional_states(
     the branch objects are built from the memo on each call.
 
     Dividing by the probability p scales the eigenvalue slack ``rho`` was
-    accepted with by 1 / p, so a branch's Bloch vector may be up to
-    BLOCH_NORM_TOL / p longer than 1. One longer than 1 + BLOCH_NORM_TOL
-    is scaled back onto the unit sphere; shorter ones are kept as they are.
+    accepted with by 1 / p, and ``_condition`` holds |b| to 1 +
+    BLOCH_NORM_TOL / p. A vector longer than 1 + BLOCH_NORM_TOL is scaled
+    back onto the unit sphere; shorter ones are kept as they are.
     """
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
@@ -291,7 +294,6 @@ def conditional_states(
     for a in (0, 1):
         p, r, norm = cond.prob[i, a], cond.bloch[i, a], cond.norm[i, a]
         if norm > 1.0 + BLOCH_NORM_TOL:
-            _check_bound("Bloch vector norm", norm, 1.0, BLOCH_NORM_TOL / p, NotAStateError)
             r = r / norm
         branches.append(ConditionalBranch(i + 1, a, float(p), BlochQubit(r)))
     return tuple(branches)

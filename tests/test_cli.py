@@ -237,6 +237,21 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert out.count("t3: ") == 3
 
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_low_probability_diagonal_states_every_measure(self, tmp_path, capsys, nqubits):
+        """Alice's (two qubits) or Charlie's (three) outcome z = 1 has
+        p ~ 1e-8 and holds the eigenvalue -5e-11: a branch of Bloch vector
+        about 1.01 long on two qubits, and of an AB state of eigenvalue
+        -5e-3 on three."""
+        if nqubits == 2:
+            matrix = np.diag([1 - 1e-8 + 5e-11, 0, 1e-8, -5e-11])
+        else:
+            matrix = np.diag([1 - 1e-8 + 5e-11, 1e-8, 0, -5e-11, 0, 0, 0, 0])
+        doc = {"nqubits": nqubits, "re": matrix.tolist(), "im": np.zeros_like(matrix).tolist()}
+        path = write_doc(tmp_path, "low.json", doc)
+        assert main(["evaluate", "--state", path, "--measure", "all"]) == EXIT_OK
+        assert capsys.readouterr().out.count("t3: " if nqubits == 3 else "triple: ") == 3
+
 
 def run_sweep(tmp_path, name, *args):
     out = tmp_path / name
@@ -478,16 +493,16 @@ class TestSearch:
         validate = qcore._validate
         init = qcore.DensityMatrix.__init__
 
-        def counting_validate(mats, weights=None):
+        def counting_validate(mats):
             validated.append(mats.shape)
-            validate(mats, weights)
+            validate(mats)
 
         def counting_init(self, matrix):
             built.append(matrix)
             init(self, matrix)
 
         for module in (qcore, cli, steering):
-            monkeypatch.setattr(module, "_validate", counting_validate)
+            monkeypatch.setattr(module, "_validate", counting_validate, raising=False)
         monkeypatch.setattr(qcore.DensityMatrix, "__init__", counting_init)
         monkeypatch.setattr(np, "array2string", lambda *a, **k: formatted.append(a))
         monkeypatch.setattr(cli, "CHUNK", 64)
@@ -739,6 +754,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "nqubits: 2" in proc.stdout
+
+    def test_import_and_evaluate_leave_numpy_random_unimported(self, tmp_path):
+        """Importing ``numpy.random`` takes about 20 ms, which only sampling
+        needs: a fresh process that imports naqc and evaluates a family
+        document never imports it."""
+        doc = {"family": "ghz_alpha", "params": {"alpha": 0.3}}
+        path = write_doc(tmp_path, "ghz.json", doc)
+        script = (
+            "import sys\n"
+            "import naqc\n"
+            "assert 'numpy.random' not in sys.modules, 'import naqc'\n"
+            "from naqc.cli import main\n"
+            f"code = main(['evaluate', '--state', {path!r}])\n"
+            "assert 'numpy.random' not in sys.modules, 'naqc evaluate'\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "t3: " in proc.stdout
 
     def test_exit_code_constants(self):
         assert (EXIT_OK, EXIT_PARSE, EXIT_STATE, EXIT_CONSISTENCY) == (0, 2, 3, 4)

@@ -24,7 +24,6 @@ from naqc.qcore import (
     ConsistencyError,
     DensityMatrix,
     NotAStateError,
-    _validate,
     projector,
 )
 from naqc.states import (
@@ -42,8 +41,11 @@ from naqc.steering import (
     ZERO_PROBABILITY,
     ConditionalBranch,
     ShiftValues,
+    _condition,
     _conditioned,
     _outcomes,
+    _shifts,
+    _tripartite,
     conditional_states,
     shift_values,
     steering_report,
@@ -372,6 +374,19 @@ class TestMixingMonotonicity:
                 )
                 assert float(np.max(lhs - rhs)) <= 1e-9
 
+    def test_tripartite_criteria_are_convex(self):
+        """t1 and t2 of a mix of two three-qubit states, for every measure,
+        never exceed the same mix of their values: each is a sum of
+        perspectives p * C(b) of convex measures, with p * b linear in rho."""
+        pairs = 500
+        first = np.array([random_three_qubit(2 * i, seed=8200).matrix for i in range(pairs)])
+        second = np.array([random_three_qubit(2 * i + 1, seed=8200).matrix for i in range(pairs)])
+        weight = np.random.default_rng(322).uniform(size=(pairs, 1))
+        mixed = weight[..., None] * first + (1.0 - weight[..., None]) * second
+        t = _tripartite(_condition(np.stack([first, second, mixed])), tuple(ALL_MEASURES))
+        convex = weight * t[:, 0, :, :2] + (1.0 - weight) * t[:, 1, :, :2]
+        assert (t[:, 2, :, :2] - convex).max() <= 1e-9
+
 
 def honest_t1_closed_form(alpha: float) -> float:
     """Matched-shift total for the GHZ family, from hand-derived conditionals.
@@ -512,29 +527,30 @@ class TestConditioningMemo:
         for measure in ALL_MEASURES:
             assert report_hex(steering_report(rho, measure)) == before[measure]
 
-    def test_three_qubit_state_is_validated_seven_times(self, monkeypatch):
-        """The state in one call, then Charlie's six conditional AB states in
-        one stacked call that all three measures share: seven matrices, each
-        validated exactly once."""
+    def test_three_qubit_state_is_validated_once(self, monkeypatch):
+        """The state is validated in one call where it enters; Charlie's six
+        conditional AB states, which all three measures share, are not
+        validated again."""
         matrix = random_three_qubit(0).matrix
         calls = []
         original = qcore._validate
 
-        def counting(mats, weights=None):
+        def counting(mats):
             calls.append(np.array(mats))
-            original(mats, weights)
+            original(mats)
 
         monkeypatch.setattr(qcore, "_validate", counting)
-        monkeypatch.setattr(steering, "_validate", counting)
+        monkeypatch.setattr(steering, "_validate", counting, raising=False)
         rho = DensityMatrix(matrix)
         for measure in ALL_MEASURES:
             tripartite_report(rho, measure)
-        assert [c.shape for c in calls] == [(8, 8), (6, 4, 4)]
+        assert [c.shape for c in calls] == [(8, 8)]
         assert calls[0].tobytes() == matrix.tobytes()
-        # the six validated matrices are the six conditional states, in order
+        # the six conditional AB states are the oracle's, in order
         expected = [ab for _, _, ab in oracle_branches(matrix, last=True)]
         assert len(expected) == 6
-        np.testing.assert_allclose(calls[1], expected, atol=1e-12)
+        ab = _outcomes(matrix, last=True)[1].reshape(6, 4, 4)
+        np.testing.assert_allclose(ab, expected, atol=1e-12)
 
     def test_threads_sharing_states_read_the_same_reports(self):
         matrices = [random_two_qubit(i).matrix for i in range(4)]
@@ -631,24 +647,108 @@ class TestLowProbabilityBranches:
         assert kept.state.r.tobytes() == cond.bloch[2, 0].tobytes()
 
     def test_a_vector_too_long_for_its_probability_is_rejected(self):
-        rho = DensityMatrix(bell().matrix)
-        memo = _conditioned(rho)
-        bloch, norm = memo.bloch.copy(), memo.norm.copy()
-        bloch[2, 0], norm[2, 0] = [0.0, 0.0, 1.0 + 3e-9], 1.0 + 3e-9  # p = 1/2 allows 2e-9
-        rho._branches = memo._replace(bloch=bloch, norm=norm)
-        with pytest.raises(NotAStateError, match="Bloch vector norm"):
-            conditional_states(rho, 3)
+        # Bell's state with 7.5e-10 moved from |01><01| to |00><00|: Alice's
+        # outcome z = 0 keeps p = 1/2, and Bob's |b| = 1 + 3e-9 is longer
+        # than the 1 + BLOCH_NORM_TOL / p = 1 + 2e-9 the guard allows
+        matrix = bell().matrix.copy()
+        matrix[0, 0] += 7.5e-10
+        matrix[1, 1] -= 7.5e-10
+        with pytest.raises(ConsistencyError, match=r"weighted Bloch vector norm excess 1\.(5|49)"):
+            _condition(matrix[None])
 
-    def test_weighted_validation_holds_the_block_to_the_floor(self):
-        block = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)[None]
-        _validate(block, np.array([2e-10]))  # eigenvalue -1e-10 of p * block
-        with pytest.raises(NotAStateError, match="negative eigenvalue -1.500e-10"):
-            _validate(block, np.array([3e-10]))
-        skewed = np.eye(4, dtype=complex)[None] / 4
-        skewed[0, 0, 1] = 1e-3j
-        _validate(skewed, np.array([1e-7]))  # |M - M^dag| of p * block is 1e-10
-        with pytest.raises(NotAStateError, match="not Hermitian"):
-            _validate(skewed, np.array([2e-7]))
+
+def low_branch_state(nqubits: int, p: float, x: float, defect: float = 0.0) -> np.ndarray:
+    """A state, diagonal but for the real upper entry ``defect``, in which
+    Alice's outcome z = 1 is a branch of probability p (inside Charlie's
+    z = 1, of probability 1e-8, on three qubits) holding the block
+    [[p + x, defect], [0, -x]]. Its weighted Bloch norm excess
+    p * (|b| - 1) is sqrt((p + 2x)**2 + 4 defect**2) - p: 2x without the
+    defect. The eigenvalue -x is the lowest, and the eigensolver, which
+    reads the lower triangle, never sees the defect."""
+    diag = np.zeros(2**nqubits)
+    if nqubits == 2:
+        low = [2, 3]  # |10>, |11>
+        diag[0] = 1.0 - p
+    else:
+        low = [5, 7]  # |101>, |111>
+        diag[0], diag[1] = 1.0 - 1e-8, 1e-8 - p
+    diag[low] = p + x, -x
+    matrix = np.diag(diag).astype(complex)
+    matrix[low[0], low[1]] = defect
+    return matrix
+
+
+def weighted_excess(cond) -> float:
+    """The largest w * (|b| - 1) of a conditioning, w the probability of
+    reaching the branch: Alice's, times Charlie's on three qubits."""
+    weight = cond.prob if cond.charlie is None else cond.charlie[..., None, None] * cond.prob
+    return float((weight * (cond.norm - 1.0)).max())
+
+
+class TestWeightedNormGuard:
+    """``_condition`` holds every branch of a stack, reached with
+    probability w, to w * (|b| - 1) <= BLOCH_NORM_TOL: the state's
+    eigenvalue slack, which conditioning scales by 1 / w."""
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    @pytest.mark.parametrize("p", [1e-8, 1e-9, 1e-10, 1e-11])
+    def test_accepted_states_never_trip_it(self, nqubits, p):
+        """At the eigenvalue floor -1e-10, with a Hermiticity defect of
+        9e-11 in the low branch, a state is accepted and conditioned, and
+        its branches are built."""
+        rho = DensityMatrix(low_branch_state(nqubits, p, 1e-10, defect=9e-11))
+        assert weighted_excess(_conditioned(rho)) > 2e-10  # the slack is there
+        if nqubits == 2:
+            for axis in (1, 2, 3):
+                for branch in conditional_states(rho, axis):
+                    assert branch.state.norm <= 1.0 + BLOCH_NORM_TOL
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_random_states_at_the_floor_never_trip_it(self, nqubits):
+        """States near |0...0> with a random admixture of weight 1e-8 to
+        1e-11, their lowest eigenvalue moved to the floor and a Hermiticity
+        defect of 9e-11 in a random upper entry: a stack of 64 is accepted
+        and conditioned as one."""
+        rng = np.random.default_rng(404 + nqubits)
+        dim = 2**nqubits
+        stack = []
+        for _ in range(64):
+            weight = 10.0 ** -rng.uniform(8, 11)
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            sigma = weight * (g @ g.conj().T) / np.linalg.norm(g) ** 2
+            sigma[0, 0] += 1.0 - weight
+            eig, vec = np.linalg.eigh(sigma)
+            eig[0] = -1e-10 + 1e-14  # clear of the eigensolver's round-off
+            eig[-1] += 1.0 - eig.sum()
+            matrix = (vec * eig) @ vec.conj().T
+            i, j = sorted(rng.choice(dim, size=2, replace=False))
+            matrix[i, j] += 9e-11 * np.exp(2j * np.pi * rng.uniform())
+            stack.append(DensityMatrix(matrix).matrix)
+        assert weighted_excess(_condition(np.array(stack))) > 1e-10
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_it_trips_above_the_tolerance_and_not_below(self, nqubits):
+        """A weighted excess of 5e-10 passes and one of 1.5e-9 raises. On
+        three qubits the branch lies in Charlie's outcome of probability
+        1e-8, so the same excess unweighted by it would be 1e8 times larger."""
+        cond = _condition(low_branch_state(nqubits, 5e-9, 2.5e-10)[None])
+        assert weighted_excess(cond) == pytest.approx(5e-10, rel=1e-6)
+        if nqubits == 3:
+            assert (cond.prob * (cond.norm - 1.0)).max() == pytest.approx(5e-2, rel=1e-6)
+        with pytest.raises(ConsistencyError, match=r"weighted Bloch vector norm excess 1\.(5|49)"):
+            _condition(low_branch_state(nqubits, 5e-9, 7.5e-10)[None])
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 2), (3, 1)])
+    def test_nan_in_one_entry_of_a_stack_trips_it(self, nqubits, entry):
+        sample = random_two_qubit if nqubits == 2 else random_three_qubit
+        stack = np.array([sample(index).matrix for index in range(5)])
+        _condition(stack)
+        stack[3][entry] = np.nan
+        # a NaN probability makes numpy's complex division warn on the way
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ConsistencyError, match="weighted Bloch vector norm excess nan"):
+                _condition(stack)
 
 
 def matmul_branches(rho: DensityMatrix) -> list:
@@ -766,9 +866,28 @@ def test_no_signalling_property(rho):
 @given(ginibre_states(3))
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_t3_is_exactly_t1_plus_t2_property(rho):
-    for measure in ALL_MEASURES:
-        report = tripartite_report(rho, measure)
-        assert report.t3.value == report.t1.value + report.t2.value
+    """t3 against t1 + t2 added the other way round, Charlie's outcome
+    probabilities weighting the shift totals of his AB states, and t1 and
+    t2 (l1) against the density-matrix oracle; the report's t3 = t1 + t2
+    holds by construction and cannot fail on its own."""
+    cond = _conditioned(rho)
+    added = (cond.charlie * _shifts(cond, tuple(ALL_MEASURES))[1]).sum(axis=(-2, -1))
+    for measure, weighted in zip(ALL_MEASURES, added.tolist()):
+        assert tripartite_report(rho, measure).t3.value == pytest.approx(weighted, abs=1e-12)
+    report = tripartite_report(rho, Measure.L1)
+    t1, t2 = oracle_t1_t2(rho.matrix)
+    assert report.t1.value == pytest.approx(t1, abs=1e-10)
+    assert report.t2.value == pytest.approx(t2, abs=1e-10)
+
+
+@given(ginibre_states(3), ginibre_states(3), st.floats(0.0, 1.0))
+@settings(max_examples=30, derandomize=True, deadline=None)
+def test_tripartite_criteria_are_convex_property(first, second, weight):
+    """t1 and t2 of a mix of two states never exceed the mix of theirs."""
+    mixed = weight * first.matrix + (1.0 - weight) * second.matrix
+    t = _tripartite(_condition(np.stack([first.matrix, second.matrix, mixed])), tuple(ALL_MEASURES))
+    convex = weight * t[:, 0, :2] + (1.0 - weight) * t[:, 1, :2]
+    assert (t[:, 2, :2] - convex).max() <= 1e-9
 
 
 @given(ginibre_states(2))
