@@ -287,10 +287,11 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def _bloch_vector(m: np.ndarray) -> np.ndarray:
     """r_i = Tr(m sigma_i) of a (..., 2, 2) stack, read off its entries."""
-    return np.stack(
-        [2.0 * m[..., 0, 1].real, 2.0 * m[..., 1, 0].imag, (m[..., 0, 0] - m[..., 1, 1]).real],
-        axis=-1,
-    )
+    r = np.empty(m.shape[:-2] + (3,))
+    np.multiply(2.0, m[..., 0, 1].real, out=r[..., 0])
+    np.multiply(2.0, m[..., 1, 0].imag, out=r[..., 1])
+    np.subtract(m[..., 0, 0].real, m[..., 1, 1].real, out=r[..., 2])
+    return r
 
 
 def bloch_of_qubit(rho: DensityMatrix) -> BlochQubit:

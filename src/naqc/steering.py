@@ -23,6 +23,7 @@ three-qubit state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -33,6 +34,7 @@ from .coherence import Measure
 from .qcore import (
     BLOCH_NORM_TOL,
     BlochQubit,
+    ConsistencyError,
     DensityMatrix,
     _PROJ,
     _ValueEquality,
@@ -106,7 +108,7 @@ def _outcomes(matrices: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]
     ``[axis - 1, outcome]``, and the normalized partial traces of P rho P
     over the measured qubit, shape (..., 3, 2, N/2, N/2). An outcome whose
     probability falls below ZERO_PROBABILITY is dropped: probability 0.0 and
-    the zero matrix.
+    the zero matrix; a NaN or infinite one raises ``ConsistencyError``.
 
     One stacked pass projects all six outcomes, reading rho as r[a, b, x, x']
     (the measured qubit's indices first): rows P[c, 0] r[0] + P[c, 1] r[1] of
@@ -131,10 +133,12 @@ def _outcomes(matrices: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]
     if last:
         diag = diag.swapaxes(-2, -1)  # the order of rho's own diagonal
     probs = diag.reshape(lead + (6, n)).sum(axis=-1).real
+    if not math.isfinite(top := probs.max()):  # before the division, which would warn
+        raise ConsistencyError(f"outcome probability {top:.15g} is not finite")
     dropped = probs < ZERO_PROBABILITY
     probs = np.where(dropped, 0.0, probs)
     rest = kept / np.where(dropped, 1.0, probs)[..., None, None]
-    rest[dropped] = 0.0
+    np.copyto(rest, 0.0, where=dropped[..., None, None])
     return probs.reshape(lead + (3, 2)), rest.reshape(lead + (3, 2, d, d))
 
 
@@ -193,68 +197,74 @@ def _conditioned(rho: DensityMatrix) -> _Conditioning:
     return memo
 
 
-def _outcome_sum(w: np.ndarray) -> np.ndarray:
-    """The six outcome terms ``w[..., k, :]`` added in the order of k."""
-    total = w[..., 0, :] + w[..., 1, :]
-    for k in range(2, 6):
-        total += w[..., k, :]
-    return total
+@functools.cache
+def _bounds(measures: tuple, nqubits: int) -> tuple:
+    """Per measure, read-only: the all-states bound of ``CRITERIA[nqubits]``,
+    its tolerance and their sum. A branch's values add to at most epsilon *
+    max(1, |b|) and ``_condition`` holds w * (|b| - 1) to BLOCH_NORM_TOL, so
+    each of a total's 6 ** (nqubits - 1) branches adds epsilon * BLOCH_NORM_TOL."""
+    *_, (_, units) = CRITERIA[nqubits].values()
+    eps = np.array([m.epsilon for m in measures])
+    bound, tol = units * eps, BOUND_TOL + 6 ** (nqubits - 1) * eps * BLOCH_NORM_TOL
+    return tuple(_frozen(a) for a in (bound, tol, bound + tol))
 
 
-def _each(measures, *stacks):
-    """``(measure, *slices)`` of each measure along the stacks' measure axis."""
-    return ((measures, *stacks),) if isinstance(measures, Measure) else zip(measures, *stacks)
+def _check_totals(name, totals, bounds, shifts=None, weight=None) -> None:
+    """Hold each measure's slice of ``totals`` to its ``_bounds`` and of
+    ``shifts`` to 0 from below, one reduction each. On a breach or NaN the
+    first failing measure raises as it would alone; given Charlie's
+    probabilities as ``weight``, a total fails only if its weighted excess does."""
+    bound, tol, limit = bounds
+    slack = limit - np.maximum.reduce(totals.reshape(len(totals), -1), axis=1)
+    if shifts is not None:  # or the lowest shift, if below the room under the bound
+        np.minimum(slack, np.minimum.reduce(shifts.reshape(len(shifts), -1), axis=1), out=slack)
+    if np.minimum.reduce(slack) >= 0.0:
+        return
+    for k in range(len(totals)):
+        if shifts is not None:
+            _check_nonnegative("shift value", shifts[k])
+        if weight is None:
+            _check_bound(name, totals[k], bound[k], tol[k])
+        elif not slack[k] >= 0.0:  # Charlie's AB state of probability p holds slack / p
+            _check_bound(f"weighted {name} excess", weight * (totals[k] - bound[k]), 0.0, tol[k])
 
 
 def _shifts(cond: _Conditioning, measures) -> tuple[np.ndarray, np.ndarray]:
     """The shifts (s_0, s_1, s_2), shape (..., 3), of every two-qubit state
     in the conditioning, and their totals, shape (...), for one ``Measure``
-    or, along a leading measure axis, a tuple of them.
-
-    With the measures' values stacked, each s_j adds its six terms p * C in
-    the order of the outcomes and the total is (s_0 + s_1) + s_2, once for
-    all: a measure's slice has the bits of it scored alone. A negative or
-    NaN shift, or a total above the measure's bound 3 * epsilon (by more
-    than BOUND_TOL / p in an AB state Charlie conditioned with probability
-    p), anywhere in the stack raises ``ConsistencyError``.
-    """
-    if isinstance(measures, Measure):
-        c = measures.evaluate(cond.bloch, cond.norm)
-    else:
-        c = np.stack([m.evaluate(cond.bloch, cond.norm) for m in measures])
-    w = cond.prob[..., None] * c
-    s = _outcome_sum(w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES])
+    or, along a leading measure axis, a tuple of them. Each s_j sums its six
+    terms p * C in the order of the outcomes (numpy adds fewer than eight in
+    index order, and none is -0.0) and the total is (s_0 + s_1) + s_2, so a
+    measure's slice has the bits of it scored alone. ``_check_totals`` guards both."""
+    single = isinstance(measures, Measure)
+    axis = (measures,) if single else tuple(measures)
+    w = np.empty((len(axis),) + cond.norm.shape + (3,))
+    for k, measure in enumerate(axis):
+        np.multiply(cond.prob[..., None], measure.evaluate(cond.bloch, cond.norm), out=w[k])
+    s = np.add.reduce(w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES], axis=-2)
     total = s[..., 0] + s[..., 1] + s[..., 2]
-    for measure, s_m, total_m in _each(measures, s, total):
-        _check_nonnegative("shift value", s_m)
-        bound = 3.0 * measure.epsilon
-        if cond.charlie is None:
-            _check_bound("shift total", total_m, bound, BOUND_TOL)
-        elif not total_m.max() <= bound + BOUND_TOL:
-            # Charlie's AB state of probability p holds the three-qubit state's
-            # slack scaled by 1 / p, so its excess is weighed by p
-            excess = cond.charlie * (total_m - bound)
-            _check_bound("weighted shift total excess", excess, 0.0, BOUND_TOL)
-    return s, total
+    _check_totals("shift total", total, _bounds(axis, 2), s, cond.charlie)
+    return (s[0], total[0]) if single else (s, total)
 
 
 def _tripartite(cond: _Conditioning, measures, shifts=None) -> np.ndarray:
-    """(t1, t2, t3) of every three-qubit state in the conditioning, shape
-    (..., 3), for ``measures`` as in ``_shifts``, from ``shifts``, which is
-    ``_shifts(cond, measures)`` (computed here when not given).
-
-    t1 and t2 each add their six terms p(c) * s in the order of Charlie's
-    outcomes, and t3 = t1 + t2. A t3 above the measure's 9 * epsilon, or
-    NaN, anywhere in the stack raises ``ConsistencyError``.
-    """
+    """(t1, t2, t3), shape (..., 3), of every three-qubit state in the
+    conditioning for ``measures`` as in ``_shifts``, from ``shifts`` (by
+    default ``_shifts(cond, measures)``). t1 and t2 sum their six terms
+    p(c) * s in the order of Charlie's outcomes; t3 = t1 + t2 is guarded."""
     s, total = _shifts(cond, measures) if shifts is None else shifts
+    single = isinstance(measures, Measure)
+    axis = (measures,) if single else tuple(measures)
+    s, total = (s[None], total[None]) if single else (s, total)
     matched = s.swapaxes(-1, -2)[..., _AXES, _MATCHED, :]
-    w = cond.charlie[..., None] * np.stack([matched, total - matched], axis=-1)
-    t = _outcome_sum(w.reshape(w.shape[:-3] + (6, 2)))
-    t3 = t[..., 0] + t[..., 1]
-    for measure, t3_m in _each(measures, t3):
-        _check_bound("tripartite total", t3_m, 9.0 * measure.epsilon, BOUND_TOL)
-    return np.concatenate([t, t3[..., None]], axis=-1)
+    w = np.empty(matched.shape + (2,))
+    np.multiply(cond.charlie, matched, out=w[..., 0])
+    np.multiply(cond.charlie, total - matched, out=w[..., 1])
+    t = np.empty(w.shape[:-3] + (3,))
+    np.add.reduce(w.reshape(w.shape[:-3] + (6, 2)), axis=-2, out=t[..., :2])
+    np.add(t[..., 0], t[..., 1], out=t[..., 2])
+    _check_totals("tripartite total", t[..., 2], _bounds(axis, 3))
+    return t[0] if single else t
 
 
 @dataclass(frozen=True)
@@ -314,8 +324,7 @@ class ShiftValues(_ValueEquality):
         values = np.array(self.values, dtype=float)
         if values.shape != (3,):
             raise ValueError(f"expected three shift values, got shape {values.shape}")
-        _check_nonnegative("shift value", values)
-        _check_bound("shift total", values.sum(), 3.0 * self.measure.epsilon, BOUND_TOL)
+        _check_totals("shift total", values.sum()[None], _bounds((self.measure,), 2), values[None])
         object.__setattr__(self, "values", _frozen(values))
 
     @property
@@ -397,9 +406,7 @@ class SteeringReport:
         tuple[tuple[int, int], CriterionResult],
     ]
     triple: CriterionResult
-    decompositions: tuple[
-        tuple[str, float], tuple[str, float], tuple[str, float], tuple[str, float]
-    ]
+    decompositions: tuple[tuple[str, float], ...]
 
     @property
     def measure(self) -> Measure:

@@ -7,8 +7,10 @@ by traces against Kronecker products of Pauli matrices, and the l1 shift
 functionals and tripartite criteria computed from projectors and partial
 traces. The tests use them to check the closed forms of ``naqc`` against
 direct matrix computations. ``sampled_matrix`` is the seeded sampler
-written draw by draw, the bit-exact reference for the stacked one, and
-``bits`` the view that compares arrays bit for bit.
+written draw by draw, the bit-exact reference for the stacked one,
+``reference_scores`` the shifts and tripartite criteria with every add
+written out, the bit-exact reference for the stacked scoring, and ``bits``
+the view that compares arrays bit for bit.
 """
 
 import math
@@ -188,3 +190,43 @@ def oracle_t1_t2(rho: np.ndarray) -> tuple[float, float]:
         t1 += p_c * s[c % 3]
         t2 += p_c * (sum(s) - s[c % 3])
     return t1, t2
+
+
+# The scoring references below write out every add of the stacked scoring
+# in ``naqc.steering`` in its order, one by one, so ``_shifts`` and
+# ``_tripartite`` must match them word for word.
+
+
+def outcome_sum(w: np.ndarray) -> np.ndarray:
+    """The six outcome terms ``w[..., k, :]`` added one by one in the order of k."""
+    total = w[..., 0, :] + w[..., 1, :]
+    for k in range(2, 6):
+        total += w[..., k, :]
+    return total
+
+
+def shift_total(s: np.ndarray) -> np.ndarray:
+    """(s_0 + s_1) + s_2 of a (..., 3) stack of shifts."""
+    return (s[..., 0] + s[..., 1]) + s[..., 2]
+
+
+def reference_scores(cond, measures: tuple) -> tuple:
+    """The shifts, their totals and, for three-qubit states, (t1, t2, t3) of
+    a conditioning, each with a leading axis over the tuple ``measures``.
+
+    The term of s_j from Alice's outcome k = 2 (axis - 1) + outcome is
+    p * C at Bob's 0-based axis (k // 2 + j) mod 3; t1 weighs the shift
+    (c + 1) mod 3 matched to Charlie's 0-based axis c by his probability,
+    t2 the total less it, and t3 = t1 + t2.
+    """
+    c = np.stack([m.evaluate(cond.bloch, cond.norm) for m in measures])
+    w = (cond.prob[..., None] * c).reshape(c.shape[:-3] + (6, 3))
+    terms = [[w[..., k, (k // 2 + j) % 3] for j in range(3)] for k in range(6)]
+    s = outcome_sum(np.moveaxis(np.array(terms), (0, 1), (-2, -1)))
+    total = shift_total(s)
+    if cond.charlie is None:
+        return s, total, None
+    matched = np.stack([s[..., a, :, (a + 1) % 3] for a in range(3)], axis=-2)
+    w = cond.charlie[..., None] * np.stack([matched, total - matched], axis=-1)
+    t = outcome_sum(w.reshape(w.shape[:-3] + (6, 2)))
+    return s, total, np.concatenate([t, (t[..., 0] + t[..., 1])[..., None]], axis=-1)

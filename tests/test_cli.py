@@ -252,6 +252,17 @@ class TestEvaluate:
         assert main(["evaluate", "--state", path, "--measure", "all"]) == EXIT_OK
         assert capsys.readouterr().out.count("t3: " if nqubits == 3 else "triple: ") == 3
 
+    def test_t3_at_the_eigenvalue_floor(self, tmp_path, capsys):
+        """The lowest eigenvalue -1e-10 puts skew's t3 1.8e-9 above 18, the
+        weighted excesses of its 36 branches, within t3's derived tolerance."""
+        matrix = np.diag([1 - 1e-8 + 1e-10, 1e-8, 0, -1e-10, 0, 0, 0, 0])
+        doc = {"nqubits": 3, "re": matrix.tolist(), "im": np.zeros_like(matrix).tolist()}
+        path = write_doc(tmp_path, "floor.json", doc)
+        assert main(["evaluate", "--state", path, "--measure", "all"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("t3: ") == 3
+        assert "t3: value=1.80000000018000e+01 bound=1.80000000000000e+01" in out
+
 
 def run_sweep(tmp_path, name, *args):
     out = tmp_path / name

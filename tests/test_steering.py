@@ -38,6 +38,7 @@ from naqc.states import (
     werner,
 )
 from naqc.steering import (
+    BOUND_TOL,
     ZERO_PROBABILITY,
     ConditionalBranch,
     ShiftValues,
@@ -56,6 +57,14 @@ from oracles import oracle_branches, oracle_shifts, oracle_t1_t2, partial_trace_
 SQRT6 = math.sqrt(6.0)
 ALL_MEASURES = list(Measure)
 ALPHA_GRID = [k / 10 for k in range(11)]
+
+# Convexity holds to round-off, per measure in ALL_MEASURES' order. A
+# round-off delta in |b| at a pure branch moves skew's three values by about
+# 2 sqrt(2 delta) in all (through sqrt(lambda_minus), lambda_minus = delta / 2).
+# t1 and t2 weigh such values with probabilities adding to 9, and a check
+# compares three evaluations whose weights (1, w, 1 - w) add to 2; one ulp of
+# |b| near 1, delta = 2**-52, gives skew's 2 * 9 * 2 sqrt(2 delta) = 7.6e-7.
+CONVEXITY_TOL = np.array([1e-9, 1e-9, 2 * 9 * 2 * math.sqrt(2 * 2**-52)])
 
 
 def random_two_qubit(index: int, seed: int = 9000) -> DensityMatrix:
@@ -386,6 +395,20 @@ class TestMixingMonotonicity:
         t = _tripartite(_condition(np.stack([first, second, mixed])), tuple(ALL_MEASURES))
         convex = weight * t[:, 0, :, :2] + (1.0 - weight) * t[:, 1, :, :2]
         assert (t[:, 2, :, :2] - convex).max() <= 1e-9
+
+    def test_tripartite_criteria_of_states_mixed_with_themselves(self):
+        """w * rho + (1 - w) * rho is rho up to round-off, which moves skew
+        at pure branches by up to the derived tolerance, and l1 and relent
+        by round-off alone."""
+        pure = np.array([random_three_qubit(2 * i, seed=8300).matrix for i in range(200)])
+        worst = np.zeros(len(ALL_MEASURES))
+        for weight in (0.171875, 0.3, 0.5, 0.9):
+            mixed = weight * pure + (1.0 - weight) * pure
+            t = _tripartite(_condition(np.stack([pure, pure, mixed])), tuple(ALL_MEASURES))
+            convex = weight * t[:, 0, :, :2] + (1.0 - weight) * t[:, 1, :, :2]
+            worst = np.maximum(worst, (t[:, 2, :, :2] - convex).max(axis=(1, 2)))
+        assert (worst <= CONVEXITY_TOL).all()
+        assert worst[ALL_MEASURES.index(Measure.SKEW_INFORMATION)] > 1e-9  # the sensitivity shows
 
 
 def honest_t1_closed_form(alpha: float) -> float:
@@ -745,10 +768,105 @@ class TestWeightedNormGuard:
         stack = np.array([sample(index).matrix for index in range(5)])
         _condition(stack)
         stack[3][entry] = np.nan
-        # a NaN probability makes numpy's complex division warn on the way
-        with np.errstate(invalid="ignore"):
-            with pytest.raises(ConsistencyError, match="weighted Bloch vector norm excess nan"):
-                _condition(stack)
+        # an outcome probability reads the entries equal in the unmeasured
+        # qubits' indices (Bob's on two qubits, A and B's of Charlie's first
+        # pass on three); a NaN there trips the check before the division,
+        # one elsewhere reaches the norm guard through Bob's Bloch vector
+        i, j = entry
+        if (i % 2 == j % 2) if nqubits == 2 else (i // 2 == j // 2):
+            message = "outcome probability nan is not finite"
+        else:
+            message = "weighted Bloch vector norm excess nan"
+        with pytest.raises(ConsistencyError, match=message):
+            _condition(stack)
+
+
+class TestDerivedTotalTolerance:
+    """A branch's values add to at most epsilon * max(1, |b|), and the
+    branch guard holds w * (|b| - 1) to BLOCH_NORM_TOL, so a total over n
+    of Alice's branches may exceed its bound by n * epsilon *
+    BLOCH_NORM_TOL beyond the round-off BOUND_TOL: n = 6 for a shift total
+    (weighed by Charlie's probability in his AB states), 36 for t3."""
+
+    # accepted (lowest eigenvalue -1e-10); skew's t3 exceeds 18 by the sum
+    # of its 36 branches' weighted excesses, 1.8e-9
+    FLOOR = np.diag([1 - 1e-8 + 1e-10, 1e-8, 0, -1e-10, 0, 0, 0, 0]).astype(complex)
+
+    @staticmethod
+    def tolerance(branches: int) -> float:
+        return BOUND_TOL + branches * Measure.SKEW_INFORMATION.epsilon * BLOCH_NORM_TOL
+
+    def test_t3_of_a_state_at_the_floor_passes(self):
+        rho = DensityMatrix(self.FLOOR)
+        t3 = tripartite_report(rho, Measure.SKEW_INFORMATION).t3
+        assert BOUND_TOL < t3.value - t3.bound < self.tolerance(36)
+        for measure in ALL_MEASURES:
+            tripartite_report(rho, measure)
+
+    @pytest.mark.parametrize("p", [1e-8, 1e-9, 1e-10, 1e-11])
+    def test_three_qubit_states_at_the_floor_evaluate(self, p):
+        rho = DensityMatrix(low_branch_state(3, p, 1e-10, defect=9e-11))
+        for measure in ALL_MEASURES:
+            tripartite_report(rho, measure)
+
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_a_t3_excess_above_the_tolerance_raises(self, scale):
+        """|000> saturates skew's t3 = 9 * 2. Charlie's probabilities add to
+        3, so every AB shift total raised by x / 3 raises t3 by x."""
+        skew = Measure.SKEW_INFORMATION
+        cond = _conditioned(ghz_alpha(1.0))
+        s, total = _shifts(cond, skew)
+        excess = scale * self.tolerance(36)
+        shifts = (s, total + excess / 3.0)
+        if scale < 1.0:
+            t3 = _tripartite(cond, skew, shifts)[2]
+            assert t3 - 18.0 == pytest.approx(excess, rel=1e-6)
+        else:
+            message = r"tripartite total 18\.00000008\d* exceeds the bound 18$"
+            with pytest.raises(ConsistencyError, match=message):
+                _tripartite(cond, skew, shifts)
+
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_a_shift_total_excess_above_the_tolerance_raises(self, scale):
+        """|00> saturates skew's shift total 3 * 2. Alice's probabilities
+        add to 3, so scaling them by 1 + x / 6 raises it by x."""
+        skew = Measure.SKEW_INFORMATION
+        cond = _conditioned(pure_alpha(1.0))
+        excess = scale * self.tolerance(6)
+        cond = cond._replace(prob=cond.prob * (1.0 + excess / 6.0))
+        if scale < 1.0:
+            assert _shifts(cond, skew)[1] - 6.0 == pytest.approx(excess, rel=1e-6)
+        else:
+            message = r"^shift total 6\.0000000143\d* exceeds the bound 6$"
+            with pytest.raises(ConsistencyError, match=message):
+                _shifts(cond, skew)
+
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    def test_a_weighted_shift_total_excess_above_the_tolerance_raises(self, scale):
+        """In |000>, Charlie's outcome x = 0 (p = 1/2) leaves |00>: scaling
+        Alice's probabilities there by 1 + x / 3 raises its shift total by
+        2x, a weighted excess of x."""
+        skew = Measure.SKEW_INFORMATION
+        cond = _conditioned(ghz_alpha(1.0))
+        excess = scale * self.tolerance(6)
+        prob = cond.prob.copy()
+        prob[0, 0] *= 1.0 + excess / 3.0
+        cond = cond._replace(prob=prob)
+        if scale < 1.0:
+            weighted = cond.charlie[0, 0] * (_shifts(cond, skew)[1][0, 0] - 6.0)
+            assert weighted == pytest.approx(excess, rel=1e-6)
+        else:
+            message = r"weighted shift total excess 1\.4\d*e-08 exceeds the bound 0$"
+            with pytest.raises(ConsistencyError, match=message):
+                _shifts(cond, skew)
+
+    def test_a_nan_t3_raises(self):
+        cond = _conditioned(ghz_alpha(1.0))
+        s, total = _shifts(cond, Measure.SKEW_INFORMATION)
+        total = total.copy()
+        total[1, 0] = np.nan
+        with pytest.raises(ConsistencyError, match="tripartite total nan"):
+            _tripartite(cond, Measure.SKEW_INFORMATION, (s, total))
 
 
 def matmul_branches(rho: DensityMatrix) -> list:
@@ -883,11 +1001,12 @@ def test_t3_is_exactly_t1_plus_t2_property(rho):
 @given(ginibre_states(3), ginibre_states(3), st.floats(0.0, 1.0))
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_tripartite_criteria_are_convex_property(first, second, weight):
-    """t1 and t2 of a mix of two states never exceed the mix of theirs."""
+    """t1 and t2 of a mix of two states never exceed the mix of theirs, to
+    each measure's ``CONVEXITY_TOL``."""
     mixed = weight * first.matrix + (1.0 - weight) * second.matrix
     t = _tripartite(_condition(np.stack([first.matrix, second.matrix, mixed])), tuple(ALL_MEASURES))
     convex = weight * t[:, 0, :2] + (1.0 - weight) * t[:, 1, :2]
-    assert (t[:, 2, :2] - convex).max() <= 1e-9
+    assert ((t[:, 2, :2] - convex).max(axis=1) <= CONVEXITY_TOL).all()
 
 
 @given(ginibre_states(2))
