@@ -44,6 +44,7 @@ from .steering import (
     _condition,
     _criteria,
     _decompositions,
+    _parts,
     _shifts,
     _tripartite,
     steering_report,
@@ -294,12 +295,12 @@ def cmd_sweep(args) -> int:
         for ks in _chunks(range(count)):
             xs = [point(k) for k in ks]
             cond = _condition(np.stack([from_family(args.family, {param: x}).matrix for x in xs]))
+            c = _criteria(nqubits, _parts(cond, (measure,))[0].T, measure)
             if nqubits == 2:
-                c = _criteria(2, _shifts(cond, measure)[0].T, measure)
                 single, double, triple = c["single0"], c["double12"], c["triple"]
                 columns = [single.value, double.value / 2.0, triple.value / 3.0, single.bound]
             else:
-                t1, t2, t3 = _criteria(3, _tripartite(cond, measure).T, measure).values()
+                t1, t2, t3 = c.values()
                 columns = [t1.value, t2.value, t3.value, t1.bound, t3.bound]
             for row in np.column_stack(np.broadcast_arrays(xs, *columns)).tolist():
                 fh.write(",".join(fmt(v) for v in row) + "\n")
@@ -342,8 +343,7 @@ def cmd_search(args) -> int:
     measure = Measure(args.measure)
     best = None
     for indices, matrices in _sampled(nqubits, args.seed, args.samples):
-        cond = _condition(matrices)
-        parts = _shifts(cond, measure)[0] if nqubits == 2 else _tripartite(cond, measure)
+        parts = _parts(_condition(matrices), (measure,))[0]
         res = _criteria(nqubits, parts.T, measure)[args.criterion]
         k = int(res.value.argmax())  # the first maximum, as the strict > below keeps
         if best is None or res.value[k] > best.value:

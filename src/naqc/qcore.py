@@ -169,18 +169,17 @@ class DensityMatrix:
     a read-only copy, and neither ``matrix`` nor ``nqubits`` can be
     rebound, so the memo below always describes the state it sits on.
 
-    A two- or three-qubit state memoizes its conditioning (the outcome
-    probabilities and Bob's Bloch vectors and norms of Alice's Pauli
-    measurements, inside each of Charlie's conditional AB states on three
-    qubits) in a private slot the first time ``naqc.steering`` conditions
-    it, so every measure and every report evaluated on the same instance
-    shares one conditioning pass. The memo holds read-only arrays and
-    filling it is idempotent: two threads that race to fill it compute
-    identical arrays and either result may stay. Instances are therefore
-    safe to share across threads.
+    The first report of a two- or three-qubit state conditions it once and
+    scores every measure in one pass; a private slot memoizes the result,
+    one read-only (3, 3) array of the criteria parts (the shifts on two
+    qubits, (t1, t2, t3) on three), a row per measure. Every later report
+    and ``shift_values`` call reads its row. Filling the memo is
+    idempotent: two threads that race to fill it compute identical arrays
+    and either may stay. Instances are therefore safe to share across
+    threads.
     """
 
-    __slots__ = ("_matrix", "_nqubits", "_branches")
+    __slots__ = ("_matrix", "_nqubits", "_parts")
 
     def __init__(self, matrix) -> None:
         mat = np.array(matrix, dtype=complex)
@@ -192,7 +191,7 @@ class DensityMatrix:
         _validate(mat)
         self._matrix = _frozen(mat)
         self._nqubits = _QUBITS_OF_DIM[dim]
-        self._branches = None  # filled by naqc.steering on first conditioning
+        self._parts = None  # filled by naqc.steering on the first report
 
     @property
     def matrix(self) -> np.ndarray:

@@ -47,7 +47,6 @@ from .qcore import (
 )
 
 __all__ = [
-    "VIOLATION_TOL",
     "BOUND_TOL",
     "ZERO_PROBABILITY",
     "ConditionalBranch",
@@ -63,9 +62,7 @@ __all__ = [
     "tripartite_report",
 ]
 
-# strictness of a violation flag vs. tolerance of the all-states bounds
-VIOLATION_TOL = 1e-12
-BOUND_TOL = 1e-9
+BOUND_TOL = 1e-9  # round-off in a criterion, before the eigenvalue slack (_bounds)
 ZERO_PROBABILITY = 1e-12
 
 DOUBLE_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -98,6 +95,8 @@ _SHIFT_AXES = (_OUTCOME_ROWS // 2 + np.arange(3)) % 3
 # the shift matched to Charlie's axis 1, 2, 3 is s_1, s_2, s_0
 _AXES = np.arange(3)
 _MATCHED = (_AXES + 1) % 3
+# the measure axis of a state's memo, DensityMatrix._parts
+_MEASURES = tuple(Measure)
 
 
 def _outcomes(matrices: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -185,24 +184,13 @@ def _condition(matrices: np.ndarray, charlie: np.ndarray | None = None) -> _Cond
     return _Conditioning(charlie, prob, bloch, norm)
 
 
-def _conditioned(rho: DensityMatrix) -> _Conditioning:
-    """The conditioning of one state, memoized on it as read-only arrays."""
-    memo = rho._branches
-    if memo is None:
-        memo = _condition(rho.matrix)
-        for arr in memo:
-            if arr is not None:
-                arr.setflags(write=False)
-        rho._branches = memo
-    return memo
-
-
 @functools.cache
 def _bounds(measures: tuple, nqubits: int) -> tuple:
     """Per measure, read-only: the all-states bound of ``CRITERIA[nqubits]``,
-    its tolerance and their sum. A branch's values add to at most epsilon *
-    max(1, |b|) and ``_condition`` holds w * (|b| - 1) to BLOCH_NORM_TOL, so
-    each of a total's 6 ** (nqubits - 1) branches adds epsilon * BLOCH_NORM_TOL."""
+    its tolerance, which ``_criteria``'s flags share, and their sum. A
+    branch's values add to at most epsilon * max(1, |b|) and ``_condition``
+    holds w * (|b| - 1) to BLOCH_NORM_TOL, so each of the 6 ** (nqubits - 1)
+    branches a criterion sums over adds epsilon * BLOCH_NORM_TOL."""
     *_, (_, units) = CRITERIA[nqubits].values()
     eps = np.array([m.epsilon for m in measures])
     bound, tol = units * eps, BOUND_TOL + 6 ** (nqubits - 1) * eps * BLOCH_NORM_TOL
@@ -229,33 +217,28 @@ def _check_totals(name, totals, bounds, shifts=None, weight=None) -> None:
             _check_bound(f"weighted {name} excess", weight * (totals[k] - bound[k]), 0.0, tol[k])
 
 
-def _shifts(cond: _Conditioning, measures) -> tuple[np.ndarray, np.ndarray]:
-    """The shifts (s_0, s_1, s_2), shape (..., 3), of every two-qubit state
-    in the conditioning, and their totals, shape (...), for one ``Measure``
-    or, along a leading measure axis, a tuple of them. Each s_j sums its six
-    terms p * C in the order of the outcomes (numpy adds fewer than eight in
-    index order, and none is -0.0) and the total is (s_0 + s_1) + s_2, so a
+def _shifts(cond: _Conditioning, measures: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The shifts (s_0, s_1, s_2), shape (M, ..., 3), of every two-qubit
+    state in the conditioning, and their totals, shape (M, ...), along a
+    leading axis over the M ``measures``. Each s_j sums its six terms p * C
+    in the order of the outcomes (numpy adds fewer than eight in index
+    order, and none is -0.0) and the total is (s_0 + s_1) + s_2, so a
     measure's slice has the bits of it scored alone. ``_check_totals`` guards both."""
-    single = isinstance(measures, Measure)
-    axis = (measures,) if single else tuple(measures)
-    w = np.empty((len(axis),) + cond.norm.shape + (3,))
-    for k, measure in enumerate(axis):
+    w = np.empty((len(measures),) + cond.norm.shape + (3,))
+    for k, measure in enumerate(measures):
         np.multiply(cond.prob[..., None], measure.evaluate(cond.bloch, cond.norm), out=w[k])
     s = np.add.reduce(w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES], axis=-2)
     total = s[..., 0] + s[..., 1] + s[..., 2]
-    _check_totals("shift total", total, _bounds(axis, 2), s, cond.charlie)
-    return (s[0], total[0]) if single else (s, total)
+    _check_totals("shift total", total, _bounds(measures, 2), s, cond.charlie)
+    return s, total
 
 
-def _tripartite(cond: _Conditioning, measures, shifts=None) -> np.ndarray:
-    """(t1, t2, t3), shape (..., 3), of every three-qubit state in the
+def _tripartite(cond: _Conditioning, measures: tuple, shifts=None) -> np.ndarray:
+    """(t1, t2, t3), shape (M, ..., 3), of every three-qubit state in the
     conditioning for ``measures`` as in ``_shifts``, from ``shifts`` (by
     default ``_shifts(cond, measures)``). t1 and t2 sum their six terms
     p(c) * s in the order of Charlie's outcomes; t3 = t1 + t2 is guarded."""
     s, total = _shifts(cond, measures) if shifts is None else shifts
-    single = isinstance(measures, Measure)
-    axis = (measures,) if single else tuple(measures)
-    s, total = (s[None], total[None]) if single else (s, total)
     matched = s.swapaxes(-1, -2)[..., _AXES, _MATCHED, :]
     w = np.empty(matched.shape + (2,))
     np.multiply(cond.charlie, matched, out=w[..., 0])
@@ -263,8 +246,28 @@ def _tripartite(cond: _Conditioning, measures, shifts=None) -> np.ndarray:
     t = np.empty(w.shape[:-3] + (3,))
     np.add.reduce(w.reshape(w.shape[:-3] + (6, 2)), axis=-2, out=t[..., :2])
     np.add(t[..., 0], t[..., 1], out=t[..., 2])
-    _check_totals("tripartite total", t[..., 2], _bounds(axis, 3))
-    return t[0] if single else t
+    _check_totals("tripartite total", t[..., 2], _bounds(measures, 3))
+    return t
+
+
+def _parts(cond: _Conditioning, measures: tuple) -> np.ndarray:
+    """The parts of ``CRITERIA`` of every state in the conditioning, shape
+    (M, ..., 3) along the M ``measures``: the shifts on two qubits, (t1, t2,
+    t3) on three."""
+    return _shifts(cond, measures)[0] if cond.charlie is None else _tripartite(cond, measures)
+
+
+def _row(rho: DensityMatrix, measure: Measure, nqubits: int) -> np.ndarray:
+    """``measure``'s parts of an ``nqubits`` state: one read-only row of its
+    memo, the (3, 3) parts of every measure in ``_MEASURES`` order, which
+    one conditioning and one scoring pass fill on first use."""
+    if rho.nqubits != nqubits:
+        raise ValueError(f"expected a {nqubits}-qubit state, got {rho.nqubits} qubits")
+    if not isinstance(measure, Measure):
+        raise TypeError(f"measure must be a Measure, got {measure!r}")
+    if rho._parts is None:  # a racing thread computes the same bits
+        rho._parts = _frozen(_parts(_condition(rho.matrix), _MEASURES))
+    return rho._parts[_MEASURES.index(measure)]
 
 
 @dataclass(frozen=True)
@@ -287,8 +290,8 @@ def conditional_states(
     projected operator. A branch whose probability falls below 1e-12 is
     returned with probability exactly 0 and the zero Bloch vector (the
     maximally mixed state) as placeholder, so its weighted contribution
-    downstream is 0. The state is conditioned once, memoized on ``rho``;
-    the branch objects are built from the memo on each call.
+    downstream is 0. The state is conditioned on each call: this
+    on-demand view shares nothing with the reports' memo.
 
     Dividing by the probability p scales the eigenvalue slack ``rho`` was
     accepted with by 1 / p, and ``_condition`` holds |b| to 1 +
@@ -298,7 +301,7 @@ def conditional_states(
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
     _check_axis(axis)
-    cond = _conditioned(rho)
+    cond = _condition(rho.matrix)
     i = int(axis) - 1
     branches = []
     for a in (0, 1):
@@ -333,11 +336,9 @@ class ShiftValues(_ValueEquality):
 
 
 def shift_values(rho: DensityMatrix, measure: Measure) -> ShiftValues:
-    """All three shift functionals of a two-qubit state in one pass."""
-    if rho.nqubits != 2:
-        raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
-    sv = object.__new__(ShiftValues)  # _shifts runs the guards of __post_init__
-    vars(sv).update(values=_frozen(_shifts(_conditioned(rho), measure)[0]), measure=measure)
+    """All three shift functionals of a two-qubit state, a row of its memo."""
+    sv = object.__new__(ShiftValues)  # _shifts ran the guards of __post_init__
+    vars(sv).update(values=_row(rho, measure, 2), measure=measure)
     return sv
 
 
@@ -358,7 +359,7 @@ def _criteria(nqubits: int, values, measure: Measure) -> dict[str, CriterionResu
     results have the same bits alone and in a stack.
     """
     table = CRITERIA[nqubits]
-    eps = measure.epsilon
+    eps, tol = measure.epsilon, float(_bounds((measure,), nqubits)[1][0])
     results = {}
     for n, (name, (parts, units)) in enumerate(table.items(), 1):
         value = values[parts[0]]
@@ -366,8 +367,8 @@ def _criteria(nqubits: int, values, measure: Measure) -> dict[str, CriterionResu
             value = value + values[j]
         bound = units * eps
         # the last criterion holds for every state: no value is flagged
-        tol = VIOLATION_TOL if n < len(table) else math.inf
-        results[name] = CriterionResult(value, bound, value > bound + tol)
+        limit = bound + tol if n < len(table) else math.inf
+        results[name] = CriterionResult(value, bound, value > limit)
     return results
 
 
@@ -441,10 +442,8 @@ class TripartiteReport:
 def tripartite_report(rho: DensityMatrix, measure: Measure) -> TripartiteReport:
     """Evaluate t1, t2 and t3 from Charlie's conditional AB states.
 
-    The conditioning, Charlie's and Alice's within each AB state, is
-    memoized on ``rho``, so reports for further measures reuse it.
+    The first report of ``rho`` scores every measure and memoizes (t1, t2,
+    t3) of each on it, so reports for further measures read their row.
     """
-    if rho.nqubits != 3:
-        raise ValueError(f"expected a 3-qubit state, got {rho.nqubits} qubits")
-    t = _tripartite(_conditioned(rho), measure).tolist()
+    t = _row(rho, measure, 3).tolist()
     return TripartiteReport(*_criteria(3, t, measure).values(), measure)

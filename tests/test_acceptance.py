@@ -29,7 +29,7 @@ from naqc.states import (
     to_bloch,
 )
 from naqc.steering import (
-    _conditioned,
+    _condition,
     _shifts,
     conditional_states,
     shift_values,
@@ -221,7 +221,7 @@ def test_6_tripartite_complementarity_over_random_states():
     worst_gap = 0.0
     for index in range(1_000):
         rho = three_qubit_sample(20240006, index)
-        cond = _conditioned(rho)
+        cond = _condition(rho.matrix)
         totals = _shifts(cond, tuple(ALL_MEASURES))[1]
         added = (cond.charlie * totals).sum(axis=(-2, -1))
         for measure, weighted in zip(ALL_MEASURES, added.tolist()):

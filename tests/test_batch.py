@@ -33,7 +33,6 @@ from naqc.steering import (
     BOUND_TOL,
     CRITERIA,
     _condition,
-    _conditioned,
     _criteria,
     _shifts,
     _tripartite,
@@ -83,8 +82,8 @@ def report_values(rho: DensityMatrix, measure: Measure) -> np.ndarray:
 
 def stack_values(cond, measure: Measure) -> np.ndarray:
     if cond.charlie is None:
-        return _shifts(cond, measure)[0]
-    return _tripartite(cond, measure)
+        return _shifts(cond, (measure,))[0][0]
+    return _tripartite(cond, (measure,))[0]
 
 
 @pytest.mark.parametrize("nqubits", [2, 3])
@@ -141,7 +140,7 @@ def test_stacked_criteria_are_the_report_fields(nqubits, size):
 def test_conditioning_is_bitwise_equal_at_every_stack_size(nqubits, size):
     states = STATES[nqubits]
     conds = [_condition(matrices) for matrices in stacked(states, size)]
-    memos = [_conditioned(rho) for rho in states]
+    memos = [_condition(rho.matrix) for rho in states]
     for field in steering._Conditioning._fields:
         if nqubits == 2 and field == "charlie":
             assert all(getattr(cond, field) is None for cond in conds)
@@ -209,9 +208,9 @@ def test_three_qubit_branches_match_the_oracle(size):
 
 
 def test_family_states_drop_branches():
-    assert (_conditioned(pure_alpha(0.0)).prob == 0.0).sum() == 1
-    assert (_conditioned(ghz_alpha(0.0)).charlie == 0.0).sum() == 1
-    assert (_conditioned(ghz_alpha(1.0)).charlie == 0.0).sum() == 1
+    assert (_condition(pure_alpha(0.0).matrix).prob == 0.0).sum() == 1
+    assert (_condition(ghz_alpha(0.0).matrix).charlie == 0.0).sum() == 1
+    assert (_condition(ghz_alpha(1.0).matrix).charlie == 0.0).sum() == 1
 
 
 CLI_COMMANDS = [
@@ -391,30 +390,37 @@ class TestStackedGuards:
         [(2, "prob"), (2, "bloch"), (2, "norm")]
         + [(3, "charlie"), (3, "prob"), (3, "bloch"), (3, "norm")],
     )
-    def test_nan_in_a_filled_memo_raises(self, nqubits, field):
+    def test_nan_in_a_filled_memo_raises(self, monkeypatch, nqubits, field):
+        """NaN in the conditioning a state's memo is filled from fails every
+        measure's report, l1's too, although l1 never reads the norm: one
+        pass scores all three measures, and nothing is memoized."""
+        condition = steering._condition
+
+        def poisoned(matrices, charlie=None):
+            cond = condition(matrices, charlie)
+            if charlie is not None:  # Charlie's AB states, inside the outer call
+                return cond
+            values = getattr(cond, field).copy()
+            values.flat[5] = np.nan
+            return cond._replace(**{field: values})
+
+        monkeypatch.setattr(steering, "_condition", poisoned)
         rho = DensityMatrix(STATES[nqubits][1].matrix)
-        memo = _conditioned(rho)
-        poisoned = getattr(memo, field).copy()
-        poisoned.flat[5] = np.nan
-        rho._branches = memo._replace(**{field: poisoned})
         for measure in Measure:
-            if field == "norm" and measure is Measure.L1:
-                # l1 is the transverse magnitude alone and never reads the norm
-                assert np.isfinite(report_values(rho, measure)).all()
-                continue
             with pytest.raises(ConsistencyError, match="nan|NaN"):
                 report_values(rho, measure)
+        assert rho._parts is None
 
     def test_one_poisoned_state_fails_its_whole_stack(self):
         cond = _condition(np.stack([rho.matrix for rho in STATES[3][:4]]))
         charlie = cond.charlie.copy()
         charlie[2, 1, 0] = np.nan
         with pytest.raises(ConsistencyError, match="tripartite total nan"):
-            _tripartite(cond._replace(charlie=charlie), Measure.L1)
+            _tripartite(cond._replace(charlie=charlie), (Measure.L1,))
         prob = cond.prob.copy()
         prob[3, 0, 1, 2, 0] = 50.0  # the shift total of one AB state breaks 3 eps
         with pytest.raises(ConsistencyError, match="shift total .* exceeds"):
-            _tripartite(cond._replace(prob=prob), Measure.SKEW_INFORMATION)
+            _tripartite(cond._replace(prob=prob), (Measure.SKEW_INFORMATION,))
 
     def test_validate_rejects_a_stack_with_one_nan_matrix(self):
         stack = np.stack([rho.matrix for rho in STATES[2][:5]])

@@ -263,6 +263,20 @@ class TestEvaluate:
         assert out.count("t3: ") == 3
         assert "t3: value=1.80000000018000e+01 bound=1.80000000000000e+01" in out
 
+    def test_a_separable_state_above_its_bound_by_the_slack_is_not_flagged(
+        self, tmp_path, capsys
+    ):
+        """The diagonal, so separable, state of the eigenvalue -5e-11: skew's
+        t1 and t2 pass their bounds by 3e-10 and 6e-10, which the accepted
+        slack allows, so neither may certify steering."""
+        matrix = np.diag([1 - 1e-8 + 5e-11, 1e-8, 0, -5e-11, 0, 0, 0, 0])
+        doc = {"nqubits": 3, "re": matrix.tolist(), "im": np.zeros_like(matrix).tolist()}
+        path = write_doc(tmp_path, "separable.json", doc)
+        assert main(["evaluate", "--state", path, "--measure", "skew"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "t1: value=6.00000000030000e+00 bound=6.00000000000000e+00 violated=no" in out
+        assert "t2: value=1.20000000006000e+01 bound=1.20000000000000e+01 violated=no" in out
+
 
 def run_sweep(tmp_path, name, *args):
     out = tmp_path / name

@@ -1,10 +1,10 @@
 """The measure axis of the scoring core.
 
-``steering._shifts`` and ``_tripartite`` score one ``Measure``, or a tuple of
-them along a leading axis: each measure is evaluated on its own, and the
+``steering._shifts`` and ``_tripartite`` score a tuple of ``Measure`` values
+along a leading axis: each measure is evaluated on its own, and the
 weighting, the outcome sums and the totals run once for the whole stack.
 Every step is elementwise, so a measure's slice must have the bits of that
-measure scored alone, and each guard must hold each slice to its own
+measure scored alone (a tuple of one), and each guard must hold each slice to its own
 measure's bound, with the message that measure alone would give.
 """
 
@@ -43,7 +43,7 @@ def scored(cond, measures) -> list:
 def test_each_slice_is_its_measure_scored_alone(nqubits, size):
     for matrices in stacked(STATES[nqubits], size):
         cond = _condition(matrices)
-        alone = {m: scored(cond, m) for m in Measure}
+        alone = {m: [a[0] for a in scored(cond, (m,))] for m in Measure}
         for measures in MEASURE_STACKS:
             together = scored(cond, measures)
             for k, measure in enumerate(measures):
@@ -79,7 +79,7 @@ def test_a_poisoned_slice_fails_as_it_fails_alone(nqubits, measure, poison, monk
     cond = _condition(np.stack([rho.matrix for rho in STATES[nqubits][:5]]))
     monkeypatch.setitem(coherence._EVALUATE, measure, poisoned_evaluator(measure, poison))
     with pytest.raises(ConsistencyError) as alone:
-        _shifts(cond, measure)
+        _shifts(cond, (measure,))
     for measures in MEASURE_STACKS:
         if measure in measures:
             with pytest.raises(ConsistencyError) as together:
@@ -111,9 +111,9 @@ def test_a_poisoned_slice_fails_the_tripartite_guard(k, poison):
     s, total = _shifts(cond, ALL)
     total = total.copy()
     total[k, 3, 2, 1] = poison  # one AB state's shift total: t2, so t3, follows it
-    alone = s[k], total[k]
+    alone = s[k : k + 1], total[k : k + 1]
     with pytest.raises(ConsistencyError, match="tripartite total") as expected:
-        _tripartite(cond, ALL[k], alone)
+        _tripartite(cond, ALL[k : k + 1], alone)
     with pytest.raises(ConsistencyError) as raised:
         _tripartite(cond, ALL, (s, total))
     assert str(raised.value) == str(expected.value)

@@ -39,11 +39,12 @@ from naqc.states import (
 )
 from naqc.steering import (
     BOUND_TOL,
+    CRITERIA,
     ZERO_PROBABILITY,
     ConditionalBranch,
     ShiftValues,
     _condition,
-    _conditioned,
+    _criteria,
     _outcomes,
     _shifts,
     _tripartite,
@@ -509,7 +510,49 @@ def report_hex(report) -> list[str]:
 
 
 class TestConditioningMemo:
-    """A state is conditioned once; every measure reads the same branches."""
+    """A state is conditioned and scored once, for every measure; each
+    report reads its measure's row of the memo."""
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_a_state_is_conditioned_and_scored_once(self, nqubits, monkeypatch):
+        """Three steering reports and ``shift_values`` of a two-qubit state
+        make one ``_condition`` and one ``_shifts`` call; three tripartite
+        reports of a three-qubit state make one ``_tripartite`` call, and
+        condition the state itself once."""
+        calls = []
+
+        def counting(name):
+            original = getattr(steering, name)
+
+            def counted(*args, **kwargs):
+                calls.append((name, args[0].shape if name == "_condition" else None))
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in ("_condition", "_shifts", "_tripartite"):
+            monkeypatch.setattr(steering, name, counting(name))
+        if nqubits == 2:
+            rho = random_two_qubit(5)
+            for measure in ALL_MEASURES:
+                steering_report(rho, measure)
+            shift_values(rho, Measure.SKEW_INFORMATION)
+            assert calls == [("_condition", (4, 4)), ("_shifts", None)]
+        else:
+            rho = random_three_qubit(5)
+            for measure in ALL_MEASURES:
+                tripartite_report(rho, measure)
+            assert calls.count(("_tripartite", None)) == 1
+            assert calls.count(("_shifts", None)) == 1
+            assert calls.count(("_condition", (8, 8))) == 1
+        assert rho._parts.shape == (3, 3) and not rho._parts.flags.writeable
+
+    @pytest.mark.parametrize("measure", ["l1", None, 1])
+    def test_reports_reject_what_is_not_a_measure(self, measure):
+        cases = [(steering_report, bell()), (shift_values, bell())]
+        for report, rho in cases + [(tripartite_report, ghz_alpha(0.5))]:
+            with pytest.raises(TypeError, match=f"measure must be a Measure, got {measure!r}"):
+                report(rho, measure)
 
     @pytest.mark.parametrize("nqubits", [2, 3])
     def test_reports_do_not_depend_on_what_filled_the_memo(self, nqubits):
@@ -636,8 +679,12 @@ class TestZeroProbabilityBranches:
         matrix = np.kron(random_two_qubit(3).matrix, np.diag([1.0, 0.0]))
         rho = DensityMatrix(matrix)
         reports = {m: tripartite_report(rho, m) for m in ALL_MEASURES}
-        cond = _conditioned(rho)
-        assert _conditioned(rho) is rho._branches  # served from the memo
+        cond = _condition(rho.matrix)
+        # the reports are the rows of the memo, in the order of Measure
+        assert rho._parts.tolist() == [
+            [res.value for res in (reports[m].t1, reports[m].t2, reports[m].t3)]
+            for m in ALL_MEASURES
+        ]
         assert cond.charlie[2, 0] == pytest.approx(1.0, abs=1e-12)
         assert cond.charlie[2, 1] == 0.0
         # the dropped AB state contributes all-zero branches
@@ -660,7 +707,7 @@ class TestLowProbabilityBranches:
 
     def test_a_long_bloch_vector_is_scaled_onto_the_sphere(self):
         rho = DensityMatrix(self.MATRIX)
-        cond = _conditioned(rho)
+        cond = _condition(rho.matrix)
         assert cond.norm[2, 1] > 1.0 + BLOCH_NORM_TOL
         kept, low = conditional_states(rho, 3)
         assert low.probability == cond.prob[2, 1]
@@ -720,7 +767,7 @@ class TestWeightedNormGuard:
         9e-11 in the low branch, a state is accepted and conditioned, and
         its branches are built."""
         rho = DensityMatrix(low_branch_state(nqubits, p, 1e-10, defect=9e-11))
-        assert weighted_excess(_conditioned(rho)) > 2e-10  # the slack is there
+        assert weighted_excess(_condition(rho.matrix)) > 2e-10  # the slack is there
         if nqubits == 2:
             for axis in (1, 2, 3):
                 for branch in conditional_states(rho, axis):
@@ -796,6 +843,19 @@ class TestDerivedTotalTolerance:
     def tolerance(branches: int) -> float:
         return BOUND_TOL + branches * Measure.SKEW_INFORMATION.epsilon * BLOCH_NORM_TOL
 
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_flags_share_the_total_tolerance(self, nqubits):
+        """The slack that lets a total pass its bound lets single0 or t1
+        pass theirs: a criterion is flagged only beyond its bound plus its
+        table's total tolerance."""
+        name, ((part,), units) = next(iter(CRITERIA[nqubits].items()))
+        for measure in ALL_MEASURES:
+            tol = BOUND_TOL + 6 ** (nqubits - 1) * measure.epsilon * BLOCH_NORM_TOL
+            for scale, flagged in ((0.9, False), (1.1, True)):
+                values = [0.0, 0.0, 0.0]
+                values[part] = units * measure.epsilon + scale * tol
+                assert _criteria(nqubits, values, measure)[name].violated is flagged
+
     def test_t3_of_a_state_at_the_floor_passes(self):
         rho = DensityMatrix(self.FLOOR)
         t3 = tripartite_report(rho, Measure.SKEW_INFORMATION).t3
@@ -814,32 +874,32 @@ class TestDerivedTotalTolerance:
         """|000> saturates skew's t3 = 9 * 2. Charlie's probabilities add to
         3, so every AB shift total raised by x / 3 raises t3 by x."""
         skew = Measure.SKEW_INFORMATION
-        cond = _conditioned(ghz_alpha(1.0))
-        s, total = _shifts(cond, skew)
+        cond = _condition(ghz_alpha(1.0).matrix)
+        s, total = _shifts(cond, (skew,))
         excess = scale * self.tolerance(36)
         shifts = (s, total + excess / 3.0)
         if scale < 1.0:
-            t3 = _tripartite(cond, skew, shifts)[2]
+            t3 = _tripartite(cond, (skew,), shifts)[0, 2]
             assert t3 - 18.0 == pytest.approx(excess, rel=1e-6)
         else:
             message = r"tripartite total 18\.00000008\d* exceeds the bound 18$"
             with pytest.raises(ConsistencyError, match=message):
-                _tripartite(cond, skew, shifts)
+                _tripartite(cond, (skew,), shifts)
 
     @pytest.mark.parametrize("scale", [0.9, 1.1])
     def test_a_shift_total_excess_above_the_tolerance_raises(self, scale):
         """|00> saturates skew's shift total 3 * 2. Alice's probabilities
         add to 3, so scaling them by 1 + x / 6 raises it by x."""
         skew = Measure.SKEW_INFORMATION
-        cond = _conditioned(pure_alpha(1.0))
+        cond = _condition(pure_alpha(1.0).matrix)
         excess = scale * self.tolerance(6)
         cond = cond._replace(prob=cond.prob * (1.0 + excess / 6.0))
         if scale < 1.0:
-            assert _shifts(cond, skew)[1] - 6.0 == pytest.approx(excess, rel=1e-6)
+            assert _shifts(cond, (skew,))[1][0] - 6.0 == pytest.approx(excess, rel=1e-6)
         else:
             message = r"^shift total 6\.0000000143\d* exceeds the bound 6$"
             with pytest.raises(ConsistencyError, match=message):
-                _shifts(cond, skew)
+                _shifts(cond, (skew,))
 
     @pytest.mark.parametrize("scale", [0.9, 1.1])
     def test_a_weighted_shift_total_excess_above_the_tolerance_raises(self, scale):
@@ -847,26 +907,27 @@ class TestDerivedTotalTolerance:
         Alice's probabilities there by 1 + x / 3 raises its shift total by
         2x, a weighted excess of x."""
         skew = Measure.SKEW_INFORMATION
-        cond = _conditioned(ghz_alpha(1.0))
+        cond = _condition(ghz_alpha(1.0).matrix)
         excess = scale * self.tolerance(6)
         prob = cond.prob.copy()
         prob[0, 0] *= 1.0 + excess / 3.0
         cond = cond._replace(prob=prob)
         if scale < 1.0:
-            weighted = cond.charlie[0, 0] * (_shifts(cond, skew)[1][0, 0] - 6.0)
+            weighted = cond.charlie[0, 0] * (_shifts(cond, (skew,))[1][0, 0, 0] - 6.0)
             assert weighted == pytest.approx(excess, rel=1e-6)
         else:
             message = r"weighted shift total excess 1\.4\d*e-08 exceeds the bound 0$"
             with pytest.raises(ConsistencyError, match=message):
-                _shifts(cond, skew)
+                _shifts(cond, (skew,))
 
     def test_a_nan_t3_raises(self):
-        cond = _conditioned(ghz_alpha(1.0))
-        s, total = _shifts(cond, Measure.SKEW_INFORMATION)
+        skew = (Measure.SKEW_INFORMATION,)
+        cond = _condition(ghz_alpha(1.0).matrix)
+        s, total = _shifts(cond, skew)
         total = total.copy()
-        total[1, 0] = np.nan
+        total[0, 1, 0] = np.nan
         with pytest.raises(ConsistencyError, match="tripartite total nan"):
-            _tripartite(cond, Measure.SKEW_INFORMATION, (s, total))
+            _tripartite(cond, skew, (s, total))
 
 
 def matmul_branches(rho: DensityMatrix) -> list:
@@ -904,12 +965,12 @@ def hex_entries(arr: np.ndarray) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def memo_branches(rho: DensityMatrix) -> list:
+def stacked_branches(rho: DensityMatrix) -> list:
     """The branches of the stacked conditioning, in the form of
-    ``matmul_branches``: Bob's Bloch vectors from the memo (two qubits), or
-    Charlie's AB matrices from the stacked projection (three)."""
+    ``matmul_branches``: Bob's Bloch vectors from ``_condition`` (two
+    qubits), or Charlie's AB matrices from the stacked projection (three)."""
     if rho.nqubits == 2:
-        cond = _conditioned(rho)
+        cond = _condition(rho.matrix)
         probs, states = cond.prob, cond.bloch
     else:
         probs, states = _outcomes(rho.matrix, last=True)
@@ -932,13 +993,13 @@ class TestConditioningIsBitwise:
             for index in range(80 // 2**nqubits):
                 ss = np.random.SeedSequence([9700, nqubits, rank, index])
                 rho = random_mixed(nqubits, rank, ss)
-                assert memo_branches(rho) == matmul_branches(rho)
+                assert stacked_branches(rho) == matmul_branches(rho)
 
     @pytest.mark.parametrize("family", [pure_alpha, werner, ghz_alpha])
     def test_family_grids(self, family):
         for x in self.FAMILY_GRID:
             rho = family(x)
-            assert memo_branches(rho) == matmul_branches(rho)
+            assert stacked_branches(rho) == matmul_branches(rho)
 
     def test_zero_probability_states(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
@@ -950,7 +1011,7 @@ class TestConditioningIsBitwise:
         for rho in states:
             expected = matmul_branches(rho)
             assert sum(state is None for _, state in expected) == 1
-            assert memo_branches(rho) == expected
+            assert stacked_branches(rho) == expected
 
 
 def ginibre_states(nqubits: int):
@@ -988,7 +1049,7 @@ def test_t3_is_exactly_t1_plus_t2_property(rho):
     probabilities weighting the shift totals of his AB states, and t1 and
     t2 (l1) against the density-matrix oracle; the report's t3 = t1 + t2
     holds by construction and cannot fail on its own."""
-    cond = _conditioned(rho)
+    cond = _condition(rho.matrix)
     added = (cond.charlie * _shifts(cond, tuple(ALL_MEASURES))[1]).sum(axis=(-2, -1))
     for measure, weighted in zip(ALL_MEASURES, added.tolist()):
         assert tripartite_report(rho, measure).t3.value == pytest.approx(weighted, abs=1e-12)
@@ -1012,10 +1073,10 @@ def test_tripartite_criteria_are_convex_property(first, second, weight):
 @given(ginibre_states(2))
 @settings(max_examples=100, derandomize=True, deadline=None)
 def test_conditioning_is_bitwise_property(rho):
-    assert memo_branches(rho) == matmul_branches(rho)
+    assert stacked_branches(rho) == matmul_branches(rho)
 
 
 @given(ginibre_states(3))
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_three_qubit_conditioning_is_bitwise_property(rho):
-    assert memo_branches(rho) == matmul_branches(rho)
+    assert stacked_branches(rho) == matmul_branches(rho)
