@@ -29,8 +29,8 @@ from .qcore import (
     _validate,
 )
 from .states import (
-    _bloch_of,
     _generators,
+    _pauli_tensor,
     _random_states,
     from_family,
     random_bloch_qubit_vector,
@@ -314,9 +314,9 @@ def _chunks(items):
 
 
 def _samples(nqubits: int, master_seed: int, indices: range) -> np.ndarray:
-    """The validated stack of samples ``indices``: sample i is drawn from
-    ``SeedSequence([master_seed, i])``, Haar-pure at even i and full-rank
-    Ginibre at odd i."""
+    """The stack of samples ``indices``, certified by one ``_validate``: sample
+    i is drawn in place from ``SeedSequence([master_seed, i])``, Haar-pure at
+    even i and full-rank Ginibre at odd i."""
     rngs = _generators(master_seed, indices)
     mats = np.empty((len(rngs),) + (2**nqubits,) * 2, dtype=complex)
     even = indices[0] % 2  # the position of the first even index
@@ -362,10 +362,10 @@ def cmd_search(args) -> int:
     print(f"best sample: index={best_index} kind={best_kind}")
     print(f"reproduce with: numpy SeedSequence([{args.seed}, {best_index}])")
     if nqubits == 2:
-        bloch = _bloch_of(best_matrix)  # validated with its chunk
-        print(f"best state r: {_vector_str(bloch.r)}")
-        print(f"best state s: {_vector_str(bloch.s)}")
-        for i, row in enumerate(bloch.T):
+        R = _pauli_tensor(best_matrix)  # validated with its chunk
+        print(f"best state r: {_vector_str(R[1:, 0])}")
+        print(f"best state s: {_vector_str(R[0, 1:])}")
+        for i, row in enumerate(R[1:, 1:]):
             print(f"best state T[{i}]: {_vector_str(row)}")
     return EXIT_OK
 

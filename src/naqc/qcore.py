@@ -92,6 +92,7 @@ _PAULI = _frozen(
 
 # _PROJ[axis - 1, outcome] = (I + (-1)**outcome sigma_axis) / 2
 _PROJ = _frozen((_PAULI[0] + np.array([1, -1])[:, None, None] * _PAULI[1:, None]) / 2)
+_FLOOR_SHIFT = _frozen(-EIGVAL_FLOOR * np.eye(8))  # [:D, :D] shifts D x D states by the floor
 
 
 def _check_index(name: str, value, allowed: tuple) -> None:
@@ -143,9 +144,10 @@ def _validate(mats: np.ndarray) -> None:
     ``naqc.cli._samples``); ``naqc.steering._condition`` guards what the
     core derives from them.
 
-    Each guard is written so that NaN fails it (max and argmax pick NaN),
-    and a stack that fails the Hermiticity or trace check never reaches the
-    eigensolver.
+    NaN fails the Hermiticity and trace checks, which come first, so NaN and
+    inf never reach LAPACK. A Cholesky of ``mats + 1e-10 I`` then certifies
+    every eigenvalue >= -1e-10 (up to about 1e-16); only a stack it fails
+    goes to the eigensolver, which accepts -1e-10 and names the lowest value.
     """
     herm_defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
     if not herm_defect <= HERMITICITY_TOL:
@@ -154,20 +156,24 @@ def _validate(mats: np.ndarray) -> None:
     trace = trace[np.abs(trace - 1.0).argmax()]
     if not abs(trace - 1.0) <= TRACE_TOL:
         raise NotAStateError(f"trace must be 1, got {trace:.12g}")
-    lowest = np.linalg.eigvalsh(mats).min()
-    if not lowest >= EIGVAL_FLOOR:
-        raise NotAStateError(f"negative eigenvalue {lowest:.3e}")
+    try:
+        np.linalg.cholesky(mats + _FLOOR_SHIFT[: mats.shape[-1], : mats.shape[-1]])
+    except np.linalg.LinAlgError:
+        lowest = np.linalg.eigvalsh(mats).min()
+        if not lowest >= EIGVAL_FLOOR:
+            raise NotAStateError(f"negative eigenvalue {lowest:.3e}") from None
 
 
 class DensityMatrix:
     """Validated density matrix over 1, 2 or 3 qubits.
 
-    Construction enforces Hermiticity within 1e-10, unit trace within
-    1e-10, and eigenvalues no lower than -1e-10; anything else raises
-    ``NotAStateError``. Nothing derived from the state is validated again;
-    ``naqc.steering._condition`` guards its branches. The wrapped array is
-    a read-only copy, and neither ``matrix`` nor ``nqubits`` can be
-    rebound, so the memo below always describes the state it sits on.
+    Construction enforces Hermiticity and unit trace within 1e-10 and
+    eigenvalues no lower than -1e-10 (a Cholesky certificate, with an
+    eigensolver fallback); anything else raises ``NotAStateError``. Nothing
+    derived from the state is validated again; ``naqc.steering._condition``
+    guards its branches. The wrapped array is a read-only copy, and neither
+    ``matrix`` nor ``nqubits`` can be rebound, so the memo below always
+    describes the state it sits on.
 
     The first report of a two- or three-qubit state conditions it once and
     scores every measure in one pass; a private slot memoizes the result,

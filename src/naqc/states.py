@@ -98,13 +98,13 @@ def to_bloch(rho: DensityMatrix) -> TwoQubitBloch:
     """Extract (r, s, T) from a two-qubit state by Pauli traces."""
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
-    return _bloch_of(rho.matrix)
-
-
-def _bloch_of(matrix: np.ndarray) -> TwoQubitBloch:
-    """(r, s, T) of a 4x4 matrix already validated as a state, by Pauli traces."""
-    R = np.trace(matrix @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4)
+    R = _pauli_tensor(rho.matrix)
     return TwoQubitBloch(R[1:, 0], R[0, 1:], R[1:, 1:])
+
+
+def _pauli_tensor(matrix: np.ndarray) -> np.ndarray:
+    """R_ij = Tr(m sigma_i (x) sigma_j) of a 4x4 matrix, as a 4x4 real array."""
+    return np.trace(matrix @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4)
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -244,20 +244,21 @@ def _random_states(nqubits: int, rngs, rank: int | None = None) -> np.ndarray:
 
     State k is drawn from ``default_rng(rngs[k])``: a generator (such as
     those of ``_generators``) is used as it is, a seed gets a generator of
-    its own. Each generator makes one ``normal`` call for the real and the
-    imaginary block together, which has the bits of two calls. State k is
-    a Haar-random pure state when ``rank`` is None, else a Ginibre-induced
-    state of that rank. Only the draws run per state; the finish runs once
-    on the stack, and every step is elementwise or per matrix, so each
-    state has the bits of a stack of one, whatever stack it is in. The
-    squared norm of a pure draw is the BLAS dot of its strided real and
-    imaginary parts, which is what ``np.linalg.norm`` takes (a contiguous
-    copy, ``einsum`` or ``sum`` would round differently).
+    its own. It fills its slot, real block then imaginary, in one in-place
+    ``standard_normal`` call: the bits of ``normal``, ``0.0 + 1.0 * z``,
+    but for an exact -0.0 draw. State k is Haar-random pure when ``rank``
+    is None, else Ginibre-induced of that rank. Only the draws run per
+    state; the finish runs once on the stack, and every step is elementwise
+    or per matrix, so each state has the bits of a stack of one, whatever
+    stack it is in. The squared norm of a pure draw is the BLAS dot of its
+    strided real and imaginary parts, which is what ``np.linalg.norm``
+    takes (a contiguous copy, ``einsum`` or ``sum`` would round differently).
     """
     dim = 2 ** nqubits
     columns = 1 if rank is None else rank
-    draws = np.array([np.random.default_rng(rng).normal(size=(2, dim, columns)) for rng in rngs])
-    draws = draws.reshape(len(rngs), 2, dim, columns)
+    draws = np.empty((len(rngs), 2, dim, columns))
+    for rng, slot in zip(rngs, draws):
+        np.random.default_rng(rng).standard_normal(out=slot)
     g = draws[:, 0] + 1j * draws[:, 1]
     if rank is None:
         re, im = g.real, g.imag

@@ -10,7 +10,8 @@ direct matrix computations. ``sampled_matrix`` is the seeded sampler
 written draw by draw, the bit-exact reference for the stacked one,
 ``reference_scores`` the shifts and tripartite criteria with every add
 written out, the bit-exact reference for the stacked scoring, and ``bits``
-the view that compares arrays bit for bit.
+the view that compares arrays bit for bit. ``diagonal_state`` and
+``counted_eigvalsh`` probe the two paths of the positivity check.
 """
 
 import math
@@ -53,6 +54,25 @@ def sampled_matrix(nqubits: int, seed, rank: int | None = None) -> np.ndarray:
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     mat = g @ g.conj().T
     return mat / np.trace(mat).real
+
+
+def diagonal_state(dim: int, lowest: float) -> np.ndarray:
+    """diag(1 - lowest, 0, ..., 0, lowest): Hermitian, unit trace, and its
+    lowest eigenvalue is ``lowest`` exactly."""
+    return np.diag([1.0 - lowest] + [0.0] * (dim - 2) + [lowest]).astype(complex)
+
+
+def counted_eigvalsh(monkeypatch) -> list:
+    """Count the calls of ``np.linalg.eigvalsh``: the returned list gains the
+    shape of each stack it is called on."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(mats, *args, **kwargs):
+        calls.append(np.shape(mats))
+        return eigvalsh(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
 
 
 def bits(mats: np.ndarray) -> np.ndarray:

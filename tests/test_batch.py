@@ -28,7 +28,15 @@ from naqc.qcore import (
     _check_nonnegative,
     _validate,
 )
-from naqc.states import _generators, ghz_alpha, pure_alpha, random_mixed, random_pure, werner
+from naqc.states import (
+    _generators,
+    _random_states,
+    ghz_alpha,
+    pure_alpha,
+    random_mixed,
+    random_pure,
+    werner,
+)
 from naqc.steering import (
     BOUND_TOL,
     CRITERIA,
@@ -39,7 +47,14 @@ from naqc.steering import (
     steering_report,
     tripartite_report,
 )
-from oracles import SIGMAS, bits, oracle_branches, sampled_matrix
+from oracles import (
+    SIGMAS,
+    bits,
+    counted_eigvalsh,
+    diagonal_state,
+    oracle_branches,
+    sampled_matrix,
+)
 
 SEED = 31337
 STACK_SIZES = (1, 2, 7, None)  # None: all states in one stack
@@ -428,3 +443,35 @@ class TestStackedGuards:
         stack[3, 1, 1] = np.nan
         with pytest.raises(NotAStateError, match="not Hermitian: .* nan"):
             _validate(stack)
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    @pytest.mark.parametrize(
+        "lowest, message",
+        [(-0.5, "negative eigenvalue -5.000e-01"), (-1.5e-10, "negative eigenvalue -1.500e-10"),
+         (-1e-10, None)],
+    )  # fmt: skip
+    def test_validate_decides_a_stack_by_its_lowest_eigenvalue(
+        self, nqubits, lowest, message, monkeypatch
+    ):
+        """One member of a stack of 64 sampled states sits at or below the
+        floor -1e-10. The Cholesky certificate fails the stack, and one
+        eigensolver call decides it: the floor itself passes."""
+        stack = cli._samples(nqubits, SEED, range(64))
+        stack[37] = diagonal_state(2**nqubits, lowest)
+        calls = counted_eigvalsh(monkeypatch)
+        if message is None:
+            _validate(stack)
+        else:
+            with pytest.raises(NotAStateError, match=message):
+                _validate(stack)
+        assert calls == [stack.shape]
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_sampled_chunks_never_reach_the_eigensolver(self, nqubits, monkeypatch):
+        """Search's chunks, and 64 Haar-pure three-qubit states (singular,
+        seven eigenvalues 0), pass on the Cholesky certificate alone."""
+        calls = counted_eigvalsh(monkeypatch)
+        for start in (0, 64, 2**32 - 7):
+            cli._samples(nqubits, SEED, range(start, start + 64))
+        _validate(_random_states(3, range(64)))
+        assert calls == []

@@ -18,7 +18,14 @@ from naqc.qcore import (
     pauli,
     projector,
 )
-from oracles import eig_hermitian, partial_trace_matrix, qubit_of_bloch, sqrt_psd
+from oracles import (
+    counted_eigvalsh,
+    diagonal_state,
+    eig_hermitian,
+    partial_trace_matrix,
+    qubit_of_bloch,
+    sqrt_psd,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -352,6 +359,29 @@ class TestDensityMatrixValidation:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotAStateError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    @pytest.mark.parametrize("lowest, accepted", [(-1e-10, True), (-1.5e-10, False)])
+    def test_the_eigensolver_decides_at_the_floor(self, dim, lowest, accepted, monkeypatch):
+        """At the floor -1e-10 the shifted matrix of the Cholesky certificate
+        is singular, so the eigensolver decides: the floor itself is a state,
+        anything below it is not."""
+        calls = counted_eigvalsh(monkeypatch)
+        if accepted:
+            DensityMatrix(diagonal_state(dim, lowest))
+        else:
+            with pytest.raises(NotAStateError, match=f"negative eigenvalue {lowest:.3e}"):
+                DensityMatrix(diagonal_state(dim, lowest))
+        assert calls == [(dim, dim)]
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_a_valid_state_never_reaches_the_eigensolver(self, dim, monkeypatch):
+        calls = counted_eigvalsh(monkeypatch)
+        rng = np.random.default_rng(300 + dim)
+        for _ in range(20):
+            DensityMatrix(random_density(dim, rng))
+        DensityMatrix(np.eye(dim) / dim)
+        assert calls == []
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(NotAStateError):
