@@ -17,7 +17,7 @@ from collections.abc import Callable
 
 import numpy as np
 
-from .coherence import Measure, _checked_totals
+from .coherence import CoherenceTriple, Measure, _bounds
 from .qcore import (
     BLOCH_NORM_TOL,
     ConsistencyError,
@@ -29,6 +29,7 @@ from .qcore import (
     _validate,
 )
 from .states import (
+    _FAMILIES,
     _generators,
     _pauli_tensor,
     _random_states,
@@ -40,7 +41,6 @@ from .steering import (
     CriterionResult,
     SteeringReport,
     TripartiteReport,
-    _bounds,
     _condition,
     _criteria,
     _decompositions,
@@ -57,19 +57,11 @@ EXIT_STATE = 3
 EXIT_CONSISTENCY = 4
 EXIT_SUITE = 5
 
-MEASURE_CHOICES = ("l1", "relent", "skew")
+MEASURE_CHOICES = tuple(m.value for m in Measure)
 
 # states (or Bloch vectors) drawn, stacked and evaluated together by every
 # sampling command and by sweep; results do not depend on it
 CHUNK = 64
-
-SUITE_SAMPLES = {
-    "coherence-complementarity": 10_000,
-    "bipartite-complementarity": 10_000,
-    "tripartite-complementarity": 1_000,
-    "no-signalling": 1_000,
-    "mixing-monotonicity": 1_000,
-}
 
 
 class DocumentError(ValueError):
@@ -280,16 +272,15 @@ def _sweep_grid(start: float, stop: float, step: float) -> tuple[int, Callable[[
 def cmd_sweep(args) -> int:
     measure = Measure(args.measure)
     count, point = _sweep_grid(args.start, args.stop, args.step)
-    param = "p" if args.family == "werner" else "alpha"
-    nqubits = 3 if args.family == "ghz_alpha" else 2
-    if nqubits == 3:
-        header = "alpha,T1,T2,T3,bound_3eps,bound_9eps"
-    else:
-        header = f"{param},S0,S12_half,S012_third,epsilon"
+    _, (param,) = _FAMILIES[args.family]
     # the grid runs from its first point to its last, so both in range
     # means every point is: a bad parameter fails before the file is opened
     for k in (0, count - 1):
-        from_family(args.family, {param: point(k)})
+        nqubits = from_family(args.family, {param: point(k)}).nqubits
+    if nqubits == 3:
+        header = f"{param},T1,T2,T3,bound_3eps,bound_9eps"
+    else:
+        header = f"{param},S0,S12_half,S012_third,epsilon"
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for ks in _chunks(range(count)):
@@ -381,7 +372,7 @@ def _suite_coherence_complementarity(seed: int, samples: int) -> SuiteResult:
         norm = _norm(r)
         _check_bound("Bloch vector norm", norm, 1.0, BLOCH_NORM_TOL, NotAStateError)
         for m in Measure:
-            total = _checked_totals(m.evaluate(r, norm), m)
+            total = CoherenceTriple._totals(m.evaluate(r, norm), m)
             worst[m] = min(worst[m], float(np.min(m.epsilon - total)))
     lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
     return lines, all(worst[m] >= -1e-9 for m in Measure)
@@ -389,7 +380,7 @@ def _suite_coherence_complementarity(seed: int, samples: int) -> SuiteResult:
 
 def _suite_bipartite_complementarity(seed: int, samples: int) -> SuiteResult:
     measures = tuple(Measure)
-    bound = _bounds(measures, 2)[0][:, None]  # the triple's, units * epsilon as in _criteria
+    bound = _bounds(measures, 2)[0][:, None]  # the triple's, 3 * epsilon as in _criteria
     worst = np.full(len(measures), np.inf)
     worst_spread = 0.0
     for _, matrices in _sampled(2, seed, samples):
@@ -405,7 +396,7 @@ def _suite_bipartite_complementarity(seed: int, samples: int) -> SuiteResult:
 
 def _suite_tripartite_complementarity(seed: int, samples: int) -> SuiteResult:
     measures = tuple(Measure)
-    bound = _bounds(measures, 3)[0][:, None]  # t3's, units * epsilon as in _criteria
+    bound = _bounds(measures, 3)[0][:, None]  # t3's, 9 * epsilon as in _criteria
     worst = np.full(len(measures), np.inf)
     worst_gap = 0.0
     for _, matrices in _sampled(3, seed, samples):
@@ -448,22 +439,24 @@ def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
     return [f"worst convexity margin (incl. 1e-9 tolerance): {fmt(worst)}"], worst >= 0.0
 
 
+# each suite and its default sample count
 SUITES = {
-    "coherence-complementarity": _suite_coherence_complementarity,
-    "bipartite-complementarity": _suite_bipartite_complementarity,
-    "tripartite-complementarity": _suite_tripartite_complementarity,
-    "no-signalling": _suite_no_signalling,
-    "mixing-monotonicity": _suite_mixing_monotonicity,
+    "coherence-complementarity": (_suite_coherence_complementarity, 10_000),
+    "bipartite-complementarity": (_suite_bipartite_complementarity, 10_000),
+    "tripartite-complementarity": (_suite_tripartite_complementarity, 1_000),
+    "no-signalling": (_suite_no_signalling, 1_000),
+    "mixing-monotonicity": (_suite_mixing_monotonicity, 1_000),
 }
 
 
 def cmd_check(args) -> int:
     if args.suite not in SUITES:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
-    samples = SUITE_SAMPLES[args.suite] if args.samples is None else args.samples
+    suite, default_samples = SUITES[args.suite]
+    samples = default_samples if args.samples is None else args.samples
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    lines, passed = SUITES[args.suite](args.seed, samples)
+    lines, passed = suite(args.seed, samples)
     print(f"suite: {args.suite}")
     print(f"samples: {samples}")
     print(f"seed: {args.seed}")
@@ -492,9 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_sweep = sub.add_parser("sweep", help="sweep a family parameter into a CSV")
-    p_sweep.add_argument(
-        "--family", required=True, choices=("pure_alpha", "ghz_alpha", "werner")
-    )
+    families = tuple(name for name, (_, params) in _FAMILIES.items() if len(params) == 1)
+    p_sweep.add_argument("--family", required=True, choices=families)
     p_sweep.add_argument("--from", dest="start", type=float, required=True)
     p_sweep.add_argument("--to", dest="stop", type=float, required=True)
     p_sweep.add_argument("--step", type=float, required=True)
@@ -529,19 +521,13 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except NotAStateError as exc:
         print(f"error: invalid state: {exc}", file=sys.stderr)
         return EXIT_STATE
     except ConsistencyError as exc:
         print(f"error: internal consistency breach: {exc}", file=sys.stderr)
         return EXIT_CONSISTENCY
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # a DocumentError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -12,30 +12,44 @@ The bounds are tight: the pure state with Bloch vector (1,1,1)/sqrt(3)
 saturates the l1 and relative-entropy sums, and every pure state saturates
 the skew-information sum. No qubit state exceeds them, which is what makes
 the steering criteria built on top complementary.
+
+The relation extends to more parties. A qubit's triple adds to at most
+epsilon, the bipartite shift total to 3 epsilon and the tripartite t3 to
+9 epsilon: 3 ** (n - 1) * epsilon on n = 1, 2 or 3 qubits, for every
+state. One guard, ``_check_totals``, holds each such sum to that bound
+plus one tolerance, 1e-9 of round-off and epsilon * 1e-9 for each of the
+6 ** (n - 1) Bloch vectors the sum weighs (``_bounds``).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import BlochQubit, _check_bound, _check_nonnegative, _frozen, _ValueEquality
+from .qcore import (
+    BLOCH_NORM_TOL,
+    BlochQubit,
+    _check_bound,
+    _check_nonnegative,
+    _frozen,
+    _ValueEquality,
+)
 
 __all__ = [
     "EPSILON_L1",
     "EPSILON_RELENT",
     "EPSILON_SKEW",
-    "COHERENCE_SUM_TOL",
     "Measure",
     "CoherenceTriple",
     "binary_entropy",
     "coherence_triple",
 ]
 
-COHERENCE_SUM_TOL = 1e-9
+BOUND_TOL = 1e-9  # round-off in a bounded sum, before the Bloch-norm slack (_bounds)
 
 # for Bob axes 1, 2, 3: the two transverse components of the Bloch vector
 _TRANSVERSE = (np.array([1, 0, 0]), np.array([2, 2, 1]))
@@ -139,40 +153,95 @@ _EVALUATE = {
 }
 
 
-def _checked_totals(values: np.ndarray, measure: Measure) -> np.ndarray:
-    """The sums of a (..., 3) stack of ``measure``'s values. Raises
-    ``ConsistencyError`` on a negative or NaN value or a sum above epsilon."""
-    _check_nonnegative("coherence value", values)
-    totals = values.sum(axis=-1)
-    _check_bound(
-        f"{measure.value} coherence triple sum", totals, measure.epsilon, COHERENCE_SUM_TOL
-    )
-    return totals
+def _check_measure(measure) -> None:
+    if not isinstance(measure, Measure):
+        raise TypeError(f"measure must be a Measure, got {measure!r}")
+
+
+@functools.cache
+def _bounds(measures: tuple, nqubits: int) -> tuple:
+    """Per measure, read-only: the all-states bound 3 ** (nqubits - 1) *
+    epsilon of a sum over ``nqubits`` qubits, its tolerance, which the
+    criteria flags of ``naqc.steering`` share, and their sum.
+
+    The sum weighs the values of 6 ** (nqubits - 1) Bloch vectors b: the
+    qubit's own, or the branches of ``naqc.steering._condition``. A
+    vector's values add to at most epsilon * max(1, |b|), and its weighted
+    excess w * (|b| - 1) is held to BLOCH_NORM_TOL (by ``BlochQubit``, with
+    w = 1, or by ``_condition``), so each vector adds epsilon *
+    BLOCH_NORM_TOL to the round-off BOUND_TOL."""
+    eps = np.array([m.epsilon for m in measures])
+    bound = 3.0 ** (nqubits - 1) * eps
+    tol = BOUND_TOL + 6 ** (nqubits - 1) * eps * BLOCH_NORM_TOL
+    return tuple(_frozen(a) for a in (bound, tol, bound + tol))
+
+
+def _check_totals(name, totals, bounds, parts=None, part_name=None, weight=None) -> None:
+    """Hold each measure's slice of ``totals`` to its ``_bounds`` and of
+    ``parts`` to 0 from below, one reduction each. On a breach or NaN the
+    first failing measure raises as it would alone, naming a total ``name``
+    and a part ``part_name``; given Charlie's probabilities as ``weight``, a
+    total fails only if its weighted excess does."""
+    bound, tol, limit = bounds
+    slack = limit - np.maximum.reduce(totals.reshape(len(totals), -1), axis=1)
+    if parts is not None:  # or the lowest part, if below the room under the bound
+        np.minimum(slack, np.minimum.reduce(parts.reshape(len(parts), -1), axis=1), out=slack)
+    if np.minimum.reduce(slack) >= 0.0:
+        return
+    for k in range(len(totals)):
+        if parts is not None:
+            _check_nonnegative(part_name, parts[k])
+        if weight is None:
+            _check_bound(name, totals[k], bound[k], tol[k])
+        elif not slack[k] >= 0.0:  # Charlie's AB state of probability p holds slack / p
+            _check_bound(f"weighted {name} excess", weight * (totals[k] - bound[k]), 0.0, tol[k])
 
 
 @dataclass(frozen=True, eq=False)
-class CoherenceTriple(_ValueEquality):
-    """Coherence of one state in each Pauli basis, for one measure."""
+class _Triple(_ValueEquality):
+    """Three read-only values of one measure, each nonnegative and adding to
+    at most the all-states bound of ``_NQUBITS`` qubits; a breach, or a NaN,
+    raises ``ConsistencyError``. A subclass sets ``_NQUBITS`` and the words
+    of its messages: ``_KIND`` before "values", ``_VALUE`` for one value and
+    ``_TOTAL``, formatted with the measure's name, for their sum."""
 
     values: np.ndarray
     measure: Measure
 
     def __post_init__(self) -> None:
+        _check_measure(self.measure)
         values = np.array(self.values, dtype=float)
         if values.shape != (3,):
-            raise ValueError(f"expected three values, got shape {values.shape}")
-        _checked_totals(values, self.measure)
+            raise ValueError(f"expected three {self._KIND}values, got shape {values.shape}")
+        self._totals(values, self.measure)
         object.__setattr__(self, "values", _frozen(values))
+
+    @classmethod
+    def _totals(cls, values: np.ndarray, measure: Measure) -> np.ndarray:
+        """The sums of a (..., 3) stack of ``measure``'s values, guarded."""
+        totals = values.sum(axis=-1)
+        bounds = _bounds((measure,), cls._NQUBITS)
+        name = cls._TOTAL.format(measure.value)
+        _check_totals(name, totals[None], bounds, values[None], cls._VALUE)
+        return totals
 
     @property
     def total(self) -> float:
         return float(self.values.sum())
 
 
+class CoherenceTriple(_Triple):
+    """Coherence of one state in each Pauli basis, for one measure."""
+
+    _NQUBITS, _KIND, _VALUE, _TOTAL = 1, "", "coherence value", "{} coherence triple sum"
+
+
 def coherence_triple(state: BlochQubit, measure: Measure) -> CoherenceTriple:
     """Evaluate one measure at all three Pauli axes.
 
-    The sum never exceeds ``measure.epsilon`` for a valid state; a breach
-    raises ``ConsistencyError`` since it can only come from a numerics bug.
+    The sum never exceeds ``measure.epsilon`` for a valid state, beyond the
+    tolerance of ``_bounds``; a breach raises ``ConsistencyError`` since it
+    can only come from a numerics bug.
     """
+    _check_measure(measure)
     return CoherenceTriple(measure.evaluate(state.r, np.float64(state.norm)), measure)

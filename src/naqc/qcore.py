@@ -112,15 +112,9 @@ def _qubit_indices(indices, nqubits: int) -> list:
     return indices
 
 
-def _check_axis(axis: int) -> None:
-    # the hot path passes exact ints, which skip the slower type tests
-    if type(axis) is not int or not 1 <= axis <= 3:
-        _check_index("Pauli axis", axis, (1, 2, 3))
-
-
 def pauli(axis: int) -> np.ndarray:
     """Return sigma_axis for axis in {1, 2, 3} (x, y, z). Read-only array."""
-    _check_axis(axis)
+    _check_index("Pauli axis", axis, (1, 2, 3))
     return _PAULI[axis]
 
 
@@ -130,7 +124,7 @@ def projector(axis: int, outcome: int) -> np.ndarray:
     The two outcomes of a fixed axis are orthogonal, rank one, and sum to
     the identity. Read-only array.
     """
-    _check_axis(axis)
+    _check_index("Pauli axis", axis, (1, 2, 3))
     _check_index("measurement outcome", outcome, (0, 1))
     return _PROJ[axis - 1, outcome]
 

@@ -52,7 +52,6 @@ __all__ = [
     "random_bloch_qubit_vector",
     "permute_qubits",
     "from_family",
-    "FAMILY_NAMES",
 ]
 
 # sigma_i (x) sigma_j stacked as [4 i + j]; every entry is 0, +-1 or +-i, exactly
@@ -311,7 +310,14 @@ def permute_qubits(rho: DensityMatrix, perm) -> DensityMatrix:
     return DensityMatrix(arr.reshape(2 ** n, 2 ** n))
 
 
-FAMILY_NAMES = ("pure_alpha", "ghz_alpha", "werner", "bell", "general_bloch")
+# every named family: its constructor and the parameters it takes, in order
+_FAMILIES = {
+    "pure_alpha": (pure_alpha, ("alpha",)),
+    "ghz_alpha": (ghz_alpha, ("alpha",)),
+    "werner": (werner, ("p",)),
+    "bell": (bell, ()),
+    "general_bloch": (lambda r, s, T: from_bloch(TwoQubitBloch(r, s, T)), ("r", "s", "T")),
+}
 
 
 def from_family(family: str, params: dict) -> DensityMatrix:
@@ -321,6 +327,9 @@ def from_family(family: str, params: dict) -> DensityMatrix:
     ``bell`` (no parameters), ``general_bloch`` (r, s, T).
     """
     params = dict(params or {})
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise ValueError(f"unknown family {family!r}; expected one of {tuple(_FAMILIES)}")
+    build, names = _FAMILIES[family]
 
     def take(key: str):
         try:
@@ -328,18 +337,7 @@ def from_family(family: str, params: dict) -> DensityMatrix:
         except KeyError:
             raise ValueError(f"family {family!r} requires parameter {key!r}") from None
 
-    if family == "pure_alpha":
-        rho = pure_alpha(take("alpha"))
-    elif family == "ghz_alpha":
-        rho = ghz_alpha(take("alpha"))
-    elif family == "werner":
-        rho = werner(take("p"))
-    elif family == "bell":
-        rho = bell()
-    elif family == "general_bloch":
-        rho = from_bloch(TwoQubitBloch(take("r"), take("s"), take("T")))
-    else:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILY_NAMES}")
+    rho = build(*[take(key) for key in names])
     if params:
         raise ValueError(f"unexpected parameters for {family!r}: {sorted(params)}")
     return rho

@@ -23,25 +23,22 @@ three-qubit state.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .coherence import Measure
+from .coherence import BOUND_TOL, Measure, _Triple, _bounds, _check_measure, _check_totals
 from .qcore import (
     BLOCH_NORM_TOL,
     BlochQubit,
     ConsistencyError,
     DensityMatrix,
     _PROJ,
-    _ValueEquality,
     _bloch_vector,
-    _check_axis,
     _check_bound,
-    _check_nonnegative,
+    _check_index,
     _frozen,
     _norm,
 )
@@ -62,7 +59,6 @@ __all__ = [
     "tripartite_report",
 ]
 
-BOUND_TOL = 1e-9  # round-off in a criterion, before the eigenvalue slack (_bounds)
 ZERO_PROBABILITY = 1e-12
 
 DOUBLE_PAIRS = ((0, 1), (0, 2), (1, 2))
@@ -70,7 +66,8 @@ DOUBLE_PAIRS = ((0, 1), (0, 2), (1, 2))
 # Every criterion, in the reports' order: the parts it adds, left to right,
 # and its bound in units of epsilon. The parts are shift indices j of s_j on
 # two qubits and positions in (t1, t2, t3) on three. The last criterion of
-# each table holds for every state, so it is never flagged.
+# each table holds for every state, so it is never flagged; its bound is
+# coherence._bounds', 3 ** (n - 1) epsilon on n qubits.
 CRITERIA = {
     2: {
         **{f"single{j}": ((j,), 1.0) for j in range(3)},
@@ -184,39 +181,6 @@ def _condition(matrices: np.ndarray, charlie: np.ndarray | None = None) -> _Cond
     return _Conditioning(charlie, prob, bloch, norm)
 
 
-@functools.cache
-def _bounds(measures: tuple, nqubits: int) -> tuple:
-    """Per measure, read-only: the all-states bound of ``CRITERIA[nqubits]``,
-    its tolerance, which ``_criteria``'s flags share, and their sum. A
-    branch's values add to at most epsilon * max(1, |b|) and ``_condition``
-    holds w * (|b| - 1) to BLOCH_NORM_TOL, so each of the 6 ** (nqubits - 1)
-    branches a criterion sums over adds epsilon * BLOCH_NORM_TOL."""
-    *_, (_, units) = CRITERIA[nqubits].values()
-    eps = np.array([m.epsilon for m in measures])
-    bound, tol = units * eps, BOUND_TOL + 6 ** (nqubits - 1) * eps * BLOCH_NORM_TOL
-    return tuple(_frozen(a) for a in (bound, tol, bound + tol))
-
-
-def _check_totals(name, totals, bounds, shifts=None, weight=None) -> None:
-    """Hold each measure's slice of ``totals`` to its ``_bounds`` and of
-    ``shifts`` to 0 from below, one reduction each. On a breach or NaN the
-    first failing measure raises as it would alone; given Charlie's
-    probabilities as ``weight``, a total fails only if its weighted excess does."""
-    bound, tol, limit = bounds
-    slack = limit - np.maximum.reduce(totals.reshape(len(totals), -1), axis=1)
-    if shifts is not None:  # or the lowest shift, if below the room under the bound
-        np.minimum(slack, np.minimum.reduce(shifts.reshape(len(shifts), -1), axis=1), out=slack)
-    if np.minimum.reduce(slack) >= 0.0:
-        return
-    for k in range(len(totals)):
-        if shifts is not None:
-            _check_nonnegative("shift value", shifts[k])
-        if weight is None:
-            _check_bound(name, totals[k], bound[k], tol[k])
-        elif not slack[k] >= 0.0:  # Charlie's AB state of probability p holds slack / p
-            _check_bound(f"weighted {name} excess", weight * (totals[k] - bound[k]), 0.0, tol[k])
-
-
 def _shifts(cond: _Conditioning, measures: tuple) -> tuple[np.ndarray, np.ndarray]:
     """The shifts (s_0, s_1, s_2), shape (M, ..., 3), of every two-qubit
     state in the conditioning, and their totals, shape (M, ...), along a
@@ -229,7 +193,7 @@ def _shifts(cond: _Conditioning, measures: tuple) -> tuple[np.ndarray, np.ndarra
         np.multiply(cond.prob[..., None], measure.evaluate(cond.bloch, cond.norm), out=w[k])
     s = np.add.reduce(w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES], axis=-2)
     total = s[..., 0] + s[..., 1] + s[..., 2]
-    _check_totals("shift total", total, _bounds(measures, 2), s, cond.charlie)
+    _check_totals("shift total", total, _bounds(measures, 2), s, "shift value", cond.charlie)
     return s, total
 
 
@@ -263,8 +227,7 @@ def _row(rho: DensityMatrix, measure: Measure, nqubits: int) -> np.ndarray:
     one conditioning and one scoring pass fill on first use."""
     if rho.nqubits != nqubits:
         raise ValueError(f"expected a {nqubits}-qubit state, got {rho.nqubits} qubits")
-    if not isinstance(measure, Measure):
-        raise TypeError(f"measure must be a Measure, got {measure!r}")
+    _check_measure(measure)
     if rho._parts is None:  # a racing thread computes the same bits
         rho._parts = _frozen(_parts(_condition(rho.matrix), _MEASURES))
     return rho._parts[_MEASURES.index(measure)]
@@ -300,7 +263,7 @@ def conditional_states(
     """
     if rho.nqubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {rho.nqubits} qubits")
-    _check_axis(axis)
+    _check_index("Pauli axis", axis, (1, 2, 3))
     cond = _condition(rho.matrix)
     i = int(axis) - 1
     branches = []
@@ -312,27 +275,14 @@ def conditional_states(
     return tuple(branches)
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftValues(_ValueEquality):
+class ShiftValues(_Triple):
     """The three shift functionals (s_0, s_1, s_2) for one measure.
 
     Each component is nonnegative and the total obeys the all-states bound
     3 * epsilon; a breach, or a NaN, raises ``ConsistencyError``.
     """
 
-    values: np.ndarray
-    measure: Measure
-
-    def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=float)
-        if values.shape != (3,):
-            raise ValueError(f"expected three shift values, got shape {values.shape}")
-        _check_totals("shift total", values.sum()[None], _bounds((self.measure,), 2), values[None])
-        object.__setattr__(self, "values", _frozen(values))
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
+    _NQUBITS, _KIND, _VALUE, _TOTAL = 2, "shift ", "shift value", "shift total"
 
 
 def shift_values(rho: DensityMatrix, measure: Measure) -> ShiftValues:

@@ -755,6 +755,7 @@ class TestParserReuse:
                 capture_output=True,
                 text=True,
                 env=child_env(),
+                timeout=30,
             )
             separate.append((proc.returncode, proc.stdout))
         together = []
@@ -776,6 +777,7 @@ class TestEntryPoint:
             capture_output=True,
             text=True,
             env=child_env(),
+            timeout=30,
         )
         assert proc.returncode == 0
         assert "nqubits: 2" in proc.stdout
@@ -796,7 +798,11 @@ class TestEntryPoint:
             "sys.exit(code)\n"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=child_env()
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=30,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert "t3: " in proc.stdout

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naqc import qcore, steering
-from naqc.coherence import Measure
+from naqc.coherence import CoherenceTriple, Measure, coherence_triple
 from naqc.qcore import (
     BLOCH_NORM_TOL,
     ConsistencyError,
@@ -550,9 +550,12 @@ class TestConditioningMemo:
     @pytest.mark.parametrize("measure", ["l1", None, 1])
     def test_reports_reject_what_is_not_a_measure(self, measure):
         cases = [(steering_report, bell()), (shift_values, bell())]
-        for report, rho in cases + [(tripartite_report, ghz_alpha(0.5))]:
+        cases += [(tripartite_report, ghz_alpha(0.5))]
+        cases += [(coherence_triple, qcore.BlochQubit(np.zeros(3)))]
+        cases += [(CoherenceTriple, np.zeros(3)), (ShiftValues, np.zeros(3))]
+        for report, arg in cases:
             with pytest.raises(TypeError, match=f"measure must be a Measure, got {measure!r}"):
-                report(rho, measure)
+                report(arg, measure)
 
     @pytest.mark.parametrize("nqubits", [2, 3])
     def test_reports_do_not_depend_on_what_filled_the_memo(self, nqubits):
@@ -833,7 +836,9 @@ class TestDerivedTotalTolerance:
     branch guard holds w * (|b| - 1) to BLOCH_NORM_TOL, so a total over n
     of Alice's branches may exceed its bound by n * epsilon *
     BLOCH_NORM_TOL beyond the round-off BOUND_TOL: n = 6 for a shift total
-    (weighed by Charlie's probability in his AB states), 36 for t3."""
+    (weighed by Charlie's probability in his AB states), 36 for t3, and 1
+    for the coherence triple of one qubit, whose |b| is at most 1 +
+    BLOCH_NORM_TOL."""
 
     # accepted (lowest eigenvalue -1e-10); skew's t3 exceeds 18 by the sum
     # of its 36 branches' weighted excesses, 1.8e-9
@@ -842,6 +847,46 @@ class TestDerivedTotalTolerance:
     @staticmethod
     def tolerance(branches: int) -> float:
         return BOUND_TOL + branches * Measure.SKEW_INFORMATION.epsilon * BLOCH_NORM_TOL
+
+    def test_all_states_bounds_are_powers_of_three(self):
+        for nqubits, table in CRITERIA.items():
+            *_, (_, units) = table.values()
+            assert units == 3 ** (nqubits - 1)
+
+    def test_coherence_of_every_branch_of_an_accepted_state_passes(self):
+        """Alice's z = 0 branch (p = 0.2) of this state, lowest eigenvalue
+        -9e-11, holds b = (1 + 9e-10) (1, 1, 1) / sqrt(3): kept as it is,
+        since |b| is under 1 + BLOCH_NORM_TOL, and l1's triple exceeds
+        sqrt(6) by 2.2e-9, more than the round-off BOUND_TOL alone."""
+        bx = by = bz = (1.0 + 9e-10) / math.sqrt(3.0)
+        qubit = np.array([[1 + bz, bx - 1j * by], [bx + 1j * by, 1 - bz]]) / 2.0
+        zero, one = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        rho = DensityMatrix(0.2 * np.kron(zero, qubit) + 0.8 * np.kron(one, np.eye(2) / 2.0))
+        kept = conditional_states(rho, 3)[0].state
+        assert 1.0 + 8e-10 < kept.norm < 1.0 + BLOCH_NORM_TOL
+        assert coherence_triple(kept, Measure.L1).total - SQRT6 > BOUND_TOL
+        for axis in (1, 2, 3):
+            for branch in conditional_states(rho, axis):
+                for measure in ALL_MEASURES:
+                    coherence_triple(branch.state, measure)
+
+    @pytest.mark.parametrize("scale", [0.9, 1.1])
+    @pytest.mark.parametrize("nqubits", [1, 2])
+    def test_a_triple_excess_above_the_tolerance_raises(self, nqubits, scale):
+        """One qubit's coherence triple or a shift triple, held to 3 ** (n - 1)
+        epsilon plus the tolerance of n qubits."""
+        triple = CoherenceTriple if nqubits == 1 else ShiftValues
+        name = "coherence triple sum" if nqubits == 1 else "shift total"
+        for measure in ALL_MEASURES:
+            bound = 3 ** (nqubits - 1) * measure.epsilon
+            tol = BOUND_TOL + 6 ** (nqubits - 1) * measure.epsilon * BLOCH_NORM_TOL
+            values = [bound + scale * tol, 0.0, 0.0]
+            if scale < 1.0:
+                assert triple(values, measure).total - bound == pytest.approx(scale * tol, rel=1e-6)
+            else:
+                message = f"{name} .* exceeds the bound {bound:.15g}$"
+                with pytest.raises(ConsistencyError, match=message):
+                    triple(values, measure)
 
     @pytest.mark.parametrize("nqubits", [2, 3])
     def test_flags_share_the_total_tolerance(self, nqubits):
