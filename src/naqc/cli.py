@@ -331,6 +331,8 @@ def cmd_search(args) -> int:
         )
     if args.samples < 1:
         raise ValueError(f"samples must be at least 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     measure = Measure(args.measure)
     best = None
     for indices, matrices in _sampled(nqubits, args.seed, args.samples):
@@ -456,6 +458,8 @@ def cmd_check(args) -> int:
     samples = default_samples if args.samples is None else args.samples
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if args.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     lines, passed = suite(args.seed, samples)
     print(f"suite: {args.suite}")
     print(f"samples: {samples}")

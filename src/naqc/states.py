@@ -161,11 +161,19 @@ def maximally_mixed(nqubits: int) -> DensityMatrix:
     return DensityMatrix(np.eye(dim, dtype=complex) / dim)
 
 
-# SeedSequence.generate_state's hash constants: hc[0] = 0x8b51f9dd and
-# hc[k + 1] = hc[k] * 0x58f38ded mod 2**32
-_HASH_B = np.array(
-    [0x8B51F9DD * pow(0x58F38DED, k, 2**32) % 2**32 for k in range(9)], dtype=np.uint32
-)
+# SeedSequence's constants. Its hashes run a constant that is multiplied on
+# mod 2**32: mix_entropy's hash k xors a word with _hash_a(k) and multiplies
+# it by _hash_a(k + 1), generate_state's hash k uses _HASH_B[k] and
+# _HASH_B[k + 1]. Its mixes take L x - R y; _MIX_R is 2**32 - R, so that
+# the sum L x + (2**32 - R) y takes no borrow.
+_MASK32 = 0xFFFFFFFF
+_MIX_L, _MIX_R = 0xCA01F9DD, 2**32 - 0x4973F715
+_HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, k, 2**32) % 2**32 for k in range(9))
+
+
+@functools.cache
+def _hash_a(k: int) -> int:
+    return 0x43B0D7E5 * pow(0x931E8875, k, 2**32) % 2**32
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -178,6 +186,57 @@ def _uint32_words(n: int) -> list[int]:
     while n := n >> 32:
         words.append(n & 0xFFFFFFFF)
     return words
+
+
+@functools.cache
+def _lanes(n: int, length: int) -> tuple[int, int, int, list, list, list]:
+    """The constants of one pass over the pools of n entropies of ``length``
+    words, pool k in the 64-bit lane of bits 64 k .. 64 k + 63 of one int:
+    1 and the 32-bit mask in every lane, k in lane k, and the pass's hashes
+    as (source, xor in every lane, multiplier). mix_entropy hashes entropy
+    word j into pool word j, then mixes a hash of word ``src`` into pool
+    word ``dst``, first for the 12 pairs of pool words, then for each
+    entropy word past the pool (at ``src`` 4, 5, ... after it) and every
+    pool word; generate_state's output word k hashes pool word k % 4."""
+    unit = ((1 << 64 * n) - 1) // ((1 << 64) - 1)
+    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    pairs += [(src, dst) for src in range(4, length) for dst in range(4)]
+    hashes = [(j, _hash_a(j) * unit, _hash_a(j + 1)) for j in range(4)]
+    mixes = [(src, dst, _hash_a(k) * unit, _hash_a(k + 1)) for k, (src, dst) in enumerate(pairs, 4)]
+    outputs = [(k % 4, _HASH_B[k] * unit, _HASH_B[k + 1]) for k in range(8)]
+    return unit, _MASK32 * unit, sum(k << 64 * k for k in range(n)), hashes, mixes, outputs
+
+
+def _pcg64_seeds(entropy: list[int], n: int) -> np.ndarray:
+    """``SeedSequence(e).generate_state(4, np.uint64)`` of n entropies e at
+    once, as a C-contiguous ``(n, 4)`` uint64 array; entropy word j holds
+    word j of e_k in lane k (``_lanes``).
+
+    The n pools are mixed in their lanes by a few int operations per step:
+    a 32-bit lane times a 32-bit constant stays below 2**64, so no carry
+    crosses lanes, and every product is masked back to 32 bits. A mix's
+    ``(L x mod 2**32) + (2**32 - R) y`` stays below 2**64 as well.
+    """
+    _, mask, _, hashes, mixes, outputs = _lanes(n, len(entropy))
+
+    def hashed(words: list[int], steps: list):
+        for src, xor, mul in steps:
+            word = (words[src] ^ xor) * mul & mask
+            yield (word ^ word >> 16) & mask
+
+    # a pool longer than the entropy is padded with 0
+    pool = list(hashed(entropy + [0] * (4 - len(entropy)), hashes)) + entropy[4:]
+    for src, dst, xor, mul in mixes:
+        y = (pool[src] ^ xor) * mul & mask
+        x = (pool[dst] * _MIX_L & mask) + ((y ^ y >> 16) & mask) * _MIX_R & mask
+        pool[dst] = (x ^ x >> 16) & mask
+    words = list(hashed(pool, outputs))
+    # seed word j of pool k: lane k of output words 2 j (low half) and 2 j + 1
+    data = b"".join(
+        (lo | hi << 32).to_bytes(8 * n, byteorder="little")
+        for lo, hi in zip(words[::2], words[1::2])
+    )
+    return np.frombuffer(data, "<u8").reshape(4, n).T.astype(np.uint64, order="C")
 
 
 @functools.cache
@@ -200,6 +259,20 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
+def _pcg64_generators(seeds: np.ndarray) -> list[np.random.Generator]:
+    """A ``PCG64`` generator per row of ``seeds``, its ``generate_state(4,
+    uint64)`` words. ``PCG64`` reads a row as the 32 bytes at its address,
+    whatever its dtype and strides, so ``seeds`` must be a C-contiguous
+    ``(n, 4)`` uint64 array; anything else raises ``ValueError``."""
+    if seeds.dtype != np.uint64 or seeds.shape[1:] != (4,) or not seeds.flags.c_contiguous:
+        raise ValueError(
+            "PCG64 seed words must be a C-contiguous (n, 4) uint64 array, "
+            f"got {seeds.dtype} of shape {seeds.shape} and strides {seeds.strides}"
+        )
+    seed_words = _seed_words_type()
+    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
+
+
 def _generators(
     master_seed: int, indices: range, tail: tuple[int, ...] = ()
 ) -> list[np.random.Generator]:
@@ -207,35 +280,27 @@ def _generators(
     2**64), each in the state of
     ``np.random.default_rng(np.random.SeedSequence([master_seed, i, *tail]))``.
 
-    ``SeedSequence`` is given each entropy as the uint32 words it would split
-    it into: the words of ``master_seed``, then of i, then of ``tail``. The
-    words of a whole range are one ``(n, L)`` array, made in two parts when
-    the range straddles 2**32, where i gains its second word. This skips
-    ``SeedSequence``'s Python-level coercion but mixes the same pool. The
-    seed words ``PCG64`` draws from each pool (``generate_state(4, uint64)``)
-    are hashed for all pools in one numpy pass.
+    No ``SeedSequence`` is built: its entropy is the uint32 words it would
+    split ``[master_seed, i, *tail]`` into, and ``_pcg64_seeds`` mixes the
+    pools of a whole range and hashes their ``PCG64`` seed words in one
+    pass, index i in its own 64-bit lane of one int. The range is taken in
+    two parts when it straddles 2**32, where i gains its second word.
     """
     head = _uint32_words(master_seed)
     rest = [w for n in tail for w in _uint32_words(n)]
     cut = min(max(indices.start, 2**32), indices.stop)
-    pools = []
+    seeds = []
     for part, width in ((range(indices.start, cut), 1), (range(cut, indices.stop), 2)):
-        if not part:
-            continue
-        entropy = np.empty((len(part), len(head) + width + len(rest)), dtype=np.uint32)
-        entropy[:, : len(head)] = head
-        low_high = np.arange(part.start, part.stop, dtype="<u8").view("<u4").reshape(-1, 2)
-        entropy[:, len(head) : len(head) + width] = low_high[:, :width]
-        entropy[:, len(head) + width :] = rest
-        pools += [np.random.SeedSequence(row).pool for row in entropy]
-    pools = np.array(pools, dtype=np.uint32).reshape(-1, 1, 4)
-    # output word k hashes pool word k % 4
-    words = (pools ^ _HASH_B[:8].reshape(2, 4)).reshape(-1, 8)
-    words *= _HASH_B[1:]
-    words ^= words >> 16
-    seeds = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    seed_words = _seed_words_type()
-    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
+        if part:
+            n = len(part)
+            unit, mask, ramp = _lanes(n, len(head) + width + len(rest))[:3]
+            index = part.start * unit + ramp  # i, below 2**64, fills its lane
+            words = [index & mask, index >> 32 & mask][:width]
+            entropy = [w * unit for w in head] + words + [w * unit for w in rest]
+            seeds.append(_pcg64_seeds(entropy, n))
+    if not seeds:
+        return []
+    return _pcg64_generators(seeds[0] if len(seeds) == 1 else np.concatenate(seeds))
 
 
 def _random_states(nqubits: int, rngs, rank: int | None = None) -> np.ndarray:

@@ -16,6 +16,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naqc import cli, steering
 from naqc.coherence import Measure
@@ -30,7 +32,9 @@ from naqc.qcore import (
 )
 from naqc.states import (
     _generators,
+    _pcg64_generators,
     _random_states,
+    _seed_words_type,
     ghz_alpha,
     pure_alpha,
     random_mixed,
@@ -378,6 +382,51 @@ def test_straddling_chunks_in_mixed_order(tail):
         for seed in (SEED, 2**32 + 9):
             indices = chunks[k]
             assert_seed_sequence_states(_generators(seed, indices, tail), seed, indices, tail)
+
+
+@st.composite
+def generator_calls(draw):
+    """A master seed below 2**160, a chunk of 0 to 70 indices that starts
+    near 0, near or across 2**32, or near the last index below 2**64, and
+    a tail of up to 3 ints: enough words for every stage of the pool mix,
+    trailing zero words included."""
+    seed = draw(st.integers(0, 2**160))
+    size = draw(st.integers(0, 70))
+    offset = draw(st.integers(0, 80))
+    start = draw(st.sampled_from([offset, 2**32 - offset, 2**64 - size - offset]))
+    words = st.one_of(st.sampled_from([0, 2, 2**40]), st.integers(0, 2**96))
+    tail = tuple(draw(st.lists(words, max_size=3)))
+    return seed, range(start, start + size), tail
+
+
+@given(generator_calls())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_generators_match_numpy_seed_sequences(call):
+    seed, indices, tail = call
+    assert_seed_sequence_states(_generators(seed, indices, tail), seed, indices, tail)
+
+
+def test_pcg64_seed_words_must_be_c_contiguous_uint64_rows():
+    """``PCG64`` reads a row of seed words as the 32 bytes at its address:
+    a strided row gives a state other than its words', so the words of a
+    chunk are checked once, as a C-contiguous ``(n, 4)`` uint64 array."""
+    words = np.arange(1, 17, dtype=np.uint64).reshape(2, 8)[:, ::2]
+    seed_words = _seed_words_type()
+    strided = np.random.PCG64(seed_words(words[0])).state
+    assert strided != np.random.PCG64(seed_words(words[0].copy())).state
+    expected = [np.random.PCG64(seed_words(row.copy())).state for row in words]
+    assert [rng.bit_generator.state for rng in _pcg64_generators(words.copy())] == expected
+    assert _pcg64_generators(np.empty((0, 4), dtype=np.uint64)) == []
+    for bad in (
+        words,  # strided rows
+        words.astype(np.uint32),
+        words.astype(">u8"),
+        np.ascontiguousarray(words.T).T,  # (2, 4) in column order
+        np.ascontiguousarray(words[:, :3]),
+        words.copy().ravel(),
+    ):
+        with pytest.raises(ValueError, match=r"C-contiguous \(n, 4\) uint64 array"):
+            _pcg64_generators(bad)
 
 
 class TestStackedGuards:

@@ -635,6 +635,17 @@ class TestCheck:
         assert captured.out == ""
         assert "samples must be at least 1" in captured.err
 
+    def test_seed_must_be_non_negative(self, capsys):
+        """The coherence suite seeds numpy's ``default_rng`` directly, not
+        the CLI's samplers (``test_a_negative_seed_is_a_parse_error``); it
+        names the flag all the same."""
+        suite = "coherence-complementarity"
+        code = main(["check", "--suite", suite, "--seed", "-5", "--samples", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.out == ""
+        assert "error: seed must be a non-negative integer, got -5" in captured.err
+
     def test_tripartite_check_compares_t3_with_the_shift_totals(self, monkeypatch, capsys):
         """t3 is held to Charlie's outcomes weighting the AB shift totals, a
         sum ``_tripartite`` does not add: t1 and t3 moved together by 1e-9,
@@ -714,12 +725,10 @@ def test_an_invalid_draw_is_rejected(argv, poison, message, monkeypatch, capsys)
 
 @pytest.mark.parametrize("argv", SAMPLING_COMMANDS, ids=lambda argv: "-".join(argv[:4]))
 def test_a_negative_seed_is_a_parse_error(argv):
-    """A negative master seed fails with numpy's ``SeedSequence`` message,
-    and fails at once: cutting a negative int into 32-bit words never ends,
+    """A negative master seed fails with a message that names the flag, and
+    fails at once: cutting a negative int into 32-bit words never ends,
     and its list of words grows without bound. The child gets 30 s and
     1 GiB of address space, so such a loop fails the test quickly."""
-    with pytest.raises(ValueError) as numpy_error:
-        np.random.SeedSequence([-1, 0])
     proc = subprocess.run(
         [sys.executable, "-m", "naqc", *argv, "--seed", "-1"],
         capture_output=True,
@@ -730,7 +739,7 @@ def test_a_negative_seed_is_a_parse_error(argv):
     )
     assert proc.returncode == EXIT_PARSE
     assert proc.stdout == ""
-    assert proc.stderr == f"error: {numpy_error.value}\n"
+    assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
 
 
 class TestParserReuse:
