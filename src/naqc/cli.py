@@ -43,6 +43,7 @@ from .steering import (
     TripartiteReport,
     _condition,
     _criteria,
+    _criterion,
     _decompositions,
     _parts,
     _shifts,
@@ -337,7 +338,7 @@ def cmd_search(args) -> int:
     best = None
     for indices, matrices in _sampled(nqubits, args.seed, args.samples):
         parts = _parts(_condition(matrices), (measure,))[0]
-        res = _criteria(nqubits, parts.T, measure)[args.criterion]
+        res = _criterion(nqubits, args.criterion, parts.T, measure)
         k = int(res.value.argmax())  # the first maximum, as the strict > below keeps
         if best is None or res.value[k] > best.value:
             best = CriterionResult(float(res.value[k]), res.bound, bool(res.violated[k]))

@@ -23,6 +23,7 @@ three-qubit state.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,7 +37,6 @@ from .qcore import (
     ConsistencyError,
     DensityMatrix,
     _PROJ,
-    _bloch_vector,
     _check_bound,
     _check_index,
     _frozen,
@@ -77,12 +77,6 @@ CRITERIA = {
     3: {"t1": ((0,), 3.0), "t2": ((1,), 6.0), "t3": ((2,), 9.0)},
 }
 
-# The projectors onto the six Pauli outcomes, P[k] for k = 2 * (axis - 1) + outcome,
-# as columns over the twelve rows (k, c): _ROW[b] holds P[k, c, b], _COL[b] P[k, b, c].
-_PROJECTORS = _PROJ.reshape(6, 2, 2)
-_ROW = tuple(_PROJECTORS[:, :, b].reshape(12, 1) for b in (0, 1))
-_COL = tuple(_PROJECTORS[:, b, :].reshape(12, 1) for b in (0, 1))
-
 # For outcome k = 2 (axis - 1) + outcome and shift j, Bob's 0-based axis is
 # (axis - 1 + j) mod 3, a cyclic step from Alice's; the gather
 # w[..., _OUTCOME_ROWS, _SHIFT_AXES] puts the term of s_j from outcome k at
@@ -96,46 +90,97 @@ _MATCHED = (_AXES + 1) % 3
 _MEASURES = tuple(Measure)
 
 
-def _outcomes(matrices: np.ndarray, last: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Both outcomes of each Pauli measurement on the first qubit (or the
-    ``last``) of a ``(..., N, N)`` stack of states.
+def _table(n: int, last: bool, x, y, part) -> tuple[np.ndarray, np.ndarray]:
+    """Where the reals of the branches of an (n, n) state measured on its
+    first qubit (or its ``last``) sit in its float view, and their signs.
 
-    Returns the probabilities Tr[P rho P], shape (..., 3, 2), indexed
-    ``[axis - 1, outcome]``, and the normalized partial traces of P rho P
-    over the measured qubit, shape (..., 3, 2, N/2, N/2). An outcome whose
-    probability falls below ZERO_PROBABILITY is dropped: probability 0.0 and
-    the zero matrix; a NaN or infinite one raises ``ConsistencyError``.
-
-    One stacked pass projects all six outcomes, reading rho as r[a, b, x, x']
-    (the measured qubit's indices first): rows P[c, 0] r[0] + P[c, 1] r[1] of
-    P rho, then only the blocks c' = c of P rho P, which both traces read.
-    Projector entries are 0, +-1/2 or +-i/2, so each entry is one rounding of
-    the two exact products kron(P, I) @ rho @ kron(P, I) adds, and both traces
-    sum the same entries in the same order: the bits match, in any stack.
+    Outcome k = 2 * (axis - 1) + outcome leaves Tr_1[P_k rho], whose entry
+    (x, y) adds the four block entries rho[(b, x), (b', y)] times P_k[b', b]:
+    0, +-1/2, +-i/2 or 1, which takes one real part of each term. Entry e of
+    the table, (x[e], y[e]) and its real (``part`` 0) or imaginary (1) part,
+    gives the float-view index and the sign of each term t at [t, 6 e + k],
+    in the order ``_pairwise`` adds them: (b = 0 + b = 1 at b' = 0) + (the
+    same at b' = 1), the roundings of the products of P rho P, whose halves
+    c = 0 and 1 (which the trace adds) are equal on x and y and zero but for
+    one on z. A zero coefficient stays a +0.0 term on the other part of its
+    entry, so a NaN in either part of an entry reaches some branch, and
+    signed zeros come out as the products' on all but contrived inputs.
     """
-    n = matrices.shape[-1]
-    d = n // 2
-    lead = matrices.shape[:-2]
-    if last:
-        r = matrices.reshape(lead + (d, 2, d, 2)).transpose(*range(len(lead)), -3, -1, -4, -2)
-    else:
-        r = matrices.reshape(lead + (2, d, 2, d)).swapaxes(-3, -2)
-    r = r.reshape(lead + (2, 1, 2 * d * d))
-    left = _ROW[0] * r[..., 0, :, :] + _ROW[1] * r[..., 1, :, :]  # P rho, rows (k, c)
-    sub = left[..., : d * d] * _COL[0] + left[..., d * d :] * _COL[1]  # blocks c' = c
-    sub = sub.reshape(lead + (6, 2, d, d))
-    kept = sub[..., 0, :, :] + sub[..., 1, :, :]
-    diag = np.diagonal(sub, axis1=-2, axis2=-1)  # [k, c, x]
-    if last:
-        diag = diag.swapaxes(-2, -1)  # the order of rho's own diagonal
-    probs = diag.reshape(lead + (6, n)).sum(axis=-1).real
+    b, c = (np.array(v).reshape(4, 1, 1) for v in ((0, 0, 1, 1), (0, 1, 0, 1)))  # term t's b, b'
+    coef = _PROJ.reshape(6, 2, 2).transpose(2, 1, 0).reshape(4, 1, 6)  # P_k[b', b]
+    x, y, part = (np.asarray(v)[:, None] for v in (x, y, part))
+    row, col = (2 * x + b, 2 * y + c) if last else (b * n // 2 + x, c * n // 2 + y)
+    index = 2 * (row * n + col) + np.where(coef.real == 0, 1 - part, part)  # i/2 swaps the parts
+    sign = coef.real + np.where(part, coef.imag, -coef.imag)
+    return _frozen(index.reshape(4, -1)), _frozen(sign.reshape(4, -1))
+
+
+# Alice's branch reals K00.re, K11.re, K01.re, K10.im of a two-qubit state
+# (Bob's probability and Bloch vector), and the 32 reals of Charlie's AB
+# branches of a three-qubit state, in the order of their float view
+_ALICE = _table(4, False, (0, 1, 0, 1), (0, 1, 1, 0), (0, 0, 0, 1))
+_CHARLIE = _table(8, True, *np.unravel_index(np.arange(32), (4, 4, 2)))
+
+
+def _pairwise(a: np.ndarray) -> np.ndarray:
+    """The sum over axis -2 (length 2 or 4) by halves, in place: (a0 + a2)
+    + (a1 + a3) for four, the pairwise order of numpy's complex sum."""
+    while (half := a.shape[-2] // 2) >= 1:
+        a = np.add(a[..., :half, :], a[..., half:, :], out=a[..., :half, :])
+    return a[..., 0, :]
+
+
+def _branches(matrices: np.ndarray, index, sign, diagonal: list):
+    """The reals of a ``_table`` of every outcome of a ``(..., N, N)`` stack,
+    unnormalized, shape (..., E, 6); the probabilities, shape (..., 6), the
+    ``diagonal`` entries added pairwise, 0.0 where dropped (below
+    ZERO_PROBABILITY); and the dropped mask. A NaN or infinite probability
+    raises ``ConsistencyError``."""
+    flat = np.ascontiguousarray(matrices).reshape(matrices.shape[:-2] + (-1,)).view(float)
+    terms = np.take(flat, index, axis=-1)
+    terms *= sign
+    values = _pairwise(terms).reshape(terms.shape[:-2] + (-1, 6))
+    probs = _pairwise(values[..., diagonal, :])
     if not math.isfinite(top := probs.max()):  # before the division, which would warn
         raise ConsistencyError(f"outcome probability {top:.15g} is not finite")
     dropped = probs < ZERO_PROBABILITY
-    probs = np.where(dropped, 0.0, probs)
-    rest = kept / np.where(dropped, 1.0, probs)[..., None, None]
-    np.copyto(rest, 0.0, where=dropped[..., None, None])
-    return probs.reshape(lead + (3, 2)), rest.reshape(lead + (3, 2, d, d))
+    return values, np.where(dropped, 0.0, probs), dropped
+
+
+def _charlie(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both outcomes of each Pauli measurement on Charlie's qubit of a
+    ``(..., 8, 8)`` stack: the probabilities, shape (..., 3, 2), indexed
+    ``[axis - 1, outcome]``, and the AB states, shape (..., 3, 2, 4, 4). A
+    dropped outcome has probability 0.0 and the zero matrix.
+
+    p adds the AB diagonal as (k0 + k2) + (k1 + k3), and each AB state is
+    its 32 reals of ``_CHARLIE`` viewed as complex and divided by p (as p +
+    0j): the bits of kron(I4, P) @ rho @ kron(I4, P), its trace and its
+    partial trace over Charlie, divided by the trace."""
+    values, probs, dropped = _branches(matrices, *_CHARLIE, [0, 10, 20, 30])
+    ab = np.ascontiguousarray(values.swapaxes(-1, -2)).view(complex)
+    ab = ab.reshape(ab.shape[:-1] + (4, 4)) / np.where(dropped, 1.0, probs)[..., None, None]
+    np.copyto(ab, 0.0, where=dropped[..., None, None])
+    lead = matrices.shape[:-2]
+    return probs.reshape(lead + (3, 2)), ab.reshape(lead + (3, 2, 4, 4))
+
+
+def _alice(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both outcomes of each Pauli measurement on Alice's qubit of a
+    ``(..., 4, 4)`` stack: the probabilities, shape (..., 3, 2), and Bob's
+    Bloch vectors, shape (..., 3, 2, 3), zero where dropped.
+
+    p = K00.re + K11.re of Bob's branch K = Tr_A[P rho], and b = (2 K01.re,
+    2 K10.im, K00.re - K11.re) of K times 1.0 / p: the bits of dividing K
+    by p + 0j and reading b off it as ``qcore._bloch_vector`` does."""
+    values, probs, dropped = _branches(matrices, *_ALICE, [0, 1])
+    values *= (1.0 / np.where(dropped, 1.0, probs))[..., None, :]
+    rows = np.empty(values.shape[:-2] + (6, 3)).swapaxes(-1, -2)  # b along the outcomes
+    np.multiply(values[..., 2:, :], 2.0, out=rows[..., :2, :])
+    np.subtract(values[..., 0, :], values[..., 1, :], out=rows[..., 2, :])
+    np.copyto(rows, 0.0, where=dropped[..., None, :])
+    lead = matrices.shape[:-2]
+    return probs.reshape(lead + (3, 2)), rows.swapaxes(-1, -2).reshape(lead + (3, 2, 3))
 
 
 class _Conditioning(NamedTuple):
@@ -159,10 +204,13 @@ class _Conditioning(NamedTuple):
 def _condition(matrices: np.ndarray, charlie: np.ndarray | None = None) -> _Conditioning:
     """Condition a ``(..., 4, 4)`` or ``(..., 8, 8)`` stack of valid states.
 
-    Three-qubit states are conditioned on Charlie's outcomes first, and his
-    conditional AB states, with ``charlie`` their probabilities, on Alice's
-    like any two-qubit stack. Bob's Bloch vector is ``_bloch_vector`` of each
-    branch and its norm ``_norm``, so both match ``BlochQubit`` bit for bit.
+    Three-qubit states are conditioned on Charlie's outcomes first
+    (``_charlie``), and his conditional AB states, with ``charlie`` their
+    probabilities, on Alice's (``_alice``) like any two-qubit stack. Each
+    stage gathers the reals its branches need from the float view of its
+    stack with the roundings of the dense products kron(P, I) @ rho @
+    kron(P, I), so the probabilities and Bob's Bloch vectors have their
+    bits, and each norm is ``_norm``'s, as in ``BlochQubit``.
 
     A branch reached with probability w (Alice's p, times Charlie's on three
     qubits) holds w * rho_B, a compression of the state, whose eigenvalues
@@ -171,10 +219,9 @@ def _condition(matrices: np.ndarray, charlie: np.ndarray | None = None) -> _Cond
     ``ConsistencyError`` on a breach or on NaN.
     """
     if matrices.shape[-1] == 8:
-        charlie, ab = _outcomes(matrices, last=True)
+        charlie, ab = _charlie(matrices)
         return _condition(ab, charlie)
-    prob, rest = _outcomes(matrices, last=False)
-    bloch = _bloch_vector(rest)
+    prob, bloch = _alice(matrices)
     norm = _norm(bloch)
     weight = prob if charlie is None else charlie[..., None, None] * prob
     _check_bound("weighted Bloch vector norm excess", weight * (norm - 1.0), 0.0, BLOCH_NORM_TOL)
@@ -300,26 +347,39 @@ class CriterionResult(NamedTuple):
     violated: bool
 
 
-def _criteria(nqubits: int, values, measure: Measure) -> dict[str, CriterionResult]:
-    """Every criterion of ``CRITERIA[nqubits]``, by name, from the values of
-    the parts: the three shifts on two qubits, (t1, t2, t3) on three.
+@functools.cache
+def _limits(nqubits: int, measure: Measure) -> dict:
+    """Each criterion of ``CRITERIA[nqubits]`` by name: its parts, its bound
+    for ``measure`` and the value above which it is flagged, the bound plus
+    the table's total tolerance from ``coherence._bounds``."""
+    table = CRITERIA[nqubits]
+    tol = float(_bounds((measure,), nqubits)[1][0])
+    limits = {}
+    for n, (name, (parts, units)) in enumerate(table.items(), 1):
+        bound = units * measure.epsilon
+        # the last criterion holds for every state: no value is flagged
+        limits[name] = (parts, bound, bound + tol if n < len(table) else math.inf)
+    return limits
+
+
+def _criterion(nqubits: int, name: str, values, measure: Measure) -> CriterionResult:
+    """Criterion ``name`` of ``CRITERIA[nqubits]`` from the values of the
+    parts: the three shifts on two qubits, (t1, t2, t3) on three.
 
     ``values[j]`` is part j, a float for one state or an array over a stack.
-    Either way each criterion adds its parts left to right, so a state's
-    results have the same bits alone and in a stack.
+    Either way the criterion adds its parts left to right, so a state's
+    result has the same bits alone and in a stack.
     """
-    table = CRITERIA[nqubits]
-    eps, tol = measure.epsilon, float(_bounds((measure,), nqubits)[1][0])
-    results = {}
-    for n, (name, (parts, units)) in enumerate(table.items(), 1):
-        value = values[parts[0]]
-        for j in parts[1:]:
-            value = value + values[j]
-        bound = units * eps
-        # the last criterion holds for every state: no value is flagged
-        limit = bound + tol if n < len(table) else math.inf
-        results[name] = CriterionResult(value, bound, value > limit)
-    return results
+    parts, bound, limit = _limits(nqubits, measure)[name]
+    value = values[parts[0]]
+    for j in parts[1:]:
+        value = value + values[j]
+    return CriterionResult(value, bound, value > limit)
+
+
+def _criteria(nqubits: int, values, measure: Measure) -> dict[str, CriterionResult]:
+    """Every criterion of ``CRITERIA[nqubits]``, by name, as ``_criterion``."""
+    return {name: _criterion(nqubits, name, values, measure) for name in CRITERIA[nqubits]}
 
 
 def _decompositions(s0, s1, s2) -> tuple:

@@ -44,8 +44,8 @@ from naqc.steering import (
     ConditionalBranch,
     ShiftValues,
     _condition,
+    _charlie,
     _criteria,
-    _outcomes,
     _shifts,
     _tripartite,
     conditional_states,
@@ -618,7 +618,7 @@ class TestConditioningMemo:
         # the six conditional AB states are the oracle's, in order
         expected = [ab for _, _, ab in oracle_branches(matrix, last=True)]
         assert len(expected) == 6
-        ab = _outcomes(matrix, last=True)[1].reshape(6, 4, 4)
+        ab = _charlie(matrix)[1].reshape(6, 4, 4)
         np.testing.assert_allclose(ab, expected, atol=1e-12)
 
     def test_threads_sharing_states_read_the_same_reports(self):
@@ -1018,7 +1018,7 @@ def stacked_branches(rho: DensityMatrix) -> list:
         cond = _condition(rho.matrix)
         probs, states = cond.prob, cond.bloch
     else:
-        probs, states = _outcomes(rho.matrix, last=True)
+        probs, states = _charlie(rho.matrix)
     branches = []
     for prob, state in zip(probs.ravel().tolist(), states.reshape(6, -1)):
         branches.append((prob.hex(), None if prob == 0.0 else hex_entries(state)))
@@ -1125,3 +1125,88 @@ def test_conditioning_is_bitwise_property(rho):
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_three_qubit_conditioning_is_bitwise_property(rho):
     assert stacked_branches(rho) == matmul_branches(rho)
+
+
+def condition_fields(cond) -> list:
+    return [None if field is None else field.tobytes() for field in cond]
+
+
+def sample_stack(nqubits: int, count: int) -> np.ndarray:
+    sample = random_two_qubit if nqubits == 2 else random_three_qubit
+    return np.array([sample(index).matrix for index in range(count)])
+
+
+class TestConditioningLayouts:
+    """``_condition`` reads a stack through its float view. Layouts that no
+    sampled chunk has give each state the bits it has alone, as a bare
+    C-contiguous (D, D) matrix; ``TestConditioningIsBitwise`` ties those to
+    the dense products of ``matmul_branches``."""
+
+    @staticmethod
+    def layouts(stack: np.ndarray) -> dict:
+        mixed = 0.25 * stack + 0.75 * stack[::-1]
+        wide = np.zeros(stack.shape[:-1] + (2 * stack.shape[-1],), dtype=complex)
+        wide[..., ::2] = stack
+        return {
+            "strided slice": stack[::2],
+            "transposed members": np.ascontiguousarray(stack.swapaxes(-1, -2)).swapaxes(-1, -2),
+            "fortran stack": np.asfortranarray(stack),
+            "every other column of a wider stack": wide[..., ::2],
+            "3 x n, as the mixing suite": np.stack([stack, stack[::-1], mixed]),
+            "bare fortran matrix": np.asfortranarray(stack[1]),
+        }
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_every_layout_gives_each_state_its_bits(self, nqubits):
+        stack = sample_stack(nqubits, 7)
+        for name, matrices in self.layouts(stack).items():
+            cond = _condition(matrices)
+            lead = matrices.shape[:-2]
+            assert cond.prob.shape == lead + (3, 2) + ((3, 2) if nqubits == 3 else ())
+            for index in np.ndindex(lead):
+                alone = _condition(np.array(matrices[index]))
+                member = [None if f is None else f[index].tobytes() for f in cond]
+                assert member == condition_fields(alone), (name, index)
+
+
+@pytest.mark.parametrize("nqubits", [2, 3])
+def test_nan_in_any_part_of_any_entry_raises_or_is_never_read(nqubits):
+    """NaN in the real or the imaginary part of any entry of one member of a
+    stack (32 positions on two qubits, 128 on three) raises
+    ``ConsistencyError``, or, in a position no branch reads, leaves every
+    output bit as it is in the clean stack: it never becomes numbers."""
+    stack = sample_stack(nqubits, 3)
+    clean = condition_fields(_condition(stack))
+    positions = 2 * stack[1].size
+    raised = 0
+    for position in range(positions):
+        poisoned = stack.copy()
+        poisoned[1].view(float).reshape(-1)[position] = np.nan
+        try:
+            cond = _condition(poisoned)
+        except ConsistencyError:
+            raised += 1
+            continue
+        assert condition_fields(cond) == clean, position
+    assert positions == {2: 32, 3: 128}[nqubits]
+    assert raised > 0
+
+
+FINITE = st.floats(-2.0, 2.0)
+
+
+@given(FINITE, FINITE, st.floats(ZERO_PROBABILITY, 2.0))
+@settings(max_examples=500, derandomize=True, deadline=None)
+def test_complex_division_by_a_probability_is_a_product_with_its_inverse(re, im, p):
+    """numpy divides a complex k by p + 0j as (k.re + k.im * 0.0, k.im -
+    k.re * 0.0) times 1.0 / p, signed zeros included, so each nonzero part
+    is that part times 1.0 / p: the product ``_alice`` takes in place of
+    ``matmul_branches``' division of Bob's branch by its probability. A
+    numpy whose complex division rounds otherwise fails here."""
+    quotient = (np.array([complex(re, im)]) / np.array([p])).view(float)
+    inverse = 1.0 / p
+    expected = [(re + im * 0.0) * inverse, (im - re * 0.0) * inverse]
+    assert [v.hex() for v in quotient.tolist()] == [v.hex() for v in expected]
+    for part, value in zip(quotient.tolist(), (re, im)):
+        if value != 0.0:
+            assert part.hex() == (value * inverse).hex()
