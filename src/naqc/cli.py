@@ -74,44 +74,6 @@ def fmt(x: float) -> str:
     return f"{float(x):.14e}"
 
 
-def _vector_str(x: np.ndarray) -> str:
-    """``np.array2string(x, precision=12)`` of a 1-D float vector of finite
-    values short enough for one line (3 values always are), without
-    ``array2string``'s per-call set-up.
-
-    It follows numpy's ``FloatingFormat`` in its default ``maxprec`` mode. A
-    first pass prints each value to at most 12 digits with trailing zeros
-    trimmed, the second pads them to one width: positional notation pads
-    with spaces only, so it reuses the first pass; scientific notation (a
-    nonzero magnitude below 1e-4 or from 1e8 on, or a max/min ratio above
-    1e3) gives every value as many fraction digits as the longest and its
-    exponent as many digits as the widest, which ``format_float_scientific``
-    prints again.
-    """
-    values = [float(v) for v in x]
-    magnitudes = [abs(v) for v in values if v != 0.0]
-    if magnitudes and (
-        max(magnitudes) >= 1e8 or min(magnitudes) < 1e-4 or max(magnitudes) / min(magnitudes) > 1e3
-    ):
-        parts = [np.format_float_scientific(v, precision=12, trim=".").split("e") for v in values]
-        pad_left = max(mantissa.index(".") for mantissa, _ in parts)
-        digits = max(len(mantissa) - mantissa.index(".") - 1 for mantissa, _ in parts)
-        exp_digits = max(len(exponent) for _, exponent in parts) - 1
-        words = [
-            np.format_float_scientific(
-                v, precision=digits, min_digits=digits, trim="k",
-                pad_left=pad_left, exp_digits=exp_digits,
-            )
-            for v in values
-        ]  # fmt: skip
-    else:
-        strs = [np.format_float_positional(v, precision=12, trim=".") for v in values]
-        pad_left = max(s.index(".") for s in strs)
-        width = pad_left + 1 + max(len(s) - s.index(".") - 1 for s in strs)
-        words = [s.rjust(pad_left + len(s) - s.index(".")).ljust(width) for s in strs]
-    return "[" + " ".join(words) + "]"
-
-
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -224,19 +186,20 @@ def render_tripartite_report(report: TripartiteReport) -> list[str]:
     ]
 
 
+_REPORTS = {
+    2: (steering_report, render_steering_report),
+    3: (tripartite_report, render_tripartite_report),
+}
+
+
 def evaluate_lines(rho: DensityMatrix, measures: list[Measure]) -> list[str]:
-    if rho.nqubits == 2:
-        reports = [steering_report(rho, m) for m in measures]
-        renderer = render_steering_report
-    elif rho.nqubits == 3:
-        reports = [tripartite_report(rho, m) for m in measures]
-        renderer = render_tripartite_report
-    else:
+    if rho.nqubits not in _REPORTS:
         raise NotAStateError("evaluate needs a 2- or 3-qubit state")
+    report, renderer = _REPORTS[rho.nqubits]
     lines = [f"nqubits: {rho.nqubits}"]
-    for report in reports:
+    for m in measures:
         lines.append("")
-        lines.extend(renderer(report))
+        lines.extend(renderer(report(rho, m)))
     return lines
 
 
@@ -323,6 +286,14 @@ def _sampled(nqubits: int, master_seed: int, count: int):
     return ((idx, _samples(nqubits, master_seed, idx)) for idx in _chunks(range(count)))
 
 
+def _check_run(samples: int, seed: int) -> None:
+    """Raise ``ValueError`` unless a sampling command's count and seed are usable."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def cmd_search(args) -> int:
     nqubits = args.nqubits
     if args.criterion not in CRITERIA[nqubits]:
@@ -330,10 +301,7 @@ def cmd_search(args) -> int:
             f"criterion {args.criterion!r} is not valid for {nqubits} qubits; "
             f"choose from {tuple(CRITERIA[nqubits])}"
         )
-    if args.samples < 1:
-        raise ValueError(f"samples must be at least 1, got {args.samples}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
+    _check_run(args.samples, args.seed)
     measure = Measure(args.measure)
     best = None
     for indices, matrices in _sampled(nqubits, args.seed, args.samples):
@@ -357,10 +325,8 @@ def cmd_search(args) -> int:
     print(f"reproduce with: numpy SeedSequence([{args.seed}, {best_index}])")
     if nqubits == 2:
         R = _pauli_tensor(best_matrix)  # validated with its chunk
-        print(f"best state r: {_vector_str(R[1:, 0])}")
-        print(f"best state s: {_vector_str(R[0, 1:])}")
-        for i, row in enumerate(R[1:, 1:]):
-            print(f"best state T[{i}]: {_vector_str(row)}")
+        for label, row in zip(("r", "s", "T[0]", "T[1]", "T[2]"), (R[1:, 0], R[0, 1:], *R[1:, 1:])):
+            print(f"best state {label}: {' '.join(map(fmt, row))}")
     return EXIT_OK
 
 
@@ -457,10 +423,7 @@ def cmd_check(args) -> int:
         raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     suite, default_samples = SUITES[args.suite]
     samples = default_samples if args.samples is None else args.samples
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
+    _check_run(samples, args.seed)
     lines, passed = suite(args.seed, samples)
     print(f"suite: {args.suite}")
     print(f"samples: {samples}")

@@ -131,11 +131,15 @@ def _pairwise(a: np.ndarray) -> np.ndarray:
 
 
 def _branches(matrices: np.ndarray, index, sign, diagonal: list):
-    """The reals of a ``_table`` of every outcome of a ``(..., N, N)`` stack,
-    unnormalized, shape (..., E, 6); the probabilities, shape (..., 6), the
-    ``diagonal`` entries added pairwise, 0.0 where dropped (below
-    ZERO_PROBABILITY); and the dropped mask. A NaN or infinite probability
-    raises ``ConsistencyError``."""
+    """The E reals of a ``_table`` of every outcome of a ``(..., N, N)``
+    stack, each branch's times 1.0 / p, shape (..., 6, E), and the
+    probabilities p, the ``diagonal`` reals added pairwise, shape (..., 3,
+    2). A dropped branch (p below ZERO_PROBABILITY) has p = 0.0 and zero
+    reals. A NaN or infinite probability raises ``ConsistencyError``.
+
+    The product has the bits of a division by p + 0j but for the sign of
+    some -0.0 parts: with x > 0, -x - 0j and -0.0 + xj keep theirs, which
+    the division turns to +0.0. No coherence measure reads that sign."""
     flat = np.ascontiguousarray(matrices).reshape(matrices.shape[:-2] + (-1,)).view(float)
     terms = np.take(flat, index, axis=-1)
     terms *= sign
@@ -144,7 +148,11 @@ def _branches(matrices: np.ndarray, index, sign, diagonal: list):
     if not math.isfinite(top := probs.max()):  # before the division, which would warn
         raise ConsistencyError(f"outcome probability {top:.15g} is not finite")
     dropped = probs < ZERO_PROBABILITY
-    return values, np.where(dropped, 0.0, probs), dropped
+    inverse = 1.0 / np.where(dropped, 1.0, probs)
+    # outcome-major, so each branch's reals are contiguous
+    scaled = np.multiply(values.swapaxes(-1, -2), inverse[..., None], order="C")
+    np.copyto(scaled, 0.0, where=dropped[..., None])
+    return scaled, np.where(dropped, 0.0, probs).reshape(probs.shape[:-1] + (3, 2))
 
 
 def _charlie(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,15 +162,11 @@ def _charlie(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dropped outcome has probability 0.0 and the zero matrix.
 
     p adds the AB diagonal as (k0 + k2) + (k1 + k3), and each AB state is
-    its 32 reals of ``_CHARLIE`` viewed as complex and divided by p (as p +
-    0j): the bits of kron(I4, P) @ rho @ kron(I4, P), its trace and its
-    partial trace over Charlie, divided by the trace."""
-    values, probs, dropped = _branches(matrices, *_CHARLIE, [0, 10, 20, 30])
-    ab = np.ascontiguousarray(values.swapaxes(-1, -2)).view(complex)
-    ab = ab.reshape(ab.shape[:-1] + (4, 4)) / np.where(dropped, 1.0, probs)[..., None, None]
-    np.copyto(ab, 0.0, where=dropped[..., None, None])
-    lead = matrices.shape[:-2]
-    return probs.reshape(lead + (3, 2)), ab.reshape(lead + (3, 2, 4, 4))
+    its 32 reals of ``_CHARLIE`` times 1.0 / p viewed as complex: the bits
+    of kron(I4, P) @ rho @ kron(I4, P), its trace and its partial trace over
+    Charlie, divided by the trace, up to ``_branches``' signed zeros."""
+    values, probs = _branches(matrices, *_CHARLIE, [0, 10, 20, 30])
+    return probs, values.view(complex).reshape(probs.shape + (4, 4))
 
 
 def _alice(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,15 +176,13 @@ def _alice(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     p = K00.re + K11.re of Bob's branch K = Tr_A[P rho], and b = (2 K01.re,
     2 K10.im, K00.re - K11.re) of K times 1.0 / p: the bits of dividing K
-    by p + 0j and reading b off it as ``qcore._bloch_vector`` does."""
-    values, probs, dropped = _branches(matrices, *_ALICE, [0, 1])
-    values *= (1.0 / np.where(dropped, 1.0, probs))[..., None, :]
-    rows = np.empty(values.shape[:-2] + (6, 3)).swapaxes(-1, -2)  # b along the outcomes
-    np.multiply(values[..., 2:, :], 2.0, out=rows[..., :2, :])
-    np.subtract(values[..., 0, :], values[..., 1, :], out=rows[..., 2, :])
-    np.copyto(rows, 0.0, where=dropped[..., None, :])
-    lead = matrices.shape[:-2]
-    return probs.reshape(lead + (3, 2)), rows.swapaxes(-1, -2).reshape(lead + (3, 2, 3))
+    by p + 0j and reading b off it as ``qcore._bloch_vector`` does, up to
+    ``_branches``' signed zeros."""
+    values, probs = _branches(matrices, *_ALICE, [0, 1])
+    bloch = np.empty(values.shape[:-1] + (3,))
+    np.multiply(values[..., 2:], 2.0, out=bloch[..., :2])
+    np.subtract(values[..., 0], values[..., 1], out=bloch[..., 2])
+    return probs, bloch.reshape(probs.shape + (3,))
 
 
 class _Conditioning(NamedTuple):
@@ -201,16 +203,16 @@ class _Conditioning(NamedTuple):
     norm: np.ndarray
 
 
-def _condition(matrices: np.ndarray, charlie: np.ndarray | None = None) -> _Conditioning:
+def _condition(matrices: np.ndarray) -> _Conditioning:
     """Condition a ``(..., 4, 4)`` or ``(..., 8, 8)`` stack of valid states.
 
     Three-qubit states are conditioned on Charlie's outcomes first
-    (``_charlie``), and his conditional AB states, with ``charlie`` their
-    probabilities, on Alice's (``_alice``) like any two-qubit stack. Each
-    stage gathers the reals its branches need from the float view of its
-    stack with the roundings of the dense products kron(P, I) @ rho @
-    kron(P, I), so the probabilities and Bob's Bloch vectors have their
-    bits, and each norm is ``_norm``'s, as in ``BlochQubit``.
+    (``_charlie``), and his conditional AB states on Alice's (``_alice``)
+    like any two-qubit stack. Each stage gathers the reals its branches
+    need from the float view of its stack with the roundings of the dense
+    products kron(P, I) @ rho @ kron(P, I), so the probabilities and Bob's
+    Bloch vectors have their bits, and each norm is ``_norm``'s, as in
+    ``BlochQubit``.
 
     A branch reached with probability w (Alice's p, times Charlie's on three
     qubits) holds w * rho_B, a compression of the state, whose eigenvalues
@@ -218,9 +220,9 @@ def _condition(matrices: np.ndarray, charlie: np.ndarray | None = None) -> _Cond
     holds the whole stack to w * (|b| - 1) <= BLOCH_NORM_TOL and raises
     ``ConsistencyError`` on a breach or on NaN.
     """
+    charlie = None
     if matrices.shape[-1] == 8:
-        charlie, ab = _charlie(matrices)
-        return _condition(ab, charlie)
+        charlie, matrices = _charlie(matrices)
     prob, bloch = _alice(matrices)
     norm = _norm(bloch)
     weight = prob if charlie is None else charlie[..., None, None] * prob

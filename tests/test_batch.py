@@ -460,10 +460,8 @@ class TestStackedGuards:
         pass scores all three measures, and nothing is memoized."""
         condition = steering._condition
 
-        def poisoned(matrices, charlie=None):
-            cond = condition(matrices, charlie)
-            if charlie is not None:  # Charlie's AB states, inside the outer call
-                return cond
+        def poisoned(matrices):
+            cond = condition(matrices)
             values = getattr(cond, field).copy()
             values.flat[5] = np.nan
             return cond._replace(**{field: values})

@@ -12,8 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import naqc
 from naqc import cli, qcore, steering
@@ -31,7 +29,7 @@ from naqc.cli import (
 )
 from naqc.coherence import Measure
 from naqc.qcore import NotAStateError
-from naqc.states import bell, maximally_mixed, pure_alpha, random_mixed, random_pure
+from naqc.states import bell, maximally_mixed, pure_alpha, random_mixed, random_pure, to_bloch
 from naqc.steering import CRITERIA, steering_report, tripartite_report
 
 SCI_NUMBER = re.compile(r"^-?\d\.\d{14}e[+-]\d{2,3}$")
@@ -459,7 +457,9 @@ class TestSearch:
         self, capsys, nqubits, criterion, measure, seed
     ):
         """The printed best sample is state K of the public samplers seeded
-        with ``SeedSequence([seed, K])``: pure at even K, full-rank at odd K."""
+        with ``SeedSequence([seed, K])``: pure at even K, full-rank at odd K.
+        On two qubits the best-state rows are the ``fmt`` words of its
+        ``to_bloch`` (r, s, T), and every word parses as a float."""
         args = [
             "search", "--nqubits", str(nqubits), "--criterion", criterion,
             "--measure", measure, "--samples", "40", "--seed", str(seed),
@@ -475,9 +475,17 @@ class TestSearch:
             rho = random_mixed(nqubits, 2**nqubits, ss)
         if nqubits == 3:
             result = getattr(tripartite_report(rho, Measure(measure)), criterion)
+            assert "best state" not in out
         else:
             report = steering_report(rho, Measure(measure))
             result = report.triple if criterion == "triple" else dict(report.doubles)[(1, 2)]
+            bloch = to_bloch(rho)
+            rows = [("r", bloch.r), ("s", bloch.s)]
+            rows += [(f"T[{i}]", row) for i, row in enumerate(bloch.T)]
+            printed = re.findall(r"^best state (\S+): (.*)$", out, re.M)
+            assert printed == [(label, " ".join(map(fmt, row))) for label, row in rows]
+            for _, words in printed:
+                assert len([float(word) for word in words.split(" ")]) == 3
         violated = "yes" if result.violated else "no"
         assert (
             f"\nmax value: {fmt(result.value)}\nbound: {fmt(result.bound)}\n"
@@ -513,8 +521,8 @@ class TestSearch:
 
     def test_each_chunk_is_validated_once_and_nothing_after(self, monkeypatch, capsys):
         """The best state is printed from its validated chunk: no second
-        validation, no ``DensityMatrix`` and no ``np.array2string``."""
-        validated, built, formatted = [], [], []
+        validation and no ``DensityMatrix``."""
+        validated, built = [], []
         validate = qcore._validate
         init = qcore.DensityMatrix.__init__
 
@@ -529,7 +537,6 @@ class TestSearch:
         for module in (qcore, cli, steering):
             monkeypatch.setattr(module, "_validate", counting_validate, raising=False)
         monkeypatch.setattr(qcore.DensityMatrix, "__init__", counting_init)
-        monkeypatch.setattr(np, "array2string", lambda *a, **k: formatted.append(a))
         monkeypatch.setattr(cli, "CHUNK", 64)
         argv = [
             "search", "--nqubits", "2", "--criterion", "double12",
@@ -537,69 +544,8 @@ class TestSearch:
         ]  # fmt: skip
         assert main(argv) == EXIT_OK
         assert validated == [(64, 4, 4), (64, 4, 4), (22, 4, 4)]
-        assert built == [] and formatted == []
+        assert built == []
         assert capsys.readouterr().out.count("best state ") == 5
-
-
-# the ends of positional notation: a magnitude below 1e-4 or from 1e8 on,
-# or a max/min ratio above 1e3, switches to scientific
-NEAR_CUTOFFS = [
-    [1e-4, 0.05, 0.0999],
-    [np.nextafter(1e-4, 0.0), 0.05, 0.0999],
-    [1e-4, 0.1, -0.05],
-    [1e-4, np.nextafter(0.1, 1.0), 0.05],
-    [0.25, 250.0, -1.0],
-    [0.25, np.nextafter(250.0, 300.0), -1.0],
-    [np.nextafter(1e8, 0.0), 1e7, 2e5],
-    [1e8, 1e7, 2e5],
-]
-VECTORS = [
-    [0.0, 0.0, 0.0],
-    [-0.0, 0.0, -0.0],
-    [-0.0, 0.5, 0.0],
-    [1.0, -1.0, 1.0],
-    [-1.0, -1.0, -1.0],
-    [1.0, 0.0, -0.0],
-    *NEAR_CUTOFFS,
-    [1e-5, 1e-100, 0.5],  # exponents of two and three digits
-    [-1e-5, 1e-100, 1e100],
-    [5e-324, 1e-310, 0.123456789012],  # subnormals print digits beyond their shortest repr
-    [0.1234567890125, -0.1234567890135, 0.9999999999995],  # round at the 12th digit
-    [0.9999999999999, -0.4999999999999, 1e-13],
-    [0.1234567890125, 1.2345678901249e-5, 0.5],
-    [1 / 3, -2 / 3, 0.1],
-]
-
-
-class TestVectorStr:
-    """``cli._vector_str`` prints exactly what ``np.array2string(x,
-    precision=12)`` prints for search's best state."""
-
-    @pytest.mark.parametrize("values", VECTORS)
-    def test_known_cases(self, values):
-        x = np.array(values, dtype=float)
-        assert cli._vector_str(x) == np.array2string(x, precision=12)
-
-    @pytest.mark.parametrize("values", [[0.5, 0.25], [1e-7], [-2.0, 1e-9, 3.0, 0.125]])
-    def test_other_lengths(self, values):
-        x = np.array(values, dtype=float)
-        assert cli._vector_str(x) == np.array2string(x, precision=12)
-
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3))
-    @settings(max_examples=2000, derandomize=True, deadline=None)
-    def test_any_finite_vector(self, values):
-        x = np.array(values, dtype=float)
-        assert cli._vector_str(x) == np.array2string(x, precision=12)
-
-    @given(
-        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
-        st.lists(st.integers(-6, 1), min_size=3, max_size=3),
-    )
-    @settings(max_examples=1000, derandomize=True, deadline=None)
-    def test_bloch_sized_vectors(self, values, exponents):
-        """Entries of r, s and T, at magnitudes around the two cutoffs."""
-        x = np.array(values) * 10.0 ** np.array(exponents, dtype=float)
-        assert cli._vector_str(x) == np.array2string(x, precision=12)
 
 
 class TestCheck:

@@ -1027,8 +1027,9 @@ def stacked_branches(rho: DensityMatrix) -> list:
 
 class TestConditioningIsBitwise:
     """The stacked conditioning pass reproduces the dense matrix products bit
-    for bit, signed zeros included, on Ginibre states of every rank, the
-    three family grids and states with zero-probability branches."""
+    for bit, signed zeros included, on complex and real Ginibre states of
+    every rank, the three family grids, a|000> - b|111> and states with
+    zero-probability branches."""
 
     FAMILY_GRID = [k / 100 for k in range(101)]
 
@@ -1045,6 +1046,43 @@ class TestConditioningIsBitwise:
         for x in self.FAMILY_GRID:
             rho = family(x)
             assert stacked_branches(rho) == matmul_branches(rho)
+
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_real_ginibre_states_of_every_rank(self, nqubits):
+        """G G^T of a real G: real entries of both signs."""
+        dim = 2**nqubits
+        for rank in range(1, dim + 1):
+            for index in range(80 // dim):
+                g = np.random.default_rng([9701, nqubits, rank, index]).standard_normal((dim, rank))
+                mat = g @ g.T
+                rho = DensityMatrix((mat / np.trace(mat)).astype(complex))
+                assert stacked_branches(rho) == matmul_branches(rho)
+
+    def test_real_ghz_with_a_negative_amplitude(self):
+        """a|000> - b|111>, whose entry (0, 7) is -ab with imaginary part
+        -0.0, the part that dividing by p + 0j would turn to +0.0."""
+        for x in self.FAMILY_GRID:
+            vec = np.zeros(8, dtype=complex)
+            vec[0], vec[7] = math.sqrt(x), -math.sqrt(1.0 - x)
+            rho = DensityMatrix(np.outer(vec, vec.conj()))
+            assert stacked_branches(rho) == matmul_branches(rho)
+
+    def test_real_pure_states_differ_at_most_in_the_sign_of_a_zero(self):
+        """np.outer(psi, psi.conj()) of a real psi holds -0.0 imaginary parts
+        beside negative real ones. A branch entry such as -x - 0j keeps its
+        -0.0 times 1.0 / p, where ``matmul_branches``' division by p + 0j
+        gives +0.0: the one way the two may differ, and no value does."""
+
+        def values(branches):
+            return [[float.fromhex(h) for h in [p] + (state or [])] for p, state in branches]
+
+        for nqubits in (2, 3):
+            rng = np.random.default_rng([9702, nqubits])
+            for _ in range(100):
+                psi = rng.standard_normal(2**nqubits)
+                psi = (psi / np.linalg.norm(psi)).astype(complex)
+                rho = DensityMatrix(np.outer(psi, psi.conj()))
+                assert values(stacked_branches(rho)) == values(matmul_branches(rho))
 
     def test_zero_probability_states(self):
         plus = np.full((2, 2), 0.5, dtype=complex)
@@ -1200,8 +1238,8 @@ FINITE = st.floats(-2.0, 2.0)
 def test_complex_division_by_a_probability_is_a_product_with_its_inverse(re, im, p):
     """numpy divides a complex k by p + 0j as (k.re + k.im * 0.0, k.im -
     k.re * 0.0) times 1.0 / p, signed zeros included, so each nonzero part
-    is that part times 1.0 / p: the product ``_alice`` takes in place of
-    ``matmul_branches``' division of Bob's branch by its probability. A
+    is that part times 1.0 / p: the product ``_branches`` takes in place of
+    ``matmul_branches``' division of a branch by its probability. A
     numpy whose complex division rounds otherwise fails here."""
     quotient = (np.array([complex(re, im)]) / np.array([p])).view(float)
     inverse = 1.0 / p
