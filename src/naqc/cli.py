@@ -333,53 +333,59 @@ def cmd_search(args) -> int:
 SuiteResult = tuple[list[str], bool]  # (lines, passed)
 
 
-def _suite_coherence_complementarity(seed: int, samples: int) -> SuiteResult:
+def _bloch_totals(seed: int, samples: int, measures: tuple):
+    """Per chunk of qubit draws: each measure's triple sums, and 0.0, as a
+    qubit has no second quantity to check."""
     rng = np.random.default_rng(seed)
-    worst = {m: np.inf for m in Measure}
     for indices in _chunks(range(samples)):
         r = np.stack([random_bloch_qubit_vector(rng) for _ in indices])
         norm = _norm(r)
         _check_bound("Bloch vector norm", norm, 1.0, BLOCH_NORM_TOL, NotAStateError)
-        for m in Measure:
-            total = CoherenceTriple._totals(m.evaluate(r, norm), m)
-            worst[m] = min(worst[m], float(np.min(m.epsilon - total)))
-    lines = [f"measure {m.value}: worst margin {fmt(worst[m])}" for m in Measure]
-    return lines, all(worst[m] >= -1e-9 for m in Measure)
+        yield np.stack([CoherenceTriple._totals(m.evaluate(r, norm), m) for m in measures]), 0.0
 
 
-def _suite_bipartite_complementarity(seed: int, samples: int) -> SuiteResult:
-    measures = tuple(Measure)
-    bound = _bounds(measures, 2)[0][:, None]  # the triple's, 3 * epsilon as in _criteria
-    worst = np.full(len(measures), np.inf)
-    worst_spread = 0.0
+def _shift_totals(seed: int, samples: int, measures: tuple):
+    """Per chunk of two-qubit samples: each measure's shift totals, and the
+    spread of the decompositions of the triple criterion."""
     for _, matrices in _sampled(2, seed, samples):
         s, total = _shifts(_condition(matrices), measures)
-        np.minimum(worst, (bound - total).min(axis=1), out=worst)  # _criteria's margin
         groupings = [value for _, value in _decompositions(*np.moveaxis(s, -1, 0))]
-        spread = np.max(groupings, axis=0) - np.min(groupings, axis=0)
-        worst_spread = max(worst_spread, float(spread.max()))
-    lines = [f"measure {m.value}: worst margin {fmt(w)}" for m, w in zip(measures, worst)]
-    lines.append(f"worst decomposition spread: {fmt(worst_spread)}")
-    return lines, bool(worst.min() >= -1e-9) and worst_spread <= 1e-12
+        yield total, np.max(groupings, axis=0) - np.min(groupings, axis=0)
 
 
-def _suite_tripartite_complementarity(seed: int, samples: int) -> SuiteResult:
-    measures = tuple(Measure)
-    bound = _bounds(measures, 3)[0][:, None]  # t3's, 9 * epsilon as in _criteria
-    worst = np.full(len(measures), np.inf)
-    worst_gap = 0.0
+def _t3_totals(seed: int, samples: int, measures: tuple):
+    """Per chunk of three-qubit samples: each measure's t3, and |t3 - (t1 + t2)|."""
     for _, matrices in _sampled(3, seed, samples):
         cond = _condition(matrices)
         shifts = _shifts(cond, measures)
-        t = _tripartite(cond, measures, shifts)
-        np.minimum(worst, (bound - t[..., 2]).min(axis=1), out=worst)  # _criteria's margin
+        t3 = _tripartite(cond, measures, shifts)[..., 2]
         # t1 + t2 added the other way round: Charlie's outcomes weighting
         # the shift totals of his AB states, not t1 and t2 term by term
-        added = (cond.charlie * shifts[1]).sum(axis=(-2, -1))
-        worst_gap = max(worst_gap, float(np.abs(t[..., 2] - added).max()))
+        yield t3, np.abs(t3 - (cond.charlie * shifts[1]).sum(axis=(-2, -1)))
+
+
+# per qubit count n: the chunks of totals whose sums the suite holds to
+# 3 ** (n - 1) * epsilon, and the name of the second quantity it holds to 1e-12
+_COMPLEMENTARITY = {
+    1: (_bloch_totals, None),
+    2: (_shift_totals, "decomposition spread"),
+    3: (_t3_totals, "|t3 - (t1 + t2)|"),
+}
+
+
+def _suite_complementarity(nqubits: int, seed: int, samples: int) -> SuiteResult:
+    totals, second_name = _COMPLEMENTARITY[nqubits]
+    measures = tuple(Measure)
+    bound = _bounds(measures, nqubits)[0][:, None]  # 3 ** (n - 1) * epsilon, as in _criteria
+    worst = np.full(len(measures), np.inf)
+    worst_second = 0.0
+    for total, second in totals(seed, samples, measures):
+        np.minimum(worst, (bound - total).min(axis=1), out=worst)  # _criteria's margin
+        worst_second = max(worst_second, float(np.max(second)))
     lines = [f"measure {m.value}: worst margin {fmt(w)}" for m, w in zip(measures, worst)]
-    lines.append(f"worst |t3 - (t1 + t2)|: {fmt(worst_gap)}")
-    return lines, bool(worst.min() >= -1e-9) and worst_gap <= 1e-12
+    if second_name is not None:
+        lines.append(f"worst {second_name}: {fmt(worst_second)}")
+    return lines, bool(worst.min() >= -1e-9) and worst_second <= 1e-12
 
 
 def _suite_no_signalling(seed: int, samples: int) -> SuiteResult:
@@ -410,9 +416,9 @@ def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
 
 # each suite and its default sample count
 SUITES = {
-    "coherence-complementarity": (_suite_coherence_complementarity, 10_000),
-    "bipartite-complementarity": (_suite_bipartite_complementarity, 10_000),
-    "tripartite-complementarity": (_suite_tripartite_complementarity, 1_000),
+    "coherence-complementarity": (functools.partial(_suite_complementarity, 1), 10_000),
+    "bipartite-complementarity": (functools.partial(_suite_complementarity, 2), 10_000),
+    "tripartite-complementarity": (functools.partial(_suite_complementarity, 3), 1_000),
     "no-signalling": (_suite_no_signalling, 1_000),
     "mixing-monotonicity": (_suite_mixing_monotonicity, 1_000),
 }

@@ -40,6 +40,7 @@ from .qcore import (
 )
 
 __all__ = [
+    "BOUND_TOL",
     "EPSILON_L1",
     "EPSILON_RELENT",
     "EPSILON_SKEW",

@@ -7,6 +7,7 @@ import importlib
 import numpy as np
 import pytest
 
+import naqc
 from naqc.qcore import (
     BLOCH_NORM_TOL,
     BlochQubit,
@@ -423,3 +424,16 @@ def test_every_exported_name_resolves(module):
     assert len(set(mod.__all__)) == len(mod.__all__)
     for name in mod.__all__:
         assert hasattr(mod, name), f"{module}.__all__ names missing {name!r}"
+
+
+def test_the_package_exports_each_module_name_once():
+    """``naqc.__all__`` is ``__version__`` and the modules' lists, in order,
+    and each name is its module's object."""
+    modules = [naqc.coherence, naqc.qcore, naqc.states, naqc.steering]
+    expected = ["__version__"] + [name for mod in modules for name in mod.__all__]
+    assert naqc.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(naqc, name) is getattr(mod, name), f"{mod.__name__}.{name}"
+    assert "BOUND_TOL" in naqc.coherence.__all__ and "BOUND_TOL" not in naqc.steering.__all__

@@ -93,7 +93,7 @@ def test_suite_margins_are_the_criteria_margins(seed, samples, monkeypatch):
             t3 = _criteria(3, t_m.T, measure)["t3"]
             worst[measure] = min(worst[measure], float((t3.bound - t3.value).min()))
     monkeypatch.setattr(cli, "fmt", lambda x: float(x).hex())
-    lines, passed = cli._suite_tripartite_complementarity(seed, samples)
+    lines, passed = cli.SUITES["tripartite-complementarity"][0](seed, samples)
     assert passed is True
     assert lines[:3] == [f"measure {m.value}: worst margin {worst[m].hex()}" for m in ALL]
 

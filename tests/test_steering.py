@@ -490,6 +490,21 @@ class TestTripartite:
             assert report.t2.bound == pytest.approx(6 * measure.epsilon)
             assert report.t3.bound == pytest.approx(9 * measure.epsilon)
 
+    def test_ghz_detection_per_measure(self):
+        """On acceptance test 5's 101-point grid of the GHZ family, ``l1``
+        flags no t1, while ``relent`` and ``skew`` flag the family near the
+        symmetric point; no measure flags the product states a = 0, 1."""
+        grid = [k / 100 for k in range(101)]
+        flagged = {
+            m: {a for a in grid if tripartite_report(ghz_alpha(a), m).t1.violated}
+            for m in ALL_MEASURES
+        }
+        assert flagged[Measure.L1] == set()
+        for measure in (Measure.RELATIVE_ENTROPY, Measure.SKEW_INFORMATION):
+            assert {0.6, 0.71} <= flagged[measure]
+        for measure in ALL_MEASURES:
+            assert not flagged[measure] & {0.0, 1.0}
+
 
 class TestRoleOfStateValidation:
     def test_invalid_inputs_rejected_before_conditioning(self):
