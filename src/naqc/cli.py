@@ -39,17 +39,14 @@ from .states import (
 from .steering import (
     CRITERIA,
     CriterionResult,
-    SteeringReport,
-    TripartiteReport,
     _condition,
     _criteria,
     _criterion,
     _decompositions,
     _parts,
+    _row,
     _shifts,
     _tripartite,
-    steering_report,
-    tripartite_report,
 )
 
 EXIT_OK = 0
@@ -150,56 +147,29 @@ def _measures(selector: str) -> list[Measure]:
     return list(Measure) if selector == "all" else [Measure(selector)]
 
 
-def _criterion_lines(labelled: list[tuple[str, CriterionResult]]) -> list[str]:
-    """One line per (label, result); the last criterion holds for every
-    state, so its line says whether it is satisfied, not violated."""
-    lines = []
-    for n, (label, res) in enumerate(labelled, 1):
-        if n < len(labelled):
-            flag = f"violated={_yesno(res.violated)}"
-        else:
-            flag = f"satisfied={_yesno(not res.violated)}"
-        lines.append(f"{label}: value={fmt(res.value)} bound={fmt(res.bound)} {flag}")
-    return lines
-
-
-def render_steering_report(report: SteeringReport) -> list[str]:
-    lines = [f"measure: {report.measure.value}", f"epsilon: {fmt(report.measure.epsilon)}"]
-    lines += [f"s{j}: {fmt(value)}" for j, value in enumerate(report.shift.values)]
-    labelled = [
-        (f"single j={j}" if j == 0 else f"single j={j} (generalized)", res)
-        for j, res in enumerate(report.singles)
-    ]
-    labelled += [(f"double jk={j}{k}", res) for (j, k), res in report.doubles]
-    lines += _criterion_lines(labelled + [("triple", report.triple)])
-    for label, value in report.decompositions:
-        lines.append(f"decomposition {label}: {fmt(value)}")
-    return lines
-
-
-def render_tripartite_report(report: TripartiteReport) -> list[str]:
-    results = (report.t1, report.t2, report.t3)
-    return [
-        f"measure: {report.measure.value}",
-        f"epsilon: {fmt(report.measure.epsilon)}",
-        *_criterion_lines(list(zip(CRITERIA[3], results))),
-    ]
-
-
-_REPORTS = {
-    2: (steering_report, render_steering_report),
-    3: (tripartite_report, render_tripartite_report),
-}
-
-
 def evaluate_lines(rho: DensityMatrix, measures: list[Measure]) -> list[str]:
-    if rho.nqubits not in _REPORTS:
+    """What ``evaluate`` prints: per measure, the shifts of a two-qubit
+    ``rho``, one line per criterion of ``CRITERIA``, by name, and the
+    groupings of the shift total. The last criterion holds for every state,
+    so its line says whether it is satisfied, not violated."""
+    n = rho.nqubits
+    if n not in CRITERIA:
         raise NotAStateError("evaluate needs a 2- or 3-qubit state")
-    report, renderer = _REPORTS[rho.nqubits]
-    lines = [f"nqubits: {rho.nqubits}"]
+    lines = [f"nqubits: {n}"]
     for m in measures:
-        lines.append("")
-        lines.extend(renderer(report(rho, m)))
+        parts = _row(rho, m, n).tolist()
+        lines += ["", f"measure: {m.value}", f"epsilon: {fmt(m.epsilon)}"]
+        if n == 2:
+            lines += [f"s{j}: {fmt(value)}" for j, value in enumerate(parts)]
+        results = _criteria(n, parts, m)
+        for k, (name, res) in enumerate(results.items(), 1):
+            if k < len(results):
+                flag = f"violated={_yesno(res.violated)}"
+            else:
+                flag = f"satisfied={_yesno(not res.violated)}"
+            lines.append(f"{name}: value={fmt(res.value)} bound={fmt(res.bound)} {flag}")
+        if n == 2:
+            lines += [f"decomposition {label}: {fmt(v)}" for label, v in _decompositions(*parts)]
     return lines
 
 
@@ -252,8 +222,11 @@ def cmd_sweep(args) -> int:
             cond = _condition(np.stack([from_family(args.family, {param: x}).matrix for x in xs]))
             c = _criteria(nqubits, _parts(cond, (measure,))[0].T, measure)
             if nqubits == 2:
-                single, double, triple = c["single0"], c["double12"], c["triple"]
-                columns = [single.value, double.value / 2.0, triple.value / 3.0, single.bound]
+                # s_0, then the means (s_1 + s_2) / 2 and (s_0 + s_1 + s_2) / 3:
+                # each criterion over its bound's multiple of epsilon
+                names = ("single0", "double12", "triple")
+                columns = [c[name].value / CRITERIA[2][name][1] for name in names]
+                columns.append(c["single0"].bound)
             else:
                 t1, t2, t3 = c.values()
                 columns = [t1.value, t2.value, t3.value, t1.bound, t3.bound]

@@ -56,11 +56,16 @@ BOUND_TOL = 1e-9  # round-off in a bounded sum, before the Bloch-norm slack (_bo
 _TRANSVERSE = (np.array([1, 0, 0]), np.array([2, 2, 1]))
 
 
+def _entropy(p: np.ndarray) -> np.ndarray:
+    """h2(p) = -p log2 p - (1-p) log2 (1-p) elementwise, with 0 log 0 = 0."""
+    outside = (p <= 0.0) | (p >= 1.0)
+    p = np.where(outside, 0.5, p)
+    return np.where(outside, 0.0, -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
+
+
 def binary_entropy(p: float) -> float:
-    """h2(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
+    """h2(p) of one probability, with the bits of the ``relent`` measure's."""
+    return float(_entropy(p))
 
 
 EPSILON_L1 = math.sqrt(6.0)
@@ -82,13 +87,6 @@ def _l1(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
     where j, k are the two axes other than the measured one. Range [0, 1].
     """
     return np.hypot(r[..., _TRANSVERSE[0]], r[..., _TRANSVERSE[1]])
-
-
-def _entropy(p: np.ndarray) -> np.ndarray:
-    """``binary_entropy`` elementwise."""
-    outside = (p <= 0.0) | (p >= 1.0)
-    p = np.where(outside, 0.5, p)
-    return np.where(outside, 0.0, -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
 
 
 def _relent(r: np.ndarray, norm: np.ndarray) -> np.ndarray:

@@ -107,13 +107,13 @@ def _pauli_tensor(matrix: np.ndarray) -> np.ndarray:
 
 
 def _check_unit_interval(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    """``value`` as a float, if it is an int, a float or a numpy integer or
+    floating scalar in [0, 1]; bools, strings and arrays are not numbers."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return value
+    return float(value)
 
 
 def pure_alpha(alpha: float) -> DensityMatrix:

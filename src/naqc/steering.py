@@ -30,8 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# BOUND_TOL is unused here, and importable from here as from naqc.coherence
-from .coherence import BOUND_TOL, Measure, _Triple, _bounds, _check_measure, _check_totals
+from .coherence import Measure, _Triple, _bounds, _check_measure, _check_totals
 from .qcore import (
     BLOCH_NORM_TOL,
     BlochQubit,

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naqc import cli, steering
-from naqc.coherence import Measure
+from naqc.coherence import BOUND_TOL, Measure
 from naqc.qcore import (
     BlochQubit,
     ConsistencyError,
@@ -42,7 +42,6 @@ from naqc.states import (
     werner,
 )
 from naqc.steering import (
-    BOUND_TOL,
     CRITERIA,
     _condition,
     _criteria,

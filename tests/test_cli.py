@@ -141,7 +141,7 @@ class TestEvaluate:
         assert main(["evaluate", "--state", path, "--measure", "l1"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "nqubits: 2" in out
-        assert re.search(r"double jk=12: .* violated=yes", out)
+        assert re.search(r"double12: .* violated=yes", out)
         assert re.search(r"triple: .* satisfied=yes", out)
 
     def test_three_qubit_dispatch(self, tmp_path, capsys):

@@ -50,6 +50,17 @@ class TestBinaryEntropy:
         assert binary_entropy(0.5) == 1.0
         assert binary_entropy(0.2) == pytest.approx(binary_entropy(0.8), abs=1e-15)
 
+    def test_bits_of_the_relent_measure(self):
+        """At r = (x, 0, 0) the relent value on the z axis is 1 - h2((1 + x)/2):
+        the scalar function and the batch measure agree bit for bit, and
+        EPSILON_RELENT keeps its bits."""
+        x = np.random.default_rng(23).uniform(0, 1, 20_000)
+        r = np.zeros((x.size, 3))
+        r[:, 0] = x
+        scalar = [max(0.0, 1.0 - binary_entropy((1.0 + v) / 2.0)) for v in x.tolist()]
+        assert np.array_equal(scalar, RELENT.evaluate(r, x)[:, 2])
+        assert EPSILON_RELENT.hex() == "0x1.1db2eb16e3235p+1"
+
 
 class TestBounds:
     def test_epsilon_values(self):

@@ -24,6 +24,7 @@ prints the evaluate digest, for a deliberate change of ``EVALUATE_SHA256``.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import tempfile
@@ -31,10 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from naqc.cli import evaluate_lines, main
+from naqc.cli import evaluate_lines, fmt, main
 from naqc.coherence import Measure
 from naqc.states import ghz_alpha, pure_alpha, random_mixed, random_pure, werner
-from naqc.steering import steering_report, tripartite_report
+from naqc.steering import CRITERIA, steering_report, tripartite_report
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SEED = 20240
@@ -54,7 +55,7 @@ CLI_RUNS = {
     "search 3q t1 skew": ["search", "--nqubits", "3", "--criterion", "t1",
                           "--measure", "skew", "--samples", "100", "--seed", "1"],
 }  # fmt: skip
-EVALUATE_SHA256 = "b902e20dc5ec1410f36b072f3a45fc93d9d31359845f36920ea23d64c0a7fce6"
+EVALUATE_SHA256 = "ba08e11f5f4b7e746f5a561debb890d6658c1a56d7c35210de1a002f04fbec95"
 
 
 def random_states(nqubits: int, count: int) -> list:
@@ -172,6 +173,30 @@ def evaluate_digest() -> str:
 
 def test_evaluate_output_matches_its_digest():
     assert evaluate_digest() == EVALUATE_SHA256
+
+
+def test_evaluate_prints_the_criteria_of_the_reports():
+    """``evaluate`` names each criterion as ``CRITERIA`` does, in its order,
+    and prints the value, bound and flag of the matching result of
+    ``steering_report`` (singles, doubles, triple) or ``tripartite_report``;
+    the last criterion's flag reads as ``satisfied``."""
+    yesno = {True: "yes", False: "no"}
+    for nqubits, states in golden_states().items():
+        for rho, measure in itertools.product(states, Measure):
+            lines = [line.split(": ") for line in evaluate_lines(rho, [measure]) if "=" in line]
+            printed = {name: dict(word.split("=") for word in rest.split()) for name, rest in lines}
+            assert list(printed) == list(CRITERIA[nqubits])
+            if nqubits == 2:
+                report = steering_report(rho, measure)
+                results = [*report.singles, *(res for _, res in report.doubles), report.triple]
+            else:
+                report = tripartite_report(rho, measure)
+                results = [report.t1, report.t2, report.t3]
+            for k, (words, res) in enumerate(zip(printed.values(), results), 1):
+                flag = {"violated": yesno[res.violated]}
+                if k == len(results):
+                    flag = {"satisfied": yesno[not res.violated]}
+                assert words == {"value": fmt(res.value), "bound": fmt(res.bound), **flag}
 
 
 def test_outputs_match_golden_bit_for_bit():

@@ -340,6 +340,33 @@ class TestIntegerArguments:
         assert np.array_equal(random_mixed(2, np.int64(3), 7).matrix, random_mixed(2, 3, 7).matrix)
 
 
+class TestFamilyParameters:
+    """Family parameters must be ints, floats or numpy integer or floating
+    scalars: bools, strings, bytes and arrays are refused, not converted."""
+
+    @pytest.mark.parametrize(
+        "make, value",
+        [
+            (pure_alpha, "0.5"),
+            (pure_alpha, b"0.5"),
+            (pure_alpha, "abc"),
+            (pure_alpha, np.array(0.5)),
+            (pure_alpha, None),
+            (werner, True),
+            (werner, [0.5]),
+            (ghz_alpha, np.True_),
+            (lambda p: from_family("werner", {"p": p}), "1e-1"),
+        ],
+    )
+    def test_non_number_is_refused(self, make, value):
+        with pytest.raises(ValueError, match=r"^(alpha|p) must be a number, got "):
+            make(value)
+
+    @pytest.mark.parametrize("value", [1, np.int64(1), np.float32(0.5), np.float64(0.5)])
+    def test_numpy_scalars_and_ints_are_accepted(self, value):
+        assert np.array_equal(werner(value).matrix, werner(float(value)).matrix)
+
+
 class TestFromFamily:
     def test_known_families(self):
         np.testing.assert_allclose(

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naqc import qcore, steering
-from naqc.coherence import CoherenceTriple, Measure, coherence_triple
+from naqc.coherence import BOUND_TOL, CoherenceTriple, Measure, coherence_triple
 from naqc.qcore import (
     BLOCH_NORM_TOL,
     ConsistencyError,
@@ -38,7 +38,6 @@ from naqc.states import (
     werner,
 )
 from naqc.steering import (
-    BOUND_TOL,
     CRITERIA,
     ZERO_PROBABILITY,
     ConditionalBranch,
