@@ -12,7 +12,7 @@ satisfied.
 
 import numpy as np
 
-from naqc import Measure, bell, maximally_mixed, steering_report, werner
+from naqc import CRITERIA, Measure, bell, maximally_mixed, steering_report, werner
 
 
 def show_report(label, rho, measure):
@@ -21,14 +21,12 @@ def show_report(label, rho, measure):
     s = report.shift.values
     print(f"\n{label}  (measure: {measure.value}, eps = {eps:.6f})")
     print(f"  shift values: s0={s[0]:.6f}  s1={s[1]:.6f}  s2={s[2]:.6f}")
-    for j, res in enumerate(report.singles):
+    results = [*report.singles, *(res for _, res in report.doubles)]
+    for name, res in zip(CRITERIA[2], results):
         mark = "VIOLATED" if res.violated else "ok"
-        print(f"  single j={j}:   {res.value:.6f}  vs  {res.bound:.6f}   {mark}")
-    for (j, k), res in report.doubles:
-        mark = "VIOLATED" if res.violated else "ok"
-        print(f"  double ({j},{k}): {res.value:.6f}  vs  {res.bound:.6f}   {mark}")
+        print(f"  {name + ':':<10} {res.value:.6f}  vs  {res.bound:.6f}   {mark}")
     t = report.triple
-    print(f"  triple:       {t.value:.6f}  vs  {t.bound:.6f}   always satisfied")
+    print(f"  triple:    {t.value:.6f}  vs  {t.bound:.6f}   always satisfied")
     return report
 
 
@@ -45,7 +43,7 @@ print("\n" + "=" * 64)
 print("  WERNER FAMILY: WHERE DOES THE VIOLATION SET IN?")
 print("=" * 64)
 print("\nFor p |bell><bell| + (1-p) I/4 the shift values are (0, 3p, 3p),")
-print("so the double (1,2) criterion is violated when 6p > 2 sqrt 6,")
+print("so the double12 criterion is violated when 6p > 2 sqrt 6,")
 print(f"i.e. for p > {np.sqrt(6) / 3:.6f}.")
 print("\n  p      s1+s2    bound    violated")
 for p in (0.5, 0.7, 0.8, 0.817, 0.9, 1.0):
@@ -61,6 +59,6 @@ for measure in Measure:
     report = steering_report(bell(), measure)
     double_12 = dict(report.doubles)[(1, 2)]
     print(
-        f"  {measure.value:>6}: double (1,2) = {double_12.value:.4f} vs "
+        f"  {measure.value:>6}: double12 = {double_12.value:.4f} vs "
         f"{double_12.bound:.4f} -> {'violated' if double_12.violated else 'ok'}"
     )

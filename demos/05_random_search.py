@@ -37,7 +37,7 @@ for index in range(SAMPLES):
         best_value, best_index = value, index
 
 print(f"samples: {SAMPLES} (even indices Haar pure, odd indices full-rank mixed)")
-print(f"largest double (1,2) value: {best_value:.6f} at sample {best_index}")
+print(f"largest double12 value: {best_value:.6f} at sample {best_index}")
 print(f"two-setting bound 2 sqrt(6) = {2 * SQRT6:.6f}")
 print(f"algebraic maximum for this family of criteria: 6 (Bell state)")
 print(f"\nviolated double criteria seen: {violations}")

@@ -35,6 +35,8 @@ from .qcore import (
     BlochQubit,
     _check_bound,
     _check_nonnegative,
+    _check_numeric,
+    _check_unit_interval,
     _frozen,
     _ValueEquality,
 )
@@ -64,8 +66,9 @@ def _entropy(p: np.ndarray) -> np.ndarray:
 
 
 def binary_entropy(p: float) -> float:
-    """h2(p) of one probability, with the bits of the ``relent`` measure's."""
-    return float(_entropy(p))
+    """h2(p) of one probability p in [0, 1], with the bits of the ``relent``
+    measure's; bools, strings and p outside [0, 1] raise ``ValueError``."""
+    return float(_entropy(_check_unit_interval("p", p)))
 
 
 EPSILON_L1 = math.sqrt(6.0)
@@ -209,7 +212,7 @@ class _Triple(_ValueEquality):
 
     def __post_init__(self) -> None:
         _check_measure(self.measure)
-        values = np.array(self.values, dtype=float)
+        values = np.array(_check_numeric(f"{self._KIND}values", self.values), dtype=float)
         if values.shape != (3,):
             raise ValueError(f"expected three {self._KIND}values, got shape {values.shape}")
         self._totals(values, self.measure)

@@ -104,6 +104,29 @@ def _check_index(name: str, value, allowed: tuple) -> None:
         raise ValueError(f"{name} {value!r} out of range, expected one of {allowed}")
 
 
+def _check_unit_interval(name: str, value: float) -> float:
+    """``value`` as a float, if it is an int, a float or a numpy integer or
+    floating scalar in [0, 1]; bools, strings and arrays are not numbers."""
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
+
+
+def _check_numeric(name: str, value, kinds: str = "iuf", error: type = ValueError) -> np.ndarray:
+    """``value`` as an array, if numpy reads it as integers or floats, or
+    as one of the dtype ``kinds`` ("iufc" lets complex numbers in too);
+    bools, strings, bytes and objects raise ``error``. Numpy turns a list
+    that mixes bools with numbers into numbers, so such a list is not
+    caught here; the CLI's ``_check_numbers`` walks documents entry by
+    entry."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in kinds:
+        raise error(f"{name} must hold numbers, got dtype {arr.dtype}")
+    return arr
+
+
 def _qubit_indices(indices, nqubits: int) -> list:
     """The qubit indices as a list, each an integer in 0..nqubits - 1."""
     indices = list(indices)
@@ -182,7 +205,7 @@ class DensityMatrix:
     __slots__ = ("_matrix", "_nqubits", "_parts")
 
     def __init__(self, matrix) -> None:
-        mat = np.array(matrix, dtype=complex)
+        mat = np.array(_check_numeric("density matrix", matrix, "iufc", NotAStateError), complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise NotAStateError(f"expected a square matrix, got shape {mat.shape}")
         dim = mat.shape[0]
@@ -192,6 +215,17 @@ class DensityMatrix:
         self._matrix = _frozen(mat)
         self._nqubits = _QUBITS_OF_DIM[dim]
         self._parts = None  # filled by naqc.steering on the first report
+
+    @classmethod
+    def _derived(cls, mat: np.ndarray) -> DensityMatrix:
+        """The state of ``mat``, which is derived from a validated state
+        (``partial_trace``, ``permute_qubits``); it is frozen, not
+        validated again."""
+        rho = object.__new__(cls)
+        rho._matrix = _frozen(mat)
+        rho._nqubits = _QUBITS_OF_DIM[mat.shape[0]]
+        rho._parts = None
+        return rho
 
     @property
     def matrix(self) -> np.ndarray:
@@ -255,7 +289,7 @@ class BlochQubit(_ValueEquality):
     norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        r = np.array(self.r, dtype=float)
+        r = np.array(_check_numeric("Bloch vector", self.r), dtype=float)
         if r.shape != (3,):
             raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
         norm = _norm(r)
@@ -266,7 +300,12 @@ class BlochQubit(_ValueEquality):
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Reduced state on the kept qubits (a nonempty proper subset), which
-    stay in their original order."""
+    stay in their original order.
+
+    The reduced state is not validated again. Each of its eigenvalues is a
+    sum of 2**k diagonal entries of ``rho`` in a product basis, k the
+    number of qubits traced out, so its floor is 2**k times ``rho``'s:
+    down to 2**k * -1e-10."""
     nqubits = rho.nqubits
     keep = _qubit_indices(keep if np.ndim(keep) else [keep], nqubits)
     keep = sorted(set(keep))
@@ -281,7 +320,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
             arr = np.trace(arr, axis1=q, axis2=q + remaining)
             remaining -= 1
     dim = 2 ** len(keep)
-    return DensityMatrix(arr.reshape(dim, dim))
+    return DensityMatrix._derived(arr.reshape(dim, dim))
 
 
 def _bloch_vector(m: np.ndarray) -> np.ndarray:

@@ -19,7 +19,6 @@ indices i at once, bit for bit.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +31,8 @@ from .qcore import (
     _ValueEquality,
     _check_bound,
     _check_index,
+    _check_numeric,
+    _check_unit_interval,
     _frozen,
     _norm,
     _qubit_indices,
@@ -67,9 +68,7 @@ class TwoQubitBloch(_ValueEquality):
     T: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.array(self.r, dtype=float)
-        s = np.array(self.s, dtype=float)
-        T = np.array(self.T, dtype=float)
+        r, s, T = (np.array(_check_numeric(k, getattr(self, k)), dtype=float) for k in "rsT")
         if r.shape != (3,) or s.shape != (3,) or T.shape != (3, 3):
             raise ValueError("expected r, s of shape (3,) and T of shape (3, 3)")
         _check_bound("|r|", _norm(r), 1.0, BLOCH_NORM_TOL, NotAStateError)
@@ -104,16 +103,6 @@ def to_bloch(rho: DensityMatrix) -> TwoQubitBloch:
 def _pauli_tensor(matrix: np.ndarray) -> np.ndarray:
     """R_ij = Tr(m sigma_i (x) sigma_j) of a 4x4 matrix, as a 4x4 real array."""
     return np.trace(matrix @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4)
-
-
-def _check_unit_interval(name: str, value: float) -> float:
-    """``value`` as a float, if it is an int, a float or a numpy integer or
-    floating scalar in [0, 1]; bools, strings and arrays are not numbers."""
-    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
 
 
 def pure_alpha(alpha: float) -> DensityMatrix:
@@ -162,62 +151,49 @@ def maximally_mixed(nqubits: int) -> DensityMatrix:
 
 
 # SeedSequence's constants. Its hashes run a constant that is multiplied on
-# mod 2**32: mix_entropy's hash k xors a word with _hash_a(k) and multiplies
-# it by _hash_a(k + 1), generate_state's hash k uses _HASH_B[k] and
-# _HASH_B[k + 1]. Its mixes take L x - R y; _MIX_R is 2**32 - R, so that
-# the sum L x + (2**32 - R) y takes no borrow.
+# mod 2**32: mix_entropy's hash k xors a word with _HASH_A[k] and multiplies
+# it by _HASH_A[k + 1] (4 hashes of the pool, then 12 mixes), and
+# generate_state's hash k uses _HASH_B[k] and _HASH_B[k + 1]. Its mixes take
+# L x - R y; _MIX_R is 2**32 - R, so that the sum L x + (2**32 - R) y takes
+# no borrow.
 _MASK32 = 0xFFFFFFFF
 _MIX_L, _MIX_R = 0xCA01F9DD, 2**32 - 0x4973F715
+_HASH_A = tuple(0x43B0D7E5 * pow(0x931E8875, k, 2**32) % 2**32 for k in range(17))
 _HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, k, 2**32) % 2**32 for k in range(9))
 
 
 @functools.cache
-def _hash_a(k: int) -> int:
-    return 0x43B0D7E5 * pow(0x931E8875, k, 2**32) % 2**32
-
-
-def _uint32_words(n: int) -> list[int]:
-    """The little-endian 32-bit words of a non-negative int, at least one,
-    as ``SeedSequence`` splits its entropy."""
-    n = operator.index(n)
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & 0xFFFFFFFF]
-    while n := n >> 32:
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
-@functools.cache
-def _lanes(n: int, length: int) -> tuple[int, int, int, list, list, list]:
-    """The constants of one pass over the pools of n entropies of ``length``
-    words, pool k in the 64-bit lane of bits 64 k .. 64 k + 63 of one int:
-    1 and the 32-bit mask in every lane, k in lane k, and the pass's hashes
-    as (source, xor in every lane, multiplier). mix_entropy hashes entropy
-    word j into pool word j, then mixes a hash of word ``src`` into pool
-    word ``dst``, first for the 12 pairs of pool words, then for each
-    entropy word past the pool (at ``src`` 4, 5, ... after it) and every
-    pool word; generate_state's output word k hashes pool word k % 4."""
+def _lanes(n: int) -> tuple[int, int, int, list, list, list]:
+    """The constants of one pass over n 4-word pools, pool k in the 64-bit
+    lane of bits 64 k .. 64 k + 63 of one int: 1 and the 32-bit mask in
+    every lane, k in lane k, and the pass's hashes as (source, xor in every
+    lane, multiplier). mix_entropy hashes entropy word j into pool word j,
+    then mixes a hash of pool word ``src`` into pool word ``dst`` for the
+    12 pairs of pool words; generate_state's output word k hashes pool word
+    k % 4."""
     unit = ((1 << 64 * n) - 1) // ((1 << 64) - 1)
     pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-    pairs += [(src, dst) for src in range(4, length) for dst in range(4)]
-    hashes = [(j, _hash_a(j) * unit, _hash_a(j + 1)) for j in range(4)]
-    mixes = [(src, dst, _hash_a(k) * unit, _hash_a(k + 1)) for k, (src, dst) in enumerate(pairs, 4)]
+    hashes = [(j, _HASH_A[j] * unit, _HASH_A[j + 1]) for j in range(4)]
+    mixes = [(src, dst, _HASH_A[k] * unit, _HASH_A[k + 1]) for k, (src, dst) in enumerate(pairs, 4)]
     outputs = [(k % 4, _HASH_B[k] * unit, _HASH_B[k + 1]) for k in range(8)]
     return unit, _MASK32 * unit, sum(k << 64 * k for k in range(n)), hashes, mixes, outputs
 
 
-def _pcg64_seeds(entropy: list[int], n: int) -> np.ndarray:
-    """``SeedSequence(e).generate_state(4, np.uint64)`` of n entropies e at
-    once, as a C-contiguous ``(n, 4)`` uint64 array; entropy word j holds
-    word j of e_k in lane k (``_lanes``).
+def _pcg64_seeds(master_seed: int, indices: range, tail: tuple[int, ...]) -> np.ndarray:
+    """``SeedSequence([master_seed, i, *tail]).generate_state(4, np.uint64)``
+    of every index i of ``indices`` at once, as a C-contiguous ``(n, 4)``
+    uint64 array, for entropies that fit the 4-word pool (``_generators``).
 
-    The n pools are mixed in their lanes by a few int operations per step:
+    The pool of index ``indices.start + k`` sits in lane k (``_lanes``), and
+    the n pools are mixed in their lanes by a few int operations per step:
     a 32-bit lane times a 32-bit constant stays below 2**64, so no carry
     crosses lanes, and every product is masked back to 32 bits. A mix's
     ``(L x mod 2**32) + (2**32 - R) y`` stays below 2**64 as well.
     """
-    _, mask, _, hashes, mixes, outputs = _lanes(n, len(entropy))
+    n = len(indices)
+    unit, mask, ramp, hashes, mixes, outputs = _lanes(n)
+    head = [master_seed & _MASK32, master_seed >> 32][: 1 + (master_seed > _MASK32)]
+    entropy = [w * unit for w in head] + [indices.start * unit + ramp] + [t * unit for t in tail]
 
     def hashed(words: list[int], steps: list):
         for src, xor, mul in steps:
@@ -225,7 +201,7 @@ def _pcg64_seeds(entropy: list[int], n: int) -> np.ndarray:
             yield (word ^ word >> 16) & mask
 
     # a pool longer than the entropy is padded with 0
-    pool = list(hashed(entropy + [0] * (4 - len(entropy)), hashes)) + entropy[4:]
+    pool = list(hashed(entropy + [0] * (4 - len(entropy)), hashes))
     for src, dst, xor, mul in mixes:
         y = (pool[src] ^ xor) * mul & mask
         x = (pool[dst] * _MIX_L & mask) + ((y ^ y >> 16) & mask) * _MIX_R & mask
@@ -276,31 +252,25 @@ def _pcg64_generators(seeds: np.ndarray) -> list[np.random.Generator]:
 def _generators(
     master_seed: int, indices: range, tail: tuple[int, ...] = ()
 ) -> list[np.random.Generator]:
-    """One generator per index i of the step-1 range ``indices`` (below
-    2**64), each in the state of
+    """One generator per index i of the step-1 range ``indices``, each in
+    the state of
     ``np.random.default_rng(np.random.SeedSequence([master_seed, i, *tail]))``.
 
-    No ``SeedSequence`` is built: its entropy is the uint32 words it would
-    split ``[master_seed, i, *tail]`` into, and ``_pcg64_seeds`` mixes the
-    pools of a whole range and hashes their ``PCG64`` seed words in one
-    pass, index i in its own 64-bit lane of one int. The range is taken in
-    two parts when it straddles 2**32, where i gains its second word.
+    The commands draw entropies that fill at most ``SeedSequence``'s 4-word
+    pool: a master seed below 2**64, indices and tail ints below 2**32, and
+    at most four 32-bit words in all. For those no ``SeedSequence`` is
+    built: ``_pcg64_seeds`` mixes the pools of the whole range and hashes
+    their ``PCG64`` seed words in one pass, index i in its own 64-bit lane
+    of one int. Every other entropy, a negative seed included, goes to
+    numpy's own ``SeedSequence``, one per index.
     """
-    head = _uint32_words(master_seed)
-    rest = [w for n in tail for w in _uint32_words(n)]
-    cut = min(max(indices.start, 2**32), indices.stop)
-    seeds = []
-    for part, width in ((range(indices.start, cut), 1), (range(cut, indices.stop), 2)):
-        if part:
-            n = len(part)
-            unit, mask, ramp = _lanes(n, len(head) + width + len(rest))[:3]
-            index = part.start * unit + ramp  # i, below 2**64, fills its lane
-            words = [index & mask, index >> 32 & mask][:width]
-            entropy = [w * unit for w in head] + words + [w * unit for w in rest]
-            seeds.append(_pcg64_seeds(entropy, n))
-    if not seeds:
-        return []
-    return _pcg64_generators(seeds[0] if len(seeds) == 1 else np.concatenate(seeds))
+    small = all(0 <= k <= _MASK32 for k in (indices.start, indices.stop - 1, *tail))
+    # a seed of 1 or 2 words, the index and the tail: at most 4 words
+    if small and 0 <= master_seed < 2**64 and (master_seed > _MASK32) + len(tail) <= 2:
+        return _pcg64_generators(_pcg64_seeds(master_seed, indices, tail))
+    entropies = ([master_seed, i, *tail] for i in indices)
+    seeds = [np.random.SeedSequence(e).generate_state(4, np.uint64) for e in entropies]
+    return _pcg64_generators(np.array(seeds, np.uint64).reshape(-1, 4))
 
 
 def _random_states(nqubits: int, rngs, rank: int | None = None) -> np.ndarray:
@@ -364,7 +334,9 @@ def random_bloch_qubit_vector(rng: np.random.Generator) -> np.ndarray:
 def permute_qubits(rho: DensityMatrix, perm) -> DensityMatrix:
     """Relabel tensor factors: result factor k is input factor perm[k].
 
-    Transpositions are involutive and the spectrum is preserved.
+    Transpositions are involutive and the spectrum is preserved. The
+    result permutes ``rho``'s entries exactly, so it is not validated
+    again.
     """
     n = rho.nqubits
     perm = _qubit_indices(perm, n)
@@ -372,7 +344,7 @@ def permute_qubits(rho: DensityMatrix, perm) -> DensityMatrix:
         raise ValueError(f"perm must be a permutation of 0..{n - 1}, got {perm}")
     axes = perm + [p + n for p in perm]
     arr = rho.matrix.reshape((2,) * (2 * n)).transpose(axes)
-    return DensityMatrix(arr.reshape(2 ** n, 2 ** n))
+    return DensityMatrix._derived(arr.reshape(2 ** n, 2 ** n))
 
 
 # every named family: its constructor and the parameters it takes, in order

@@ -405,6 +405,41 @@ def test_generators_match_numpy_seed_sequences(call):
     assert_seed_sequence_states(_generators(seed, indices, tail), seed, indices, tail)
 
 
+# entropies [seed, i, *tail] that fit SeedSequence's 4-word pool, which the
+# lane pass seeds, and longer ones, which numpy's SeedSequence seeds
+POOL_ENTROPIES = [
+    (0, range(64), ()), (7, range(5, 9), (2,)), ((1234 << 32) + 5, range(32), ()),
+    (2**64 - 1, range(2**32 - 3, 2**32), (2,)),
+]  # fmt: skip
+LONGER_ENTROPIES = [
+    (2**64, range(3), ()), (7, range(2**32 - 1, 2**32 + 1), ()), (7, range(2), (2**40,)),
+    (2**40, range(2), (2, 3)),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "seed, indices, tail, built",
+    [pytest.param(*call, 0, id=f"pool{k}") for k, call in enumerate(POOL_ENTROPIES)]
+    + [
+        pytest.param(*call, len(call[1]), id=f"longer{k}")
+        for k, call in enumerate(LONGER_ENTROPIES)
+    ],
+)
+def test_only_entropies_past_the_pool_build_seed_sequences(seed, indices, tail, built, monkeypatch):
+    count = []
+
+    class Counted(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            count.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    rngs = _generators(seed, indices, tail)
+    monkeypatch.undo()
+    assert len(count) == built
+    assert_seed_sequence_states(rngs, seed, indices, tail)
+
+
 def test_pcg64_seed_words_must_be_c_contiguous_uint64_rows():
     """``PCG64`` reads a row of seed words as the 32 bytes at its address:
     a strided row gives a state other than its words', so the words of a

@@ -46,6 +46,15 @@ class TestBinaryEntropy:
         assert binary_entropy(0.0) == 0.0
         assert binary_entropy(1.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "p, message",
+        [(True, "be a number"), (np.True_, "be a number"), ("0.5", "be a number"),
+         (1.5, "lie in"), (2, "lie in"), (-3.0, "lie in"), (np.nan, "lie in")],
+    )  # fmt: skip
+    def test_refuses_bools_and_p_outside_the_unit_interval(self, p, message):
+        with pytest.raises(ValueError, match=f"p must {message}"):
+            binary_entropy(p)
+
     def test_symmetric_peak(self):
         assert binary_entropy(0.5) == 1.0
         assert binary_entropy(0.2) == pytest.approx(binary_entropy(0.8), abs=1e-15)

@@ -42,3 +42,15 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip(), f"{demo.name} printed nothing"
     assert list(tmp_path.iterdir()) == [], f"{demo.name} left temporary files"
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[demo.name for demo in DEMOS])
+def test_demo_names_criteria_as_the_table_does(demo, tmp_path):
+    """Demos print criteria under their ``CRITERIA`` names (``single0`` to
+    ``double12``), as ``evaluate``, ``search`` and the README do."""
+    paths = [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths), TMPDIR=str(tmp_path))
+    out = subprocess.run(
+        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    ).stdout
+    assert "single j=" not in out and "double (" not in out

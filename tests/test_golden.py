@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from naqc import cli
 from naqc.cli import evaluate_lines, fmt, main
 from naqc.coherence import Measure
 from naqc.states import ghz_alpha, pure_alpha, random_mixed, random_pure, werner
@@ -40,13 +41,7 @@ from naqc.steering import CRITERIA, steering_report, tripartite_report
 GOLDEN = Path(__file__).with_name("golden.json")
 SEED = 20240
 SWEEPS = ("pure_alpha", "ghz_alpha", "werner")
-SUITES = (
-    "coherence-complementarity",
-    "bipartite-complementarity",
-    "tripartite-complementarity",
-    "no-signalling",
-    "mixing-monotonicity",
-)
+SUITES = tuple(cli.SUITES)
 CLI_RUNS = {
     **{f"check {suite}": ["check", "--suite", suite, "--samples", "300", "--seed", "1"]
        for suite in SUITES},

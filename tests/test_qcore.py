@@ -199,6 +199,31 @@ class TestPartialTrace:
         assert np.array_equal(partial_trace(rho, np.int64(1)).matrix, partial_trace(rho, 1).matrix)
 
 
+    @pytest.mark.parametrize(
+        "diagonal, keeps",
+        [
+            ([0.75 + 2e-10, 0.25, -1e-10, -1e-10], [(0,), (1,)]),
+            ([0.5 + 4e-10, 0.5, 0, 0] + [-1e-10] * 4, [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)]),
+        ],
+    )
+    def test_a_reduction_of_an_accepted_state_is_a_state(self, diagonal, keeps):
+        """Tracing out k qubits can take eigenvalues at the floor -1e-10 to
+        2**k * -1e-10. The reduced state is not validated again, and each
+        report of it stays within the library's guards."""
+        rho = DensityMatrix(np.diag(diagonal).astype(complex))
+        for keep in keeps:
+            reduced = partial_trace(rho, keep)
+            expected = partial_trace_matrix(rho.matrix, rho.nqubits, keep)
+            assert reduced.matrix.tobytes() == expected.tobytes()
+            traced = rho.nqubits - len(keep)
+            assert np.linalg.eigvalsh(reduced.matrix).min() >= 2**traced * -1e-10 * (1 + 1e-12)
+            for measure in naqc.Measure:
+                if reduced.nqubits == 1:
+                    naqc.coherence_triple(bloch_of_qubit(reduced), measure)
+                else:
+                    naqc.steering_report(reduced, measure)
+
+
 class TestEigHermitian:
     def test_diagonal_input(self):
         w, _ = eig_hermitian(np.diag([1.0, -1.0]).astype(complex))
@@ -414,6 +439,47 @@ class TestDensityMatrixValidation:
             rho = DensityMatrix(random_density(dim, rng))
             w, _ = eig_hermitian(rho.matrix)
             assert abs(float(w.sum()) - 1.0) < 1e-9
+
+
+# what numpy reads as bools, strings, bytes or objects, or as complex numbers
+# outside a density matrix, is not a value
+NOT_NUMBERS = {
+    "density-strings": (lambda: DensityMatrix([["1", "0"], ["0", "0"]]), NotAStateError),
+    "density-bools": (lambda: DensityMatrix([[True, False], [False, False]]), NotAStateError),
+    "density-bytes": (
+        lambda: DensityMatrix(np.array([[b"1", b"0"], [b"0", b"0"]])), NotAStateError
+    ),
+    "density-objects": (
+        lambda: DensityMatrix(np.array([[1, 0], [0, 0]], dtype=object)), NotAStateError
+    ),
+    "bloch-strings": (lambda: BlochQubit(["0.5", "0", "0"]), ValueError),
+    "bloch-complex": (lambda: BlochQubit(np.array([0.5 + 0.1j, 0, 0])), ValueError),
+    "rst-bools": (
+        lambda: naqc.TwoQubitBloch([True, False, False], [0, 0, 0], np.zeros((3, 3))), ValueError
+    ),
+    "rst-strings": (
+        lambda: naqc.TwoQubitBloch([0, 0, 0], [0, 0, 0], np.full((3, 3), "0")), ValueError
+    ),
+    "shifts-bytes": (
+        lambda: naqc.ShiftValues(np.array([b"1", b"0", b"0"]), naqc.Measure.L1), ValueError
+    ),
+    "triple-bools": (
+        lambda: naqc.CoherenceTriple([True, False, False], naqc.Measure.L1), ValueError
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+def test_value_constructors_refuse_non_numbers(build, error):
+    with pytest.raises(error, match="must hold numbers, got dtype"):
+        build()
+
+
+def test_value_constructors_take_integers_and_floats():
+    assert DensityMatrix([[1, 0], [0, 0]]) is not None
+    assert DensityMatrix(np.eye(4, dtype=np.float32) / 4).nqubits == 2
+    assert BlochQubit(np.array([0, 0, 1], dtype=np.uint8)).norm == 1.0
+    assert naqc.CoherenceTriple([0, 1, 0.5], naqc.Measure.L1).total == 1.5
 
 
 @pytest.mark.parametrize(
