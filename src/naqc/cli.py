@@ -59,7 +59,7 @@ MEASURE_CHOICES = tuple(m.value for m in Measure)
 
 # states (or Bloch vectors) drawn, stacked and evaluated together by every
 # sampling command and by sweep; results do not depend on it
-CHUNK = 64
+CHUNK = 512
 
 
 class DocumentError(ValueError):
@@ -87,16 +87,20 @@ def _check_numbers(key: str, value) -> None:
 
 
 def decode_state_document(doc) -> DensityMatrix:
-    """Decode a JSON state document: a dense matrix block or a family block."""
+    """Decode a JSON state document: a dense matrix block or a family block,
+    and no other key."""
     if not isinstance(doc, dict):
         raise DocumentError("state document must be a JSON object")
     dense_keys = {"nqubits", "re", "im"} & doc.keys()
     family_keys = {"family", "params"} & doc.keys()
     if bool(dense_keys) == bool(family_keys):
         raise DocumentError(
-            "state document must contain exactly one of a dense block "
-            "{nqubits, re, im} or a family block {family, params}"
+            "state document must contain exactly one of a dense block {nqubits, re, im} "
+            f"or a family block {{family, params}}, got keys {sorted(doc, key=str)}"
         )
+    if unknown := sorted(doc.keys() - dense_keys - family_keys, key=str):
+        block = "dense" if dense_keys else "family"
+        raise DocumentError(f"state document has keys outside its {block} block: {unknown}")
     if dense_keys:
         missing = {"nqubits", "re", "im"} - doc.keys()
         if missing:

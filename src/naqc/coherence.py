@@ -185,17 +185,14 @@ def _check_totals(name, totals, bounds, parts=None, part_name=None, weight=None)
     and a part ``part_name``; given Charlie's probabilities as ``weight``, a
     total fails only if its weighted excess does."""
     bound, tol, limit = bounds
-    slack = limit - np.maximum.reduce(totals.reshape(len(totals), -1), axis=1)
-    if parts is not None:  # or the lowest part, if below the room under the bound
-        np.minimum(slack, np.minimum.reduce(parts.reshape(len(parts), -1), axis=1), out=slack)
-    if np.minimum.reduce(slack) >= 0.0:
+    if (totals.T <= limit).all() and (parts is None or (parts >= 0.0).all()):
         return
     for k in range(len(totals)):
         if parts is not None:
             _check_nonnegative(part_name, parts[k])
         if weight is None:
             _check_bound(name, totals[k], bound[k], tol[k])
-        elif not slack[k] >= 0.0:  # Charlie's AB state of probability p holds slack / p
+        elif not (totals[k] <= limit[k]).all():  # an AB state of probability p holds excess / p
             _check_bound(f"weighted {name} excess", weight * (totals[k] - bound[k]), 0.0, tol[k])
 
 

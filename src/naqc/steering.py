@@ -122,14 +122,14 @@ _CHARLIE = _table(8, True, *np.unravel_index(np.arange(32), (4, 4, 2)))
 
 
 def _pairwise(a: np.ndarray) -> np.ndarray:
-    """The sum over axis -2 (length 2 or 4) by halves, in place: (a0 + a2)
-    + (a1 + a3) for four, the pairwise order of numpy's complex sum."""
+    """The sum over axis -2 (length 2 or 4) by halves: (a0 + a2) + (a1 +
+    a3) for four, the pairwise order of numpy's complex sum."""
     while (half := a.shape[-2] // 2) >= 1:
-        a = np.add(a[..., :half, :], a[..., half:, :], out=a[..., :half, :])
+        a = a[..., :half, :] + a[..., half:, :]
     return a[..., 0, :]
 
 
-def _branches(matrices: np.ndarray, index, sign, diagonal: list):
+def _branches(matrices: np.ndarray, index, sign, diagonal: slice):
     """The E reals of a ``_table`` of every outcome of a ``(..., N, N)``
     stack, each branch's times 1.0 / p, shape (..., 6, E), and the
     probabilities p, the ``diagonal`` reals added pairwise, shape (..., 3,
@@ -147,11 +147,11 @@ def _branches(matrices: np.ndarray, index, sign, diagonal: list):
     if not math.isfinite(top := probs.max()):  # before the division, which would warn
         raise ConsistencyError(f"outcome probability {top:.15g} is not finite")
     dropped = probs < ZERO_PROBABILITY
-    inverse = 1.0 / np.where(dropped, 1.0, probs)
+    probs[dropped] = 1.0  # a dropped branch divides by 1.0, then reads 0.0
     # outcome-major, so each branch's reals are contiguous
-    scaled = np.multiply(values.swapaxes(-1, -2), inverse[..., None], order="C")
-    np.copyto(scaled, 0.0, where=dropped[..., None])
-    return scaled, np.where(dropped, 0.0, probs).reshape(probs.shape[:-1] + (3, 2))
+    scaled = np.multiply(values.swapaxes(-1, -2), (1.0 / probs)[..., None], order="C")
+    scaled[dropped] = probs[dropped] = 0.0
+    return scaled, probs.reshape(probs.shape[:-1] + (3, 2))
 
 
 def _charlie(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +164,7 @@ def _charlie(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     its 32 reals of ``_CHARLIE`` times 1.0 / p viewed as complex: the bits
     of kron(I4, P) @ rho @ kron(I4, P), its trace and its partial trace over
     Charlie, divided by the trace, up to ``_branches``' signed zeros."""
-    values, probs = _branches(matrices, *_CHARLIE, [0, 10, 20, 30])
+    values, probs = _branches(matrices, *_CHARLIE, slice(0, 31, 10))
     return probs, values.view(complex).reshape(probs.shape + (4, 4))
 
 
@@ -177,7 +177,7 @@ def _alice(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     2 K10.im, K00.re - K11.re) of K times 1.0 / p: the bits of dividing K
     by p + 0j and reading b off it as ``qcore._bloch_vector`` does, up to
     ``_branches``' signed zeros."""
-    values, probs = _branches(matrices, *_ALICE, [0, 1])
+    values, probs = _branches(matrices, *_ALICE, slice(0, 2))
     bloch = np.empty(values.shape[:-1] + (3,))
     np.multiply(values[..., 2:], 2.0, out=bloch[..., :2])
     np.subtract(values[..., 0], values[..., 1], out=bloch[..., 2])
@@ -236,9 +236,7 @@ def _shifts(cond: _Conditioning, measures: tuple) -> tuple[np.ndarray, np.ndarra
     in the order of the outcomes (numpy adds fewer than eight in index
     order, and none is -0.0) and the total is (s_0 + s_1) + s_2, so a
     measure's slice has the bits of it scored alone. ``_check_totals`` guards both."""
-    w = np.empty((len(measures),) + cond.norm.shape + (3,))
-    for k, measure in enumerate(measures):
-        np.multiply(cond.prob[..., None], measure.evaluate(cond.bloch, cond.norm), out=w[k])
+    w = cond.prob[..., None] * np.array([m.evaluate(cond.bloch, cond.norm) for m in measures])
     s = np.add.reduce(w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES], axis=-2)
     total = s[..., 0] + s[..., 1] + s[..., 2]
     _check_totals("shift total", total, _bounds(measures, 2), s, "shift value", cond.charlie)
@@ -363,24 +361,32 @@ def _limits(nqubits: int, measure: Measure) -> dict:
     return limits
 
 
-def _criterion(nqubits: int, name: str, values, measure: Measure) -> CriterionResult:
-    """Criterion ``name`` of ``CRITERIA[nqubits]`` from the values of the
-    parts: the three shifts on two qubits, (t1, t2, t3) on three.
+def _scored(values, limits: dict) -> dict[str, CriterionResult]:
+    """The criteria of ``limits``, a ``_limits`` mapping or a part of one,
+    by name, from the values of the parts: the three shifts on two qubits,
+    (t1, t2, t3) on three.
 
     ``values[j]`` is part j, a float for one state or an array over a stack.
-    Either way the criterion adds its parts left to right, so a state's
+    Either way each criterion adds its parts left to right, so a state's
     result has the same bits alone and in a stack.
     """
-    parts, bound, limit = _limits(nqubits, measure)[name]
-    value = values[parts[0]]
-    for j in parts[1:]:
-        value = value + values[j]
-    return CriterionResult(value, bound, value > limit)
+    results = {}
+    for name, (parts, bound, limit) in limits.items():
+        value = values[parts[0]]
+        for j in parts[1:]:
+            value = value + values[j]
+        results[name] = CriterionResult(value, bound, value > limit)
+    return results
+
+
+def _criterion(nqubits: int, name: str, values, measure: Measure) -> CriterionResult:
+    """Criterion ``name`` of ``CRITERIA[nqubits]``, scored alone."""
+    return _scored(values, {name: _limits(nqubits, measure)[name]})[name]
 
 
 def _criteria(nqubits: int, values, measure: Measure) -> dict[str, CriterionResult]:
-    """Every criterion of ``CRITERIA[nqubits]``, by name, as ``_criterion``."""
-    return {name: _criterion(nqubits, name, values, measure) for name in CRITERIA[nqubits]}
+    """Every criterion of ``CRITERIA[nqubits]``, by name."""
+    return _scored(values, _limits(nqubits, measure))
 
 
 def _decompositions(s0, s1, s2) -> tuple:
@@ -392,6 +398,9 @@ def _decompositions(s0, s1, s2) -> tuple:
         ("02+1", (s0 + s2) + s1),
         ("12+0", (s1 + s2) + s0),
     )
+
+
+_Double = tuple[tuple[int, int], CriterionResult]  # a pair of DOUBLE_PAIRS and its criterion
 
 
 @dataclass(frozen=True)
@@ -412,11 +421,7 @@ class SteeringReport:
 
     shift: ShiftValues
     singles: tuple[CriterionResult, CriterionResult, CriterionResult]
-    doubles: tuple[
-        tuple[tuple[int, int], CriterionResult],
-        tuple[tuple[int, int], CriterionResult],
-        tuple[tuple[int, int], CriterionResult],
-    ]
+    doubles: tuple[_Double, _Double, _Double]
     triple: CriterionResult
     decompositions: tuple[tuple[str, float], ...]
 

@@ -233,6 +233,8 @@ def test_family_states_drop_branches():
 
 CLI_COMMANDS = [
     ["search", "--nqubits", "2", "--criterion", "double12", "--samples", "23", "--seed", "4"],
+    # more samples than cli.CHUNK: full chunks and a partial last one
+    ["search", "--nqubits", "2", "--criterion", "double12", "--samples", "1100", "--seed", "4"],
     ["search", "--nqubits", "2", "--criterion", "triple", "--measure", "skew",
      "--samples", "16", "--seed", "4"],
     ["search", "--nqubits", "3", "--criterion", "t1", "--measure", "relent",
@@ -248,6 +250,9 @@ CLI_COMMANDS = [
     ["sweep", "--family", "ghz_alpha", "--from", "0", "--to", "1", "--step", "0.05",
      "--measure", "skew"],
 ]  # fmt: skip
+
+
+DEFAULT_CHUNK = cli.CHUNK
 
 
 def cli_output(argv: list, out) -> str:
@@ -267,7 +272,7 @@ def test_cli_output_does_not_depend_on_the_chunk_size(argv, monkeypatch, tmp_pat
     out = tmp_path / "sweep.csv"
     monkeypatch.setattr(cli, "CHUNK", 64)
     expected = cli_output(argv, out)
-    for chunk in (1, 7):
+    for chunk in (1, 7, DEFAULT_CHUNK):
         monkeypatch.setattr(cli, "CHUNK", chunk)
         assert cli_output(argv, out) == expected
 

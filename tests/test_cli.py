@@ -128,6 +128,24 @@ class TestStateDocuments:
         assert captured.out == ""
         assert re.search(rf"\b{key}\b", captured.err)
 
+    @pytest.mark.parametrize(
+        "key, doc",
+        [
+            ("param", {"family": "bell", "param": {"x": 1}}),
+            ("param", {"family": "werner", "param": {"p": 0.5}}),
+            ("measure", {"family": "pure_alpha", "params": {"alpha": 0.5}, "measure": "skew"}),
+            ("comment", {**dense_doc_of(bell()), "comment": "the Bell state"}),
+            ("famly", {"famly": "bell"}),
+        ],
+    )
+    def test_keys_outside_the_block_are_parse_errors(self, tmp_path, capsys, key, doc):
+        """A misspelled or extra key is refused and named, not dropped."""
+        path = write_doc(tmp_path, "d.json", doc)
+        assert main(["evaluate", "--state", path]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{key!r}" in captured.err
+
     def test_invalid_dense_state(self):
         doc = dense_doc_of(bell())
         doc["re"][0][0] += 0.5  # breaks the trace

@@ -45,6 +45,8 @@ from naqc.steering import (
     _condition,
     _charlie,
     _criteria,
+    _criterion,
+    _limits,
     _shifts,
     _tripartite,
     conditional_states,
@@ -52,7 +54,7 @@ from naqc.steering import (
     steering_report,
     tripartite_report,
 )
-from oracles import oracle_branches, oracle_shifts, oracle_t1_t2, partial_trace_matrix
+from oracles import bits, oracle_branches, oracle_shifts, oracle_t1_t2, partial_trace_matrix
 
 SQRT6 = math.sqrt(6.0)
 ALL_MEASURES = list(Measure)
@@ -319,6 +321,49 @@ class TestBipartiteCriteria:
         assert steering_report(bell(), Measure.L1).triple.value == pytest.approx(
             6.0, abs=1e-12
         )
+
+
+def values_near(parts: tuple, target: float) -> np.ndarray:
+    """A (3, 3) stack of part values whose criterion of ``parts``, added
+    left to right, is 1 ulp below ``target``, ``target`` and 1 ulp above,
+    one per column; the other parts hold target / 7 and target / 5, whose
+    roundings make the order of the adds show."""
+    columns = []
+    for want in (math.nextafter(target, 0.0), target, math.nextafter(target, math.inf)):
+        column = [target / 3, target / 7, target / 5]
+        x = target - sum(column[j] for j in parts[1:])
+        for _ in range(64):
+            column[parts[0]] = x
+            value = column[parts[0]]
+            for j in parts[1:]:
+                value = value + column[j]
+            if value == want:
+                break
+            x = math.nextafter(x, math.inf if value < want else -math.inf)
+        assert value == want
+        columns.append(column)
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("nqubits", [2, 3])
+def test_search_scores_a_criterion_as_evaluate_does(nqubits):
+    """``_criterion``, which search applies to a stack, gives each criterion
+    the value bits, bound and flag of ``_criteria``, which evaluate and the
+    reports print, on float lists and (3, k) stacks alike. The values sit 1
+    ulp either side of the flag's limit and on it; for the last criterion,
+    never flagged, around its bound."""
+    for measure in ALL_MEASURES:
+        for name, (parts, bound, limit) in _limits(nqubits, measure).items():
+            stack = values_near(parts, limit if math.isfinite(limit) else bound)
+            for values in (stack, *stack.T.tolist()):
+                alone = _criterion(nqubits, name, values, measure)
+                scored = _criteria(nqubits, values, measure)[name]
+                assert type(alone.value) is type(scored.value)
+                assert np.array_equal(bits(np.asarray(alone.value)), bits(np.asarray(scored.value)))
+                assert alone.bound == scored.bound == bound
+                assert np.array_equal(alone.violated, scored.violated)
+            flagged = _criterion(nqubits, name, stack, measure).violated
+            assert flagged.tolist() == [False, False, math.isfinite(limit)]
 
 
 class TestSteeringReport:
