@@ -204,6 +204,11 @@ def _sweep_grid(start: float, stop: float, step: float) -> tuple[int, Callable[[
             f"sweep point count must be finite, got {count} points "
             f"from {start} to {stop} step {step}"
         )
+    if float(count) > sys.maxsize:  # the most a range can hold
+        raise ValueError(
+            f"sweep point count must be at most {sys.maxsize}, got {count} points "
+            f"from {start} to {stop} step {step}"
+        )
     return int(count), lambda k: min(start + k * step, stop)
 
 
@@ -267,6 +272,8 @@ def _check_run(samples: int, seed: int) -> None:
     """Raise ``ValueError`` unless a sampling command's count and seed are usable."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples > sys.maxsize:  # the most a range can hold
+        raise ValueError(f"samples must be at most {sys.maxsize}, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 

@@ -12,6 +12,8 @@ written draw by draw, the bit-exact reference for the stacked one,
 written out, the bit-exact reference for the stacked scoring, and ``bits``
 the view that compares arrays bit for bit. ``diagonal_state`` and
 ``counted_eigvalsh`` probe the two paths of the positivity check.
+``seeded_sample`` and ``seeded_states`` are the two seeded rules by which
+the tests draw their random states.
 """
 
 import math
@@ -25,6 +27,7 @@ from naqc.qcore import (
     DensityMatrix,
     NotAStateError,
 )
+from naqc.states import random_mixed, random_pure
 
 
 def eig_hermitian(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,6 +57,29 @@ def sampled_matrix(nqubits: int, seed, rank: int | None = None) -> np.ndarray:
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     mat = g @ g.conj().T
     return mat / np.trace(mat).real
+
+
+def seeded_sample(nqubits: int, seed: int, index: int) -> DensityMatrix:
+    """Sample ``index`` of ``seed`` by the rule search and check draw by: from
+    ``SeedSequence([seed, index])``, Haar-pure at even ``index`` and
+    full-rank Ginibre at odd ``index``."""
+    ss = np.random.SeedSequence([seed, index])
+    if index % 2 == 0:
+        return random_pure(nqubits, ss)
+    return random_mixed(nqubits, 2**nqubits, ss)
+
+
+def seeded_states(nqubits: int, seed: int, count: int) -> list:
+    """Haar-pure states alternating with Ginibre states of every rank, state
+    ``index`` drawn from ``SeedSequence([seed, nqubits, index])``."""
+    states = []
+    for index in range(count):
+        ss = np.random.SeedSequence([seed, nqubits, index])
+        if index % 2 == 0:
+            states.append(random_pure(nqubits, ss))
+        else:
+            states.append(random_mixed(nqubits, 1 + (index // 2) % 2**nqubits, ss))
+    return states
 
 
 def diagonal_state(dim: int, lowest: float) -> np.ndarray:

@@ -24,8 +24,6 @@ from naqc.states import (
     ghz_alpha,
     pure_alpha,
     random_bloch_qubit_vector,
-    random_mixed,
-    random_pure,
     to_bloch,
 )
 from naqc.steering import (
@@ -36,7 +34,7 @@ from naqc.steering import (
     steering_report,
     tripartite_report,
 )
-from oracles import oracle_t1_t2, qubit_of_bloch, sqrt_psd
+from oracles import oracle_t1_t2, qubit_of_bloch, seeded_sample, sqrt_psd
 
 SQRT6 = math.sqrt(6.0)
 ALL_MEASURES = list(Measure)
@@ -44,16 +42,6 @@ ALL_MEASURES = list(Measure)
 
 def emit(number: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {number} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
-
-
-def two_qubit_sample(seed: int, index: int) -> DensityMatrix:
-    ss = np.random.SeedSequence([seed, index])
-    return random_pure(2, ss) if index % 2 == 0 else random_mixed(2, 4, ss)
-
-
-def three_qubit_sample(seed: int, index: int) -> DensityMatrix:
-    ss = np.random.SeedSequence([seed, index])
-    return random_pure(3, ss) if index % 2 == 0 else random_mixed(3, 8, ss)
 
 
 def test_1_coherence_complementarity_bound_and_attainment():
@@ -146,7 +134,7 @@ def test_4_bipartite_complementarity_over_random_states():
     worst_excess = -np.inf
     worst_spread = 0.0
     for index in range(10_000):
-        rho = two_qubit_sample(20240004, index)
+        rho = seeded_sample(2, 20240004, index)
         for measure in ALL_MEASURES:
             report = steering_report(rho, measure)
             worst_excess = max(
@@ -220,7 +208,7 @@ def test_6_tripartite_complementarity_over_random_states():
     worst_excess = -np.inf
     worst_gap = 0.0
     for index in range(1_000):
-        rho = three_qubit_sample(20240006, index)
+        rho = seeded_sample(3, 20240006, index)
         cond = _condition(rho.matrix)
         totals = _shifts(cond, tuple(ALL_MEASURES))[1]
         added = (cond.charlie * totals).sum(axis=(-2, -1))
@@ -259,8 +247,8 @@ def test_8_shift_values_convex_under_mixing():
     rng = np.random.default_rng(20240008)
     worst = -np.inf
     for index in range(1_000):
-        rho1 = two_qubit_sample(20240008, 2 * index)
-        rho2 = two_qubit_sample(20240008, 2 * index + 1)
+        rho1 = seeded_sample(2, 20240008, 2 * index)
+        rho2 = seeded_sample(2, 20240008, 2 * index + 1)
         weight = rng.uniform()
         mixed = DensityMatrix(weight * rho1.matrix + (1 - weight) * rho2.matrix)
         for measure in ALL_MEASURES:
@@ -278,7 +266,7 @@ def test_8_shift_values_convex_under_mixing():
 def test_9_no_signalling_reconstruction():
     worst = 0.0
     for index in range(1_000):
-        rho = two_qubit_sample(20240009, index)
+        rho = seeded_sample(2, 20240009, index)
         bob_r = to_bloch(rho).s
         for axis in (1, 2, 3):
             averaged = np.zeros(3)
@@ -297,7 +285,7 @@ def test_10_tripartite_criteria_match_oracle_on_random_states():
     full-rank Ginibre three-qubit states."""
     worst = 0.0
     for index in range(50):
-        rho = three_qubit_sample(20240010, index)
+        rho = seeded_sample(3, 20240010, index)
         report = tripartite_report(rho, Measure.L1)
         t1, t2 = oracle_t1_t2(rho.matrix)
         worst = max(worst, abs(report.t1.value - t1), abs(report.t2.value - t2))

@@ -37,8 +37,6 @@ from naqc.states import (
     _seed_words_type,
     ghz_alpha,
     pure_alpha,
-    random_mixed,
-    random_pure,
     werner,
 )
 from naqc.steering import (
@@ -57,29 +55,18 @@ from oracles import (
     diagonal_state,
     oracle_branches,
     sampled_matrix,
+    seeded_states,
 )
 
 SEED = 31337
 STACK_SIZES = (1, 2, 7, None)  # None: all states in one stack
 
 
-def seeded_states(nqubits: int, count: int) -> list:
-    """Haar-pure states alternating with Ginibre states of every rank."""
-    states = []
-    for index in range(count):
-        ss = np.random.SeedSequence([SEED, nqubits, index])
-        if index % 2 == 0:
-            states.append(random_pure(nqubits, ss))
-        else:
-            states.append(random_mixed(nqubits, 1 + (index // 2) % 2**nqubits, ss))
-    return states
-
-
 # the family members have dropped branches (|11>, |000>, |111>) or a zero
 # Bloch vector in every branch (the maximally mixed werner(0))
 STATES = {
-    2: seeded_states(2, 40) + [pure_alpha(0.0), werner(0.0)],
-    3: seeded_states(3, 12) + [ghz_alpha(0.0), ghz_alpha(1.0)],
+    2: seeded_states(2, SEED, 40) + [pure_alpha(0.0), werner(0.0)],
+    3: seeded_states(3, SEED, 12) + [ghz_alpha(0.0), ghz_alpha(1.0)],
 }
 
 

@@ -706,6 +706,32 @@ def test_a_negative_seed_is_a_parse_error(argv):
     assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["search", "--nqubits", "2", "--criterion", "double12", "--seed", "1",
+          "--samples", "99999999999999999999"], "99999999999999999999"),
+        (["check", "--suite", "no-signalling", "--samples", "99999999999999999999"],
+         "99999999999999999999"),
+        (["sweep", "--family", "werner", "--from", "0", "--to", "1", "--step", "1e-300"],
+         "1.0000000000009999e+300 points"),
+    ],
+    ids=["search", "check", "sweep"],
+)  # fmt: skip
+def test_a_count_past_the_largest_range_is_a_parse_error(argv, count, tmp_path, capsys):
+    """A sample or point count above ``sys.maxsize``, which no ``range`` can
+    hold, exits 2 with the count named, before any file is opened."""
+    out = tmp_path / "kept.csv"
+    out.write_bytes(b"alpha,S0\n1,2\n")
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"must be at most {sys.maxsize}, got {count}" in captured.err
+    assert out.read_bytes() == b"alpha,S0\n1,2\n"
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process. Commands run one after
     another in one process, a failing parse among them, must print and

@@ -30,13 +30,12 @@ import math
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from naqc import cli
 from naqc.cli import evaluate_lines, fmt, main
 from naqc.coherence import Measure
-from naqc.states import ghz_alpha, pure_alpha, random_mixed, random_pure, werner
+from naqc.states import ghz_alpha, pure_alpha, werner
 from naqc.steering import CRITERIA, steering_report, tripartite_report
+from oracles import seeded_states
 
 GOLDEN = Path(__file__).with_name("golden.json")
 SEED = 20240
@@ -53,23 +52,11 @@ CLI_RUNS = {
 EVALUATE_SHA256 = "ba08e11f5f4b7e746f5a561debb890d6658c1a56d7c35210de1a002f04fbec95"
 
 
-def random_states(nqubits: int, count: int) -> list:
-    """Haar-pure states alternating with Ginibre states of every rank."""
-    states = []
-    for index in range(count):
-        ss = np.random.SeedSequence([SEED, nqubits, index])
-        if index % 2 == 0:
-            states.append(random_pure(nqubits, ss))
-        else:
-            states.append(random_mixed(nqubits, 1 + (index // 2) % 2**nqubits, ss))
-    return states
-
-
 def golden_states() -> dict:
     grid = (0.0, 0.25, 0.5, 0.75, 1.0)
     return {
-        2: random_states(2, 30) + [pure_alpha(a) for a in grid] + [werner(p) for p in grid],
-        3: random_states(3, 8) + [ghz_alpha(0.5), ghz_alpha(1 / math.sqrt(2))],
+        2: seeded_states(2, SEED, 30) + [pure_alpha(a) for a in grid] + [werner(p) for p in grid],
+        3: seeded_states(3, SEED, 8) + [ghz_alpha(0.5), ghz_alpha(1 / math.sqrt(2))],
     }
 
 
