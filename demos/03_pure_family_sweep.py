@@ -18,19 +18,35 @@ from naqc.cli import main
 
 SQRT6 = math.sqrt(6.0)
 
+# the sweep through the CLI, as a CSV artifact: alpha, s0, (s1 + s2)/2,
+# total/3 and eps at alpha = 0, 0.01, ..., 1
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "pure_family_l1.csv"
+    code = main(
+        [
+            "sweep",
+            "--family", "pure_alpha",
+            "--from", "0", "--to", "1", "--step", "0.01",
+            "--measure", "l1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    rows = out.read_text().splitlines()
+print(f"CLI sweep wrote {len(rows) - 1} rows, header: {rows[0]}")
+peak = max(rows[1:], key=lambda line: float(line.split(",")[2]))
+print(f"peak row: {peak}\n")
+
 print("alpha    s0       (s1+s2)/2  total/3   above sqrt(6)?")
 print("-" * 58)
 window = []
-for k in range(21):
-    alpha = k / 20
-    s = shift_values(pure_alpha(alpha), Measure.L1).values
-    s12_half = (s[1] + s[2]) / 2
-    total_third = s.sum() / 3
+for line in rows[1::5]:  # alpha = 0, 0.05, ..., 1
+    alpha, s0, s12_half, total_third, _ = map(float, line.split(","))
     above = s12_half > SQRT6
     if above:
         window.append(alpha)
     print(
-        f"{alpha:.2f}   {s[0]:8.5f}  {s12_half:8.5f}   {total_third:8.5f}   "
+        f"{alpha:.2f}   {s0:8.5f}  {s12_half:8.5f}   {total_third:8.5f}   "
         f"{'YES' if above else '-'}"
     )
 
@@ -55,21 +71,3 @@ threshold = ((SQRT6 - 2) / 2) ** 2
 lo = (1 - math.sqrt(1 - 4 * threshold)) / 2
 hi = (1 + math.sqrt(1 - 4 * threshold)) / 2
 print(f"\nexact crossing points: alpha = {lo:.6f} and {hi:.6f}")
-
-# same sweep through the CLI, as a CSV artifact
-with tempfile.TemporaryDirectory() as tmp:
-    out = Path(tmp) / "pure_family_l1.csv"
-    code = main(
-        [
-            "sweep",
-            "--family", "pure_alpha",
-            "--from", "0", "--to", "1", "--step", "0.01",
-            "--measure", "l1",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    rows = out.read_text().splitlines()
-print(f"\nCLI sweep wrote {len(rows) - 1} rows, header: {rows[0]}")
-peak = max(rows[1:], key=lambda line: float(line.split(",")[2]))
-print(f"peak row: {peak}")

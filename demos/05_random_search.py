@@ -1,57 +1,35 @@
 #!/usr/bin/env python3
 """Random search for large criterion values, and the complementarity trade-off.
 
-Samples seeded random two-qubit states (alternating Haar pure and
-full-rank mixed), tracks the largest two-setting value found, and shows
-that whenever a double criterion is violated the complementary single is
-satisfied, as the all-states bound on the total demands.
+Runs ``naqc search`` over seeded random two-qubit states (alternating Haar
+pure and full-rank mixed) for the largest double12 value, and the
+``bipartite-complementarity`` check on the same samples: the total of the
+three shift values never exceeds 3 eps, so whenever a double criterion is
+violated the complementary single is satisfied.
 """
-
-import math
 
 import numpy as np
 
 from naqc import Measure, random_mixed, random_pure, steering_report
+from naqc.cli import main
 
-SQRT6 = math.sqrt(6.0)
-SEED = 2718
-SAMPLES = 4000
+RUN = ["--samples", "4000", "--seed", "2718"]
 
-best_value = -1.0
-best_index = -1
-violations = 0
-compensation_failures = 0
+print("largest double12 value over the samples (even indices Haar pure, odd full-rank mixed):")
+assert main(["search", "--nqubits", "2", "--criterion", "double12", *RUN]) == 0
+print("algebraic maximum for this family of criteria: 6 (Bell state)")
 
-for index in range(SAMPLES):
-    seed = np.random.SeedSequence([SEED, index])
-    rho = random_pure(2, seed) if index % 2 == 0 else random_mixed(2, 4, seed)
-    report = steering_report(rho, Measure.L1)
-    for (j, k), res in report.doubles:
-        if res.violated:
-            violations += 1
-            remaining = ({0, 1, 2} - {j, k}).pop()
-            if report.singles[remaining].violated:
-                compensation_failures += 1
-    value = dict(report.doubles)[(1, 2)].value
-    if value > best_value:
-        best_value, best_index = value, index
-
-print(f"samples: {SAMPLES} (even indices Haar pure, odd indices full-rank mixed)")
-print(f"largest double12 value: {best_value:.6f} at sample {best_index}")
-print(f"two-setting bound 2 sqrt(6) = {2 * SQRT6:.6f}")
-print(f"algebraic maximum for this family of criteria: 6 (Bell state)")
-print(f"\nviolated double criteria seen: {violations}")
-print(f"cases where the complementary single was ALSO violated: {compensation_failures}")
-print("\nThe count above must be zero: the total of the three shift values")
-print("never exceeds 3 eps, so a double above 2 eps forces the remaining")
-print("single below eps.")
+print("\nworst margin 3 eps - (s0 + s1 + s2) over the same samples:")
+assert main(["check", "--suite", "bipartite-complementarity", *RUN]) == 0
+print("\nNo margin is below -1e-9 (skew's total reaches 3 eps on pure states),")
+print("so a double above 2 eps forces the remaining single below eps.")
 
 print("\nHow often does a random state show any violation at all?")
+rng = np.random.default_rng(2719)
+states = [random_pure(2, rng) if k % 2 == 0 else random_mixed(2, 4, rng) for k in range(1000)]
 for measure in Measure:
     count = 0
-    for index in range(1000):
-        seed = np.random.SeedSequence([SEED + 1, index])
-        rho = random_pure(2, seed) if index % 2 == 0 else random_mixed(2, 4, seed)
+    for rho in states:
         report = steering_report(rho, measure)
         if any(res.violated for res in report.singles) or any(
             res.violated for _, res in report.doubles

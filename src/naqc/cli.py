@@ -384,12 +384,14 @@ def _suite_no_signalling(seed: int, samples: int) -> SuiteResult:
 
 
 def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
+    # the weights come in order from a generator of their own: SeedSequence
+    # pads [seed] with zeros, so default_rng(seed) would be sample 0's
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     worst = np.inf
     for indices in _chunks(range(samples)):
         # samples 2i and 2i + 1 of each pair index i, interleaved
         drawn = _samples(2, seed, range(2 * indices.start, 2 * indices.stop))
-        rngs = _generators(seed, indices, (2,))
-        weight = np.array([rng.uniform() for rng in rngs])[:, None]
+        weight = rng.uniform(size=(len(indices), 1))
         first, second = drawn[0::2], drawn[1::2]
         mixed = weight[..., None] * first + (1.0 - weight[..., None]) * second
         s = _shifts(_condition(np.stack([first, second, mixed])), tuple(Measure))[0]

@@ -179,8 +179,8 @@ def _lanes(n: int) -> tuple[int, int, int, list, list, list]:
     return unit, _MASK32 * unit, sum(k << 64 * k for k in range(n)), hashes, mixes, outputs
 
 
-def _pcg64_seeds(master_seed: int, indices: range, tail: tuple[int, ...]) -> np.ndarray:
-    """``SeedSequence([master_seed, i, *tail]).generate_state(4, np.uint64)``
+def _pcg64_seeds(master_seed: int, indices: range) -> np.ndarray:
+    """``SeedSequence([master_seed, i]).generate_state(4, np.uint64)``
     of every index i of ``indices`` at once, as a C-contiguous ``(n, 4)``
     uint64 array, for entropies that fit the 4-word pool (``_generators``).
 
@@ -193,7 +193,7 @@ def _pcg64_seeds(master_seed: int, indices: range, tail: tuple[int, ...]) -> np.
     n = len(indices)
     unit, mask, ramp, hashes, mixes, outputs = _lanes(n)
     head = [master_seed & _MASK32, master_seed >> 32][: 1 + (master_seed > _MASK32)]
-    entropy = [w * unit for w in head] + [indices.start * unit + ramp] + [t * unit for t in tail]
+    entropy = [w * unit for w in head] + [indices.start * unit + ramp]
 
     def hashed(words: list[int], steps: list):
         for src, xor, mul in steps:
@@ -249,26 +249,22 @@ def _pcg64_generators(seeds: np.ndarray) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
 
 
-def _generators(
-    master_seed: int, indices: range, tail: tuple[int, ...] = ()
-) -> list[np.random.Generator]:
+def _generators(master_seed: int, indices: range) -> list[np.random.Generator]:
     """One generator per index i of the step-1 range ``indices``, each in
     the state of
-    ``np.random.default_rng(np.random.SeedSequence([master_seed, i, *tail]))``.
+    ``np.random.default_rng(np.random.SeedSequence([master_seed, i]))``.
 
-    The commands draw entropies that fill at most ``SeedSequence``'s 4-word
-    pool: a master seed below 2**64, indices and tail ints below 2**32, and
-    at most four 32-bit words in all. For those no ``SeedSequence`` is
-    built: ``_pcg64_seeds`` mixes the pools of the whole range and hashes
-    their ``PCG64`` seed words in one pass, index i in its own 64-bit lane
-    of one int. Every other entropy, a negative seed included, goes to
-    numpy's own ``SeedSequence``, one per index.
+    An entropy of a master seed below 2**64 and an index below 2**32 fills
+    at most three of ``SeedSequence``'s 4-word pool. For those no
+    ``SeedSequence`` is built: ``_pcg64_seeds`` mixes the pools of the
+    whole range and hashes their ``PCG64`` seed words in one pass, index i
+    in its own 64-bit lane of one int. Every other entropy, a negative seed
+    included, goes to numpy's own ``SeedSequence``, one per index.
     """
-    small = all(0 <= k <= _MASK32 for k in (indices.start, indices.stop - 1, *tail))
-    # a seed of 1 or 2 words, the index and the tail: at most 4 words
-    if small and 0 <= master_seed < 2**64 and (master_seed > _MASK32) + len(tail) <= 2:
-        return _pcg64_generators(_pcg64_seeds(master_seed, indices, tail))
-    entropies = ([master_seed, i, *tail] for i in indices)
+    small = all(0 <= k <= _MASK32 for k in (indices.start, indices.stop - 1))
+    if small and 0 <= master_seed < 2**64:
+        return _pcg64_generators(_pcg64_seeds(master_seed, indices))
+    entropies = ([master_seed, i] for i in indices)
     seeds = [np.random.SeedSequence(e).generate_state(4, np.uint64) for e in entropies]
     return _pcg64_generators(np.array(seeds, np.uint64).reshape(-1, 4))
 

@@ -60,13 +60,11 @@ def sampled_matrix(nqubits: int, seed, rank: int | None = None) -> np.ndarray:
 
 
 def seeded_sample(nqubits: int, seed: int, index: int) -> DensityMatrix:
-    """Sample ``index`` of ``seed`` by the rule search and check draw by: from
-    ``SeedSequence([seed, index])``, Haar-pure at even ``index`` and
-    full-rank Ginibre at odd ``index``."""
+    """Sample ``index`` of ``seed`` by search's rule, drawn on its own by
+    ``sampled_matrix``: from ``SeedSequence([seed, index])``, Haar-pure at
+    even ``index`` and full-rank Ginibre at odd ``index``."""
     ss = np.random.SeedSequence([seed, index])
-    if index % 2 == 0:
-        return random_pure(nqubits, ss)
-    return random_mixed(nqubits, 2**nqubits, ss)
+    return DensityMatrix(sampled_matrix(nqubits, ss, None if index % 2 == 0 else 2**nqubits))
 
 
 def seeded_states(nqubits: int, seed: int, count: int) -> list:

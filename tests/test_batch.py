@@ -54,7 +54,7 @@ from oracles import (
     counted_eigvalsh,
     diagonal_state,
     oracle_branches,
-    sampled_matrix,
+    seeded_sample,
     seeded_states,
 )
 
@@ -264,13 +264,6 @@ def test_cli_output_does_not_depend_on_the_chunk_size(argv, monkeypatch, tmp_pat
         assert cli_output(argv, out) == expected
 
 
-def cli_sample(nqubits: int, master_seed: int, index: int) -> np.ndarray:
-    """The CLI's sample ``index``, drawn on its own: Haar-pure at even
-    indices, full-rank Ginibre at odd ones."""
-    seed = np.random.SeedSequence([master_seed, index])
-    return sampled_matrix(nqubits, seed, None if index % 2 == 0 else 2**nqubits)
-
-
 # master seeds of 1, 1, 2, 3 and 5 32-bit words: the entropy [seed, index]
 # that states._generators splits into words changes length at each boundary
 MASTER_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 7]
@@ -298,7 +291,7 @@ def test_sampled_chunks_are_the_per_index_draws(nqubits, chunk, master_seed, mon
     assert [list(indices) for indices, _ in chunks] == [
         list(range(start, min(start + chunk, count))) for start in starts
     ]
-    expected = np.stack([cli_sample(nqubits, master_seed, i) for i in range(count)])
+    expected = np.stack([seeded_sample(nqubits, master_seed, i).matrix for i in range(count)])
     assert np.array_equal(bits(np.concatenate([mats for _, mats in chunks])), bits(expected))
 
 
@@ -313,32 +306,27 @@ INDEX_RANGES = [range(5, 12), range(9, 10), range(8, 9), range(2**32 - 3, 2**32 
     ),
 )
 def test_a_chunk_may_start_at_any_index(nqubits, indices, master_seed):
-    expected = np.stack([cli_sample(nqubits, master_seed, i) for i in indices])
+    expected = np.stack([seeded_sample(nqubits, master_seed, i).matrix for i in indices])
     assert np.array_equal(bits(cli._samples(nqubits, master_seed, indices)), bits(expected))
 
 
-def assert_seed_sequence_states(built: list, seed: int, indices, tail: tuple) -> None:
+def assert_seed_sequence_states(built: list, seed: int, indices) -> None:
     """Generator k of ``built`` is in the state of
-    ``default_rng(SeedSequence([seed, indices[k], *tail]))``."""
+    ``default_rng(SeedSequence([seed, indices[k]]))``."""
     assert len(built) == len(indices)
     for i, rng in zip(indices, built):
-        expected = np.random.default_rng(np.random.SeedSequence([seed, i, *tail]))
-        assert rng.bit_generator.state == expected.bit_generator.state, (seed, i, tail)
+        expected = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        assert rng.bit_generator.state == expected.bit_generator.state, (seed, i)
 
 
 def test_built_generators_are_in_the_seed_sequence_state():
     """``states._generators`` stands in for ``default_rng(SeedSequence(e))``:
     every generator it builds starts in that generator's state, for
-    entropies of 2 to 7 words, indices on both sides of 2**32 and the
-    mixing suite's three-entry ``[seed, i, 2]``."""
-    calls = [(range(2000), ()), (range(2**32 - 500, 2**32 + 500), ()), (range(1000), (2,))]
-    count = 0
+    entropies of 2 to 7 words and indices on both sides of 2**32."""
     for seed in MASTER_SEEDS:
-        for indices, tail in calls:
-            built = _generators(seed, indices, tail)
-            assert_seed_sequence_states(built, seed, indices, tail)
-            count += len(built)
-    assert count == 20_000
+        for indices in (range(2000), range(2**32 - 500, 2**32 + 500)):
+            built = _generators(seed, indices)
+            assert_seed_sequence_states(built, seed, indices)
     # the seed sequence behind them holds PCG64's four words and nothing else
     assert built[0].bit_generator.seed_seq.generate_state(4, np.uint64).shape == (4,)
     for request in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
@@ -355,69 +343,52 @@ SHORT_CHUNKS = [
 ]  # fmt: skip
 
 
-@pytest.mark.parametrize("tail", [(), (2,)], ids=["pair", "tail2"])
-@pytest.mark.parametrize("seed", MASTER_SEEDS)
-def test_generators_of_short_and_straddling_chunks(seed, tail):
+# the ids name the entropy drawn, the pair [seed, i]
+@pytest.mark.parametrize("seed", MASTER_SEEDS, ids=lambda seed: f"{seed}-pair")
+def test_generators_of_short_and_straddling_chunks(seed):
     for indices in SHORT_CHUNKS:
-        assert_seed_sequence_states(_generators(seed, indices, tail), seed, indices, tail)
+        assert_seed_sequence_states(_generators(seed, indices), seed, indices)
 
 
-@pytest.mark.parametrize("tail", [(), (2,)], ids=["pair", "tail2"])
-def test_straddling_chunks_in_mixed_order(tail):
+def test_straddling_chunks_in_mixed_order():
     """Chunks of 1 to 3 indices around 2**32, built in shuffled order: a
     chunk's generators depend on its own indices alone, in index order."""
     rng = np.random.default_rng(SEED)
     edges = [2**32 - 6, 2**32 - 5, 2**32 - 3, 2**32 - 1, 2**32 + 1, 2**32 + 2, 2**32 + 5]
     chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
-    for k in rng.permutation(len(chunks)):
+    for indices in (chunks[k] for k in rng.permutation(len(chunks))):
         for seed in (SEED, 2**32 + 9):
-            indices = chunks[k]
-            assert_seed_sequence_states(_generators(seed, indices, tail), seed, indices, tail)
+            assert_seed_sequence_states(_generators(seed, indices), seed, indices)
 
 
-@st.composite
-def generator_calls(draw):
-    """A master seed below 2**160, a chunk of 0 to 70 indices that starts
-    near 0, near or across 2**32, or near the last index below 2**64, and
-    a tail of up to 3 ints: enough words for every stage of the pool mix,
-    trailing zero words included."""
-    seed = draw(st.integers(0, 2**160))
-    size = draw(st.integers(0, 70))
-    offset = draw(st.integers(0, 80))
-    start = draw(st.sampled_from([offset, 2**32 - offset, 2**64 - size - offset]))
-    words = st.one_of(st.sampled_from([0, 2, 2**40]), st.integers(0, 2**96))
-    tail = tuple(draw(st.lists(words, max_size=3)))
-    return seed, range(start, start + size), tail
-
-
-@given(generator_calls())
+@given(st.integers(0, 2**160), st.integers(0, 70), st.integers(0, 80), st.integers(0, 2))
 @settings(max_examples=300, derandomize=True, deadline=None)
-def test_generators_match_numpy_seed_sequences(call):
-    seed, indices, tail = call
-    assert_seed_sequence_states(_generators(seed, indices, tail), seed, indices, tail)
+def test_generators_match_numpy_seed_sequences(seed, size, offset, where):
+    """A master seed below 2**160 and a chunk of 0 to 70 indices that
+    starts near 0, near or across 2**32, or near the last index below
+    2**64: entropies of 2 to 8 words, trailing zero words included."""
+    start = [offset, 2**32 - offset, 2**64 - size - offset][where]
+    indices = range(start, start + size)
+    assert_seed_sequence_states(_generators(seed, indices), seed, indices)
 
 
-# entropies [seed, i, *tail] that fit SeedSequence's 4-word pool, which the
-# lane pass seeds, and longer ones, which numpy's SeedSequence seeds
-POOL_ENTROPIES = [
-    (0, range(64), ()), (7, range(5, 9), (2,)), ((1234 << 32) + 5, range(32), ()),
-    (2**64 - 1, range(2**32 - 3, 2**32), (2,)),
-]  # fmt: skip
-LONGER_ENTROPIES = [
-    (2**64, range(3), ()), (7, range(2**32 - 1, 2**32 + 1), ()), (7, range(2), (2**40,)),
-    (2**40, range(2), (2, 3)),
-]  # fmt: skip
+# entropies [seed, i] that fit SeedSequence's 4-word pool, which the lane
+# pass seeds, and longer ones, which numpy's SeedSequence seeds
+POOL_ENTROPIES = [(0, range(64)), (7, range(5, 9)), ((1234 << 32) + 5, range(32)),
+                  (2**64 - 1, range(2**32 - 3, 2**32))]  # fmt: skip
+LONGER_ENTROPIES = [(2**64, range(3)), (7, range(2**32 - 1, 2**32 + 1)), (2**128 + 7, range(4)),
+                    (2**64 - 1, range(2**32, 2**32 + 2))]  # fmt: skip
 
 
 @pytest.mark.parametrize(
-    "seed, indices, tail, built",
+    "seed, indices, built",
     [pytest.param(*call, 0, id=f"pool{k}") for k, call in enumerate(POOL_ENTROPIES)]
     + [
         pytest.param(*call, len(call[1]), id=f"longer{k}")
         for k, call in enumerate(LONGER_ENTROPIES)
     ],
 )
-def test_only_entropies_past_the_pool_build_seed_sequences(seed, indices, tail, built, monkeypatch):
+def test_only_entropies_past_the_pool_build_seed_sequences(seed, indices, built, monkeypatch):
     count = []
 
     class Counted(np.random.SeedSequence):
@@ -426,10 +397,10 @@ def test_only_entropies_past_the_pool_build_seed_sequences(seed, indices, tail, 
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", Counted)
-    rngs = _generators(seed, indices, tail)
+    rngs = _generators(seed, indices)
     monkeypatch.undo()
     assert len(count) == built
-    assert_seed_sequence_states(rngs, seed, indices, tail)
+    assert_seed_sequence_states(rngs, seed, indices)
 
 
 def test_pcg64_seed_words_must_be_c_contiguous_uint64_rows():

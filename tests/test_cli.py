@@ -635,6 +635,30 @@ class TestCheck:
         assert float(gap.group(1)) == pytest.approx(1e-9, rel=1e-3)
         assert "result: FAIL" in out
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5])
+    def test_mixing_weights_are_not_drawn_by_sample_zeros_generator(self, seed, monkeypatch):
+        """The mixing suite's weights come in order from
+        ``SeedSequence(seed).spawn(1)[0]``, not from ``default_rng(seed)``,
+        which is sample 0's generator. They are read back from the
+        (first, second, mixed) stacks the suite conditions."""
+        sample_zero, weights = np.random.default_rng(seed), []
+        first_sample = cli._generators(seed, range(1))[0]
+        assert sample_zero.bit_generator.state == first_sample.bit_generator.state
+
+        def spied(mats, condition=cli._condition):
+            first, second, mixed = mats
+            d = first - second
+            dot = np.sum((mixed - second) * d.conj(), axis=(1, 2)).real
+            weights.extend(dot / np.sum(abs(d) ** 2, axis=(1, 2)))
+            return condition(mats)
+
+        monkeypatch.setattr(cli, "_condition", spied)
+        argv = ["check", "--suite", "mixing-monotonicity", "--samples", "20", "--seed", str(seed)]
+        assert main(argv) == EXIT_OK
+        own = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).uniform(size=20)
+        assert np.allclose(weights, own, rtol=0.0, atol=1e-12)
+        assert np.min(np.abs(weights - sample_zero.uniform(size=20))) > 1e-6
+
     def test_unknown_suite_is_parse_error(self, capsys):
         assert main(["check", "--suite", "nope"]) == EXIT_PARSE
 
