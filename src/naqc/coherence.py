@@ -212,7 +212,8 @@ class _Triple(_ValueEquality):
         values = np.array(_check_numeric(f"{self._KIND}values", self.values), dtype=float)
         if values.shape != (3,):
             raise ValueError(f"expected three {self._KIND}values, got shape {values.shape}")
-        self._totals(values, self.measure)
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, which the bound rejects
+            self._totals(values, self.measure)
         object.__setattr__(self, "values", _frozen(values))
 
     @classmethod

@@ -154,18 +154,40 @@ def projector(axis: int, outcome: int) -> np.ndarray:
 
 def _validate(mats: np.ndarray) -> None:
     """Raise ``NotAStateError`` unless every matrix of the ``(..., D, D)``
-    stack is Hermitian within 1e-10, has unit trace within 1e-10 and no
-    eigenvalue below -1e-10. The message gives the worst value in the stack.
+    stack is Hermitian within 1e-10, has unit trace within 1e-10, no
+    eigenvalue below -1e-10 and no entry of modulus above 1 + 9e-10, the
+    most a state can hold. The message gives the worst value in the stack.
 
     States are validated once, where they enter (``DensityMatrix`` and
     ``naqc.cli._samples``); ``naqc.steering._condition`` guards what the
     core derives from them.
 
-    NaN fails the Hermiticity and trace checks, which come first, so NaN and
-    inf never reach LAPACK. A Cholesky of ``mats + 1e-10 I`` then certifies
-    every eigenvalue >= -1e-10 (up to about 1e-16); only a stack it fails
-    goes to the eigensolver, which accepts -1e-10 and names the lowest value.
+    The entry bound is read before any arithmetic. A stack above it, inf
+    included, is not a state: the checks of ``_check_state`` run on it
+    without overflow warnings and name its fault if they see one, and the
+    bound fails it if they do not. NaN fails the Hermiticity check, so
+    neither NaN nor inf reaches LAPACK.
     """
+    # The bound: LAPACK reads the lower triangle H of a D x D matrix, D <= 8,
+    # and H - EIGVAL_FLOOR I is PSD, so |H_ij| <= (H_ii + H_jj) / 2 -
+    # EIGVAL_FLOOR < 1 off the diagonal and H_ii <= Re Tr - (D - 1) *
+    # EIGVAL_FLOOR on it, D - 1 <= 7; Re Tr <= 1 + TRACE_TOL, and the upper
+    # triangle and the imaginary parts of the diagonal lie within
+    # HERMITICITY_TOL of H. OpenBLAS's Cholesky turns the complex dot of
+    # entries of about 1.3e154 or more into NaN and raises nothing; the bound
+    # rejects what it lets through.
+    if (largest := np.abs(mats).max()) > 1.0 + TRACE_TOL - 7 * EIGVAL_FLOOR + HERMITICITY_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_state(mats)
+        raise NotAStateError(f"entry modulus {largest:.3e} exceeds what a state can hold")
+    _check_state(mats)
+
+
+def _check_state(mats: np.ndarray) -> None:
+    """The Hermiticity and trace checks, then a Cholesky of ``mats + 1e-10
+    I``, which certifies every eigenvalue >= -1e-10 (up to about 1e-16);
+    only a stack it fails goes to the eigensolver, which accepts -1e-10 and
+    names the lowest value."""
     herm_defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
     if not herm_defect <= HERMITICITY_TOL:
         raise NotAStateError(f"not Hermitian: max |M - M^dag| = {herm_defect:.3e}")
@@ -184,9 +206,10 @@ def _validate(mats: np.ndarray) -> None:
 class DensityMatrix:
     """Validated density matrix over 1, 2 or 3 qubits.
 
-    Construction enforces Hermiticity and unit trace within 1e-10 and
+    Construction enforces Hermiticity and unit trace within 1e-10,
     eigenvalues no lower than -1e-10 (a Cholesky certificate, with an
-    eigensolver fallback); anything else raises ``NotAStateError``. Nothing
+    eigensolver fallback) and entries of modulus at most 1 + 9e-10;
+    anything else raises ``NotAStateError``, with no warning before it. Nothing
     derived from the state is validated again; ``naqc.steering._condition``
     guards its branches. The wrapped array is a read-only copy, and neither
     ``matrix`` nor ``nqubits`` can be rebound, so the memo below always
@@ -292,7 +315,8 @@ class BlochQubit(_ValueEquality):
         r = np.array(_check_numeric("Bloch vector", self.r), dtype=float)
         if r.shape != (3,):
             raise ValueError(f"Bloch vector must have shape (3,), got {r.shape}")
-        norm = _norm(r)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, which the bound rejects
+            norm = _norm(r)
         _check_bound("Bloch vector norm", norm, 1.0, BLOCH_NORM_TOL, NotAStateError)
         object.__setattr__(self, "r", _frozen(r))
         object.__setattr__(self, "norm", float(norm))

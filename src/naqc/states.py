@@ -71,8 +71,9 @@ class TwoQubitBloch(_ValueEquality):
         r, s, T = (np.array(_check_numeric(k, getattr(self, k)), dtype=float) for k in "rsT")
         if r.shape != (3,) or s.shape != (3,) or T.shape != (3, 3):
             raise ValueError("expected r, s of shape (3,) and T of shape (3, 3)")
-        _check_bound("|r|", _norm(r), 1.0, BLOCH_NORM_TOL, NotAStateError)
-        _check_bound("|s|", _norm(s), 1.0, BLOCH_NORM_TOL, NotAStateError)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, which the bound rejects
+            _check_bound("|r|", _norm(r), 1.0, BLOCH_NORM_TOL, NotAStateError)
+            _check_bound("|s|", _norm(s), 1.0, BLOCH_NORM_TOL, NotAStateError)
         _check_bound("correlation |T_ij|", np.abs(T), 1.0, BLOCH_NORM_TOL, NotAStateError)
         for name, arr in (("r", r), ("s", s), ("T", T)):
             object.__setattr__(self, name, _frozen(arr))

@@ -4,11 +4,12 @@ The library evaluates states as stacks: ``steering._condition`` conditions a
 ``(..., 4, 4)`` or ``(..., 8, 8)`` stack at once, ``_shifts`` and
 ``_tripartite`` read every measure from it, and the reports are a stack of
 one. Every step is elementwise or per matrix, so a state's values must not
-depend on the stack it sits in: the tests below require equal bits at stack
-sizes 1, 2, 7 and all states at once, agreement with the density-matrix
-oracle, identical CLI output for any chunk size, and guards that trip on
-NaN anywhere in a stack. The CLI draws each chunk of samples as one stack;
-its bits must be those of the samples drawn one at a time.
+depend on the stack it sits in: the tests below require the criteria's bits
+at stack sizes 1, 2, 7 and all states at once (``TestConditioningLayouts``
+in test_steering.py holds the conditioning to the same), agreement with the
+density-matrix oracle, identical CLI output for any chunk size, and guards
+that trip on NaN anywhere in a stack. The CLI draws each chunk of samples
+as one stack; its bits must be those of the samples drawn one at a time.
 """
 
 import contextlib
@@ -91,17 +92,6 @@ def stack_values(cond, measure: Measure) -> np.ndarray:
     return _tripartite(cond, (measure,))[0]
 
 
-@pytest.mark.parametrize("nqubits", [2, 3])
-@pytest.mark.parametrize("size", STACK_SIZES)
-def test_reports_are_bitwise_equal_at_every_stack_size(nqubits, size):
-    states = STATES[nqubits]
-    conds = [_condition(matrices) for matrices in stacked(states, size)]
-    for measure in Measure:
-        values = np.concatenate([stack_values(cond, measure) for cond in conds])
-        expected = np.array([report_values(rho, measure) for rho in states])
-        assert values.tobytes() == expected.tobytes()
-
-
 # each criterion's field in the reports, written out apart from CRITERIA
 REPORT_FIELDS = {
     "single0": lambda report: report.singles[0],
@@ -118,10 +108,12 @@ REPORT_FIELDS = {
 
 
 @pytest.mark.parametrize("nqubits", [2, 3])
-@pytest.mark.parametrize("size", (1, 7, None))
+@pytest.mark.parametrize("size", STACK_SIZES)
 def test_stacked_criteria_are_the_report_fields(nqubits, size):
     """Each column ``_criteria`` gives for a stack holds the value, bound and
-    flag of the report field of that criterion, bit for bit."""
+    flag of the report field of that criterion, bit for bit: the singles
+    and t1 to t3 carry the values the stack scores, so a state's values do
+    not depend on the stack it sits in."""
     assert [*CRITERIA[2], *CRITERIA[3]] == list(REPORT_FIELDS)
     states = STATES[nqubits]
     report = steering_report if nqubits == 2 else tripartite_report
@@ -138,21 +130,6 @@ def test_stacked_criteria_are_the_report_fields(nqubits, size):
             assert {res.bound.hex() for res in results} == {f.bound.hex() for f in fields}
             flags = np.concatenate([res.violated for res in results]).tolist()
             assert flags == [f.violated for f in fields], name
-
-
-@pytest.mark.parametrize("nqubits", [2, 3])
-@pytest.mark.parametrize("size", STACK_SIZES)
-def test_conditioning_is_bitwise_equal_at_every_stack_size(nqubits, size):
-    states = STATES[nqubits]
-    conds = [_condition(matrices) for matrices in stacked(states, size)]
-    memos = [_condition(rho.matrix) for rho in states]
-    for field in steering._Conditioning._fields:
-        if nqubits == 2 and field == "charlie":
-            assert all(getattr(cond, field) is None for cond in conds)
-            continue
-        batch = np.concatenate([getattr(cond, field) for cond in conds])
-        single = np.stack([getattr(memo, field) for memo in memos])
-        assert batch.tobytes() == single.tobytes(), field
 
 
 def oracle_bloch(qubit: np.ndarray) -> np.ndarray:
@@ -187,8 +164,7 @@ def assert_alice_branches_match(matrix: np.ndarray, prob, bloch, norm) -> None:
 
 @pytest.mark.parametrize("size", STACK_SIZES)
 def test_two_qubit_branches_match_the_oracle(size):
-    states = STATES[2]
-    for matrices in stacked(states, size):
+    for matrices in stacked(STATES[2], size):
         cond = _condition(matrices)
         for k, matrix in enumerate(matrices):
             assert_alice_branches_match(matrix, cond.prob[k], cond.bloch[k], cond.norm[k])
@@ -196,8 +172,7 @@ def test_two_qubit_branches_match_the_oracle(size):
 
 @pytest.mark.parametrize("size", STACK_SIZES)
 def test_three_qubit_branches_match_the_oracle(size):
-    states = STATES[3]
-    for matrices in stacked(states, size):
+    for matrices in stacked(STATES[3], size):
         cond = _condition(matrices)
         for k, matrix in enumerate(matrices):
             charlie = list(oracle_branches(matrix, last=True))
@@ -319,46 +294,30 @@ def assert_seed_sequence_states(built: list, seed: int, indices) -> None:
         assert rng.bit_generator.state == expected.bit_generator.state, (seed, i)
 
 
-def test_built_generators_are_in_the_seed_sequence_state():
-    """``states._generators`` stands in for ``default_rng(SeedSequence(e))``:
-    every generator it builds starts in that generator's state, for
-    entropies of 2 to 7 words and indices on both sides of 2**32."""
-    for seed in MASTER_SEEDS:
-        for indices in (range(2000), range(2**32 - 500, 2**32 + 500)):
-            built = _generators(seed, indices)
-            assert_seed_sequence_states(built, seed, indices)
-    # the seed sequence behind them holds PCG64's four words and nothing else
-    assert built[0].bit_generator.seed_seq.generate_state(4, np.uint64).shape == (4,)
-    for request in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
-        with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
-            built[0].bit_generator.seed_seq.generate_state(*request)
-
-
-# chunks of 1 and 2 indices on either side of 2**32 and up to the last
-# index below 2**64, an empty chunk, and three that straddle 2**32
-SHORT_CHUNKS = [
+# chunks of 2,000 and 1,000 indices, of 1 and 2 indices on either side of
+# 2**32 and up to the last index below 2**64, an empty chunk, three that
+# straddle 2**32, and, at two more seeds, chunks of 1 to 3 indices that tile
+# 2**32 - 6 .. 2**32 + 4
+CHUNKS = [
+    range(2000), range(2**32 - 500, 2**32 + 500),
     range(0, 1), range(9, 10), range(0, 2), range(7, 9), range(2**32, 2**32 + 1),
     range(2**32 + 6, 2**32 + 8), range(2**64 - 2, 2**64), range(5, 5),
     range(2**32 - 1, 2**32 + 1), range(2**32 - 1, 2**32 + 2), range(2**32 - 2, 2**32 + 1),
 ]  # fmt: skip
+EDGES = [2**32 - 6, 2**32 - 5, 2**32 - 3, 2**32 - 1, 2**32 + 1, 2**32 + 2, 2**32 + 5]
+GENERATOR_CASES = [(seed, indices) for seed in MASTER_SEEDS for indices in CHUNKS] + [
+    (seed, range(a, b)) for a, b in zip(EDGES, EDGES[1:]) for seed in (SEED, 2**32 + 9)
+]
 
 
-# the ids name the entropy drawn, the pair [seed, i]
-@pytest.mark.parametrize("seed", MASTER_SEEDS, ids=lambda seed: f"{seed}-pair")
-def test_generators_of_short_and_straddling_chunks(seed):
-    for indices in SHORT_CHUNKS:
+def test_built_generators_are_in_the_seed_sequence_state():
+    """``states._generators`` stands in for ``default_rng(SeedSequence(e))``:
+    every generator it builds starts in that generator's state, for
+    entropies of 2 to 7 words and indices on both sides of 2**32. The cases
+    are built in reverse order, each chunk after the chunks that follow it:
+    a chunk's generators depend on its own indices alone, in index order."""
+    for seed, indices in reversed(GENERATOR_CASES):
         assert_seed_sequence_states(_generators(seed, indices), seed, indices)
-
-
-def test_straddling_chunks_in_mixed_order():
-    """Chunks of 1 to 3 indices around 2**32, built in shuffled order: a
-    chunk's generators depend on its own indices alone, in index order."""
-    rng = np.random.default_rng(SEED)
-    edges = [2**32 - 6, 2**32 - 5, 2**32 - 3, 2**32 - 1, 2**32 + 1, 2**32 + 2, 2**32 + 5]
-    chunks = [range(a, b) for a, b in zip(edges, edges[1:])]
-    for indices in (chunks[k] for k in rng.permutation(len(chunks))):
-        for seed in (SEED, 2**32 + 9):
-            assert_seed_sequence_states(_generators(seed, indices), seed, indices)
 
 
 @given(st.integers(0, 2**160), st.integers(0, 70), st.integers(0, 80), st.integers(0, 2))
@@ -414,6 +373,12 @@ def test_pcg64_seed_words_must_be_c_contiguous_uint64_rows():
     expected = [np.random.PCG64(seed_words(row.copy())).state for row in words]
     assert [rng.bit_generator.state for rng in _pcg64_generators(words.copy())] == expected
     assert _pcg64_generators(np.empty((0, 4), dtype=np.uint64)) == []
+    # the seed sequence behind a generator holds PCG64's four words and nothing else
+    seed_seq = _pcg64_generators(words.copy())[0].bit_generator.seed_seq
+    assert seed_seq.generate_state(4, np.uint64).shape == (4,)
+    for request in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
+        with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
+            seed_seq.generate_state(*request)
     for bad in (
         words,  # strided rows
         words.astype(np.uint32),

@@ -230,6 +230,26 @@ class TestEvaluate:
         assert main(["evaluate", "--state", path]) == EXIT_STATE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"nqubits": 2, "re": [[0.5, 1e200, 0, 0], [1e200, 0.5, 0, 0], [0] * 4, [0] * 4],
+             "im": [[0, 1e200, 0, 0], [-1e200, 0, 0, 0], [0] * 4, [0] * 4]},
+            {"nqubits": 2, "re": (np.eye(4) / 4).tolist(),
+             "im": np.diag([math.inf, 0, 0, 0]).tolist()},
+            {"family": "general_bloch",
+             "params": {"r": [1e200, 0, 0], "s": [0, 0, 0], "T": np.zeros((3, 3)).tolist()}},
+        ],
+        ids=["1e200-block", "infinite-imaginary-part", "general-bloch-1e200"],
+    )  # fmt: skip
+    def test_numbers_no_state_holds_are_one_line_state_errors(self, tmp_path, capsys, doc):
+        """pytest makes any warning an exception, so none comes before the error."""
+        path = write_doc(tmp_path, "large.json", doc)
+        assert main(["evaluate", "--state", path]) == EXIT_STATE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: invalid state: .*\n", captured.err)
+
     def test_out_of_range_family_parameter_is_parse_error(self, tmp_path, capsys):
         path = write_doc(
             tmp_path, "bad.json", {"family": "pure_alpha", "params": {"alpha": 1.5}}

@@ -213,22 +213,6 @@ class TestCoherenceTriple:
         with pytest.raises(ConsistencyError, match="negative or NaN coherence value"):
             CoherenceTriple(np.array([-0.1, 0.0, 0.0]), Measure.L1)
 
-    def test_value_equality_and_hash(self):
-        a = coherence_triple(BlochQubit(np.array([0.3, 0.0, 0.4])), Measure.L1)
-        b = CoherenceTriple(a.values.copy(), Measure.L1)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-        other_measure = CoherenceTriple(a.values.copy(), Measure.RELATIVE_ENTROPY)
-        assert a != other_measure
-        other_values = CoherenceTriple(a.values * 0.5, Measure.L1)
-        assert a != other_values
-        assert len({a, other_measure, other_values}) == 3
-
-    def test_nan_is_a_consistency_error(self):
-        with pytest.raises(ConsistencyError, match="negative or NaN"):
-            CoherenceTriple(np.array([np.nan, 0.0, 0.0]), Measure.L1)
-
 
 class TestComplementarity:
     @pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.value)

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 import naqc
+from naqc.coherence import CoherenceTriple, Measure, coherence_triple
 from naqc.qcore import (
     BLOCH_NORM_TOL,
     BlochQubit,
+    ConsistencyError,
     DensityMatrix,
     NotAStateError,
     _norm,
@@ -19,12 +21,15 @@ from naqc.qcore import (
     pauli,
     projector,
 )
+from naqc.states import TwoQubitBloch, bell, to_bloch
+from naqc.steering import ConditionalBranch, ShiftValues, conditional_states, shift_values
 from oracles import (
     counted_eigvalsh,
     diagonal_state,
     eig_hermitian,
     partial_trace_matrix,
     qubit_of_bloch,
+    seeded_sample,
     sqrt_psd,
 )
 
@@ -68,10 +73,6 @@ class TestPauli:
     def test_numpy_integer_axis_is_accepted(self):
         for axis in (1, 2, 3):
             np.testing.assert_array_equal(pauli(np.int64(axis)), pauli(axis))
-
-    def test_returned_array_is_read_only(self):
-        with pytest.raises(ValueError):
-            pauli(1)[0, 0] = 5.0
 
 
 class TestProjector:
@@ -117,10 +118,6 @@ class TestProjector:
             for outcome in (0, 1):
                 expected = (np.eye(2, dtype=complex) + (-1) ** outcome * sigma) / 2
                 assert projector(axis, outcome).tobytes() == expected.tobytes()
-
-    def test_returned_array_is_read_only(self):
-        with pytest.raises(ValueError):
-            projector(3, 1)[0, 0] = 5.0
 
 
 class TestPartialTrace:
@@ -315,10 +312,6 @@ class TestBlochConversion:
         with pytest.raises(ValueError):
             BlochQubit(np.array([1.0, 0.0]))
 
-    def test_bloch_vector_rejects_nan(self):
-        with pytest.raises(NotAStateError, match="Bloch vector norm nan exceeds"):
-            BlochQubit(np.array([np.nan, 0.0, 0.0]))
-
     def test_bloch_norm_tolerance(self):
         BlochQubit(np.array([0.0, 0.0, 1.0 + 0.5 * BLOCH_NORM_TOL]))
         with pytest.raises(NotAStateError, match="Bloch vector norm .* exceeds"):
@@ -339,37 +332,8 @@ class TestBlochConversion:
         assert "norm" not in repr(state)
         with pytest.raises(dataclasses.FrozenInstanceError):
             state.norm = 0.0
-
-
-class TestBlochQubitValueEquality:
-    def test_equal_vectors_compare_and_hash_equal(self):
-        v = np.array([0.1, -0.2, 0.3])
-        a, b = BlochQubit(v), BlochQubit(v.copy())
-        assert a == b
-        assert not a != b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-
-    def test_different_vectors_differ(self):
-        a = BlochQubit(np.array([0.1, -0.2, 0.3]))
-        b = BlochQubit(np.array([0.1, -0.2, np.nextafter(0.3, 1.0)]))
-        assert a != b
-        assert len({a, b}) == 2
-
-    def test_signed_zero_compares_and_hashes_equal(self):
-        a = BlochQubit(np.array([0.0, 0.0, 0.5]))
-        b = BlochQubit(np.array([-0.0, 0.0, 0.5]))
-        assert a == b
-        assert hash(a) == hash(b)
-
-    def test_other_types_are_not_equal(self):
-        v = np.array([0.1, -0.2, 0.3])
-        assert BlochQubit(v) != tuple(v)
-        assert BlochQubit(v) != None  # noqa: E711
-
-    def test_norm_takes_no_part_in_comparison(self):
-        compared = [f.name for f in dataclasses.fields(BlochQubit) if f.compare]
-        assert compared == ["r"]
+        # the norm takes no part in comparison
+        assert [f.name for f in dataclasses.fields(BlochQubit) if f.compare] == ["r"]
 
 
 class TestDensityMatrixValidation:
@@ -415,7 +379,6 @@ class TestDensityMatrixValidation:
         with pytest.raises(NotAStateError):
             DensityMatrix(np.eye(16) / 16)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, value):
         diagonal = np.eye(4, dtype=complex) / 4
@@ -427,10 +390,10 @@ class TestDensityMatrixValidation:
         with pytest.raises(NotAStateError):
             DensityMatrix(symmetric)
 
-    def test_matrix_is_read_only(self):
-        rho = DensityMatrix(np.eye(2) / 2)
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 9.0
+    def test_the_entry_bound_holds_every_accepted_state(self):
+        """Trace 1 + 1e-10 less seven eigenvalues at the floor -1e-10 is the
+        largest entry an 8 x 8 state can hold, about 1 + 8e-10."""
+        DensityMatrix(np.diag([1.0 + 7.99e-10] + [-1e-10] * 7))
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_eigenvalues_sum_to_one(self, dim):
@@ -473,6 +436,95 @@ NOT_NUMBERS = {
 def test_value_constructors_refuse_non_numbers(build, error):
     with pytest.raises(error, match="must hold numbers, got dtype"):
         build()
+
+
+L1, RELENT, SKEW = Measure.L1, Measure.RELATIVE_ENTROPY, Measure.SKEW_INFORMATION
+NAN3, ZERO3, ZERO33 = np.array([np.nan, 0.0, 0.0]), np.zeros(3), np.zeros((3, 3))
+# NaN, and numbers too large for any state, whose arithmetic overflows: each
+# constructor raises its own error, and no warning comes before it
+NOT_STATES = {
+    "density-1e200": (DensityMatrix, [[0.5, 1e200 + 1e200j], [1e200 - 1e200j, 0.5]],
+                      NotAStateError, r"entry modulus 1\.414e\+200 exceeds what a state can hold$"),
+    "density-1e308-antisymmetric": (DensityMatrix, [[0.5, 1e308], [-1e308, 0.5]],
+                                    NotAStateError, r"not Hermitian: max \|M - M\^dag\| = inf"),
+    "density-1e308-trace": (DensityMatrix, np.diag([1e308, 1e308, -1e308, -1e308]),
+                            NotAStateError, "trace must be 1, got nan"),
+    "bloch-nan": (BlochQubit, NAN3, NotAStateError, "Bloch vector norm nan exceeds"),
+    "bloch-1e200": (BlochQubit, [1e200, 0, 0], NotAStateError, "Bloch vector norm inf exceeds"),
+    "rst-nan-r": (lambda r: TwoQubitBloch(r, ZERO3, ZERO33), NAN3, NotAStateError, r"\|r\| nan"),
+    "rst-nan-s": (lambda s: TwoQubitBloch(ZERO3, s, ZERO33), NAN3, NotAStateError, r"\|s\| nan"),
+    "rst-nan-T": (lambda T: TwoQubitBloch(ZERO3, ZERO3, T), np.diag(NAN3), NotAStateError,
+                  r"\|T_ij\| nan"),
+    "rst-1e200": (lambda r: TwoQubitBloch(r, ZERO3, ZERO33), [1e200, 0, 0], NotAStateError,
+                  r"\|r\| inf"),
+    "triple-nan": (lambda v: CoherenceTriple(v, L1), NAN3, ConsistencyError, "negative or NaN"),
+    "triple-1e308": (lambda v: CoherenceTriple(v, L1), [1e308, 1e308, 0], ConsistencyError,
+                     "l1 coherence triple sum inf exceeds"),
+    "shifts-nan": (lambda v: ShiftValues(v, L1), NAN3, ConsistencyError,
+                   "negative or NaN shift value"),
+    "shifts-1e308": (lambda v: ShiftValues(v, L1), [1e308, 1e308, 0], ConsistencyError,
+                     "shift total inf exceeds"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("build, value, error, message", NOT_STATES.values(), ids=NOT_STATES)
+def test_value_constructors_refuse_what_no_state_holds(build, value, error, message):
+    with pytest.raises(error, match=message):
+        build(value)
+
+
+def value_equality_cases() -> dict:
+    """(a, b, *others) of each value type: a and b are equal values, in
+    other arrays or with another sign of a zero; every other value differs
+    from a and from the rest, in one entry, one field or its type."""
+    v = np.array([0.1, -0.2, 0.3])
+    rst, triple = to_bloch(bell()), coherence_triple(BlochQubit(np.array([0.3, 0.0, 0.4])), L1)
+    b0, b1 = conditional_states(bell(), 1)
+    sv = shift_values(bell(), L1)  # made without the constructor, whose guards _shifts has run
+    return {
+        "bloch": (BlochQubit(v), BlochQubit(v.copy()),
+                  BlochQubit(np.array([0.1, -0.2, np.nextafter(0.3, 1.0)])), tuple(v), None),
+        "bloch-signed-zero": (BlochQubit([0.0, 0.0, 0.5]), BlochQubit([-0.0, 0.0, 0.5])),
+        "two-qubit-bloch": (rst, TwoQubitBloch(rst.r.copy(), rst.s.copy(), rst.T.copy()),
+                            TwoQubitBloch(rst.r, rst.s, rst.T + np.outer([1, 0, 0], [0, 0.5, 0]))),
+        "coherence-triple": (triple, CoherenceTriple(triple.values.copy(), L1),
+                             CoherenceTriple(triple.values, RELENT),
+                             CoherenceTriple(triple.values * 0.5, L1)),
+        "branch": (b0, conditional_states(DensityMatrix(bell().matrix), 1)[0], b1,
+                   ConditionalBranch(b0.axis, b0.outcome, b0.probability, b1.state)),
+        "shift-values": (sv, ShiftValues(sv.values.copy(), L1), ShiftValues(sv.values * 0.5, L1),
+                         ShiftValues(sv.values * 0.5, SKEW)),
+    }  # fmt: skip
+
+
+VALUE_EQUALITY = value_equality_cases()
+
+
+@pytest.mark.parametrize("values", VALUE_EQUALITY.values(), ids=VALUE_EQUALITY)
+def test_values_compare_and_hash_by_value(values):
+    a, b, *others = values
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert all(a != other for other in others)
+    assert len({a, b, *others}) == 1 + len(others)
+
+
+# the arrays that tables and values hand out, each read-only
+READ_ONLY = {
+    "pauli": (lambda: pauli(1), (2, 2), complex),
+    "projector": (lambda: projector(3, 1), (2, 2), complex),
+    "density-matrix": (lambda: DensityMatrix(np.eye(2) / 2).matrix, (2, 2), complex),
+    "shift-values": (lambda: shift_values(seeded_sample(2, 9000, 3), RELENT).values, (3,), float),
+}
+
+
+@pytest.mark.parametrize("build, shape, dtype", READ_ONLY.values(), ids=READ_ONLY)
+def test_handed_out_arrays_are_read_only(build, shape, dtype):
+    arr = build()
+    assert arr.shape == shape and arr.dtype == dtype
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        arr[(0,) * arr.ndim] = 5.0
 
 
 def test_value_constructors_take_integers_and_floats():

@@ -6,13 +6,17 @@ measure's slice to its own bound with one reduction over the stack; the
 tripartite suite takes its worst t3 margins with one subtraction per chunk.
 Each must give the words of the step-by-step references in ``oracles``:
 the outcome terms added one by one, the total (s_0 + s_1) + s_2, and
-``_criteria``'s margin bound - value.
+``_criteria``'s margin bound - value. The references are elementwise along
+the measure axis, so matching them for every stack of measures, a repeat
+among them, gives each measure's slice the bits of that measure scored
+alone; each guard must hold each slice to its own measure's bound, with
+the message that measure alone would give.
 """
 
 import numpy as np
 import pytest
 
-from naqc import cli
+from naqc import cli, coherence
 from naqc.coherence import Measure
 from naqc.qcore import ConsistencyError
 from naqc.steering import _condition, _criteria, _shifts, _tripartite
@@ -20,6 +24,15 @@ from oracles import bits, outcome_sum, reference_scores
 from test_batch import STACK_SIZES, STATES, stacked
 
 ALL = tuple(Measure)
+# the measure stacks scored: all, in another order, pairs, a repeat, one
+MEASURE_STACKS = [
+    ALL,
+    ALL[::-1],
+    ALL[:2],
+    ALL[1:],
+    (Measure.SKEW_INFORMATION, Measure.L1, Measure.SKEW_INFORMATION),
+    (Measure.RELATIVE_ENTROPY,),
+]
 
 
 def scored(cond, measures) -> list:
@@ -42,10 +55,77 @@ def assert_same_words(got: list, expected: list) -> None:
 def test_scores_match_the_step_by_step_reference(nqubits, size):
     for matrices in stacked(STATES[nqubits], size):
         cond = _condition(matrices)
-        for measures in (ALL, ALL[::-1], ALL[1:]):
+        for measures in MEASURE_STACKS + [(measure,) for measure in ALL]:
             assert_same_words(scored(cond, measures), reference_scores(cond, measures))
-        for measure in ALL:
-            assert_same_words(scored(cond, (measure,)), reference_scores(cond, (measure,)))
+
+
+def poisoned_evaluator(measure: Measure, poison):
+    """``measure``'s evaluator with ``poison`` applied to its values."""
+    evaluate = coherence._EVALUATE[measure]
+
+    def evaluator(r, norm):
+        values = evaluate(r, norm).copy()
+        poison(values)
+        return values
+
+    return evaluator
+
+
+def put_nan(values):
+    values.flat[5] = np.nan
+
+
+def add_one(values):
+    values += 1.0  # every shift gains the three axes' outcome probabilities
+
+
+@pytest.mark.parametrize("poison", [put_nan, add_one], ids=["nan", "bound"])
+@pytest.mark.parametrize("measure", list(Measure), ids=lambda m: m.value)
+@pytest.mark.parametrize("nqubits", [2, 3])
+def test_a_poisoned_slice_fails_as_it_fails_alone(nqubits, measure, poison, monkeypatch):
+    cond = _condition(np.stack([rho.matrix for rho in STATES[nqubits][:5]]))
+    monkeypatch.setitem(coherence._EVALUATE, measure, poisoned_evaluator(measure, poison))
+    with pytest.raises(ConsistencyError) as alone:
+        _shifts(cond, (measure,))
+    for measures in MEASURE_STACKS:
+        if measure in measures:
+            with pytest.raises(ConsistencyError) as together:
+                _shifts(cond, measures)
+            assert str(together.value) == str(alone.value)
+        else:
+            _shifts(cond, measures)
+
+
+def test_each_slice_is_held_to_its_own_bound(monkeypatch):
+    """A shift total of 6.5 breaks skew's 3 * 2 but not the l1 or relent
+    bounds, so only the skew slice of a stack may fail."""
+    cond = _condition(np.stack([rho.matrix for rho in STATES[2][:5]]))
+
+    def over_skew_bound(r, norm):
+        return np.full(norm.shape + (3,), 6.5 / 9.0)  # each s_j is 3 * 6.5 / 9
+
+    for measure in Measure:
+        monkeypatch.setitem(coherence._EVALUATE, measure, over_skew_bound)
+    _shifts(cond, (Measure.L1, Measure.RELATIVE_ENTROPY))
+    with pytest.raises(ConsistencyError, match="shift total .* exceeds the bound 6$"):
+        _shifts(cond, ALL)
+
+
+@pytest.mark.parametrize("poison", [np.nan, 100.0], ids=["nan", "bound"])
+@pytest.mark.parametrize("k", range(3))
+def test_a_poisoned_slice_fails_the_tripartite_guard(k, poison):
+    cond = _condition(np.stack([rho.matrix for rho in STATES[3][:5]]))
+    s, total = _shifts(cond, ALL)
+    total = total.copy()
+    total[k, 3, 2, 1] = poison  # one AB state's shift total: t2, so t3, follows it
+    alone = s[k : k + 1], total[k : k + 1]
+    with pytest.raises(ConsistencyError, match="tripartite total") as expected:
+        _tripartite(cond, ALL[k : k + 1], alone)
+    with pytest.raises(ConsistencyError) as raised:
+        _tripartite(cond, ALL, (s, total))
+    assert str(raised.value) == str(expected.value)
+    others = [j for j in range(3) if j != k]
+    _tripartite(cond, tuple(ALL[j] for j in others), (s[others], total[others]))
 
 
 @pytest.mark.parametrize("nqubits", [2, 3])

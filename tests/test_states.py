@@ -58,27 +58,6 @@ class TestBlochForm:
         with pytest.raises(NotAStateError):
             TwoQubitBloch(np.zeros(3), np.zeros(3), np.full((3, 3), 1.5))
 
-    def test_value_equality_and_hash(self):
-        a = to_bloch(bell())
-        b = TwoQubitBloch(a.r.copy(), a.s.copy(), a.T.copy())
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-        T = a.T.copy()
-        T[0, 1] = 0.5
-        c = TwoQubitBloch(a.r, a.s, T)
-        assert a != c
-        assert len({a, c}) == 2
-
-    def test_nan_components_rejected(self):
-        nan3 = np.array([np.nan, 0.0, 0.0])
-        with pytest.raises(NotAStateError):
-            TwoQubitBloch(nan3, np.zeros(3), np.zeros((3, 3)))
-        with pytest.raises(NotAStateError):
-            TwoQubitBloch(np.zeros(3), nan3, np.zeros((3, 3)))
-        with pytest.raises(NotAStateError):
-            TwoQubitBloch(np.zeros(3), np.zeros(3), np.diag([np.nan, 0.0, 0.0]))
-
     def test_to_bloch_of_maximally_mixed(self):
         params = to_bloch(maximally_mixed(2))
         np.testing.assert_allclose(params.r, np.zeros(3), atol=1e-15)

@@ -39,7 +39,6 @@ from naqc.states import (
 from naqc.steering import (
     CRITERIA,
     ZERO_PROBABILITY,
-    ConditionalBranch,
     ShiftValues,
     _condition,
     _charlie,
@@ -61,6 +60,7 @@ from oracles import (
     partial_trace_matrix,
     seeded_sample,
 )
+from test_batch import STACK_SIZES, STATES, stacked
 
 SQRT6 = math.sqrt(6.0)
 ALL_MEASURES = list(Measure)
@@ -161,16 +161,6 @@ class TestConditionalStates:
             if alpha < 1:
                 np.testing.assert_allclose(z1.state.r, [0, 0, -1], atol=1e-10)
 
-    def test_branch_value_equality_and_hash(self):
-        b0, b1 = conditional_states(bell(), 1)
-        again = conditional_states(DensityMatrix(bell().matrix), 1)[0]
-        assert b0 == again
-        assert hash(b0) == hash(again)
-        assert b0 != b1
-        assert len({b0, b1, again}) == 2
-        moved = ConditionalBranch(b0.axis, b0.outcome, b0.probability, b1.state)
-        assert moved != b0
-
     @pytest.mark.parametrize(
         "axis", [True, False, 2.0, np.float64(3.0), np.bool_(True)]
     )
@@ -236,29 +226,6 @@ class TestShiftValues:
             ShiftValues(np.array([3.0, 3.0, 3.0]), Measure.SKEW_INFORMATION)
         with pytest.raises(ConsistencyError, match="negative or NaN shift value"):
             ShiftValues(np.array([-0.5, 0.0, 0.0]), Measure.L1)
-
-    def test_constructor_rejects_nan(self):
-        with pytest.raises(ConsistencyError, match="negative or NaN shift value"):
-            ShiftValues(np.array([np.nan, 0.0, 0.0]), Measure.L1)
-
-    def test_values_are_read_only(self):
-        # shift_values skips the constructor, whose guards _shifts has run
-        sv = shift_values(seeded_sample(2, SEEDS[2], 3), Measure.RELATIVE_ENTROPY)
-        assert sv.values.shape == (3,) and sv.values.dtype == float
-        assert not sv.values.flags.writeable
-        assert sv == ShiftValues(sv.values, Measure.RELATIVE_ENTROPY)
-
-    def test_value_equality_and_hash(self):
-        a = shift_values(bell(), Measure.L1)
-        b = ShiftValues(a.values.copy(), Measure.L1)
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
-        other_measure = ShiftValues(a.values * 0.5, Measure.SKEW_INFORMATION)
-        half = ShiftValues(a.values * 0.5, Measure.L1)
-        assert a != half
-        assert half != other_measure
-        assert len({a, half, other_measure}) == 3
 
 
 class TestBipartiteCriteria:
@@ -1168,10 +1135,12 @@ def condition_fields(cond) -> list:
 
 
 class TestConditioningLayouts:
-    """``_condition`` reads a stack through its float view. Layouts that no
-    sampled chunk has give each state the bits it has alone, as a bare
-    C-contiguous (D, D) matrix; ``TestConditioningIsBitwise`` ties those to
-    the dense products of ``matmul_branches``."""
+    """``_condition`` reads a stack through its float view. C-contiguous
+    chunks of 1, 2, 7 and all of ``test_batch.STATES``, family members with
+    dropped branches among them, and layouts that no sampled chunk has give
+    each state the bits it has alone, as a bare C-contiguous (D, D) matrix;
+    ``TestConditioningIsBitwise`` ties those to the dense products of
+    ``matmul_branches``."""
 
     @staticmethod
     def layouts(stack: np.ndarray) -> dict:
@@ -1189,8 +1158,9 @@ class TestConditioningLayouts:
 
     @pytest.mark.parametrize("nqubits", [2, 3])
     def test_every_layout_gives_each_state_its_bits(self, nqubits):
-        stack = sample_stack(nqubits, 7)
-        for name, matrices in self.layouts(stack).items():
+        cases = list(self.layouts(sample_stack(nqubits, 7)).items())
+        cases += [(f"chunk of {n}", m) for n in STACK_SIZES for m in stacked(STATES[nqubits], n)]
+        for name, matrices in cases:
             cond = _condition(matrices)
             lead = matrices.shape[:-2]
             assert cond.prob.shape == lead + (3, 2) + ((3, 2) if nqubits == 3 else ())
