@@ -41,10 +41,11 @@ from .steering import (
     CriterionResult,
     _condition,
     _criteria,
-    _criterion,
     _decompositions,
+    _limits,
     _parts,
     _row,
+    _scored,
     _shifts,
     _tripartite,
 )
@@ -286,10 +287,11 @@ def cmd_search(args) -> int:
         )
     _check_run(args.samples, args.seed)
     measure = Measure(args.measure)
+    limits = {args.criterion: _limits(nqubits, measure)[args.criterion]}
     best = None
     for indices, matrices in _sampled(nqubits, args.seed, args.samples):
         parts = _parts(_condition(matrices), (measure,))[0]
-        res = _criterion(nqubits, args.criterion, parts.T, measure)
+        res = _scored(parts.T, limits)[args.criterion]
         k = int(res.value.argmax())  # the first maximum, as the strict > below keeps
         if best is None or res.value[k] > best.value:
             best = CriterionResult(float(res.value[k]), res.bound, bool(res.violated[k]))
@@ -386,17 +388,23 @@ def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
     # the weights come in order from a generator of their own: SeedSequence
     # pads [seed] with zeros, so default_rng(seed) would be sample 0's
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    worst = np.inf
+    worst = np.full(2, np.inf)  # the convexity and the white-noise margin
     for indices in _chunks(range(samples)):
         # samples 2i and 2i + 1 of each pair index i, interleaved
         drawn = _samples(2, seed, range(2 * indices.start, 2 * indices.stop))
         weight = rng.uniform(size=(len(indices), 1))
         first, second = drawn[0::2], drawn[1::2]
         mixed = weight[..., None] * first + (1.0 - weight[..., None]) * second
-        s = _shifts(_condition(np.stack([first, second, mixed])), tuple(Measure))[0]
+        # the same weight mixes the first state with I/4, whose shifts are 0:
+        # every branch's p b scales by it, so l1's shifts are linear in it
+        noisy = weight[..., None] * first + (1.0 - weight[..., None]) * np.eye(4) / 4
+        s = _shifts(_condition(np.stack([first, second, mixed, noisy])), tuple(Measure))[0]
         s_convex = weight * s[:, 0] + (1.0 - weight) * s[:, 1]
-        worst = min(worst, float(np.min(s_convex - s[:, 2])) + 1e-9)
-    return [f"worst convexity margin (incl. 1e-9 tolerance): {fmt(worst)}"], worst >= 0.0
+        margins = np.min(s_convex - s[:, 2]), np.min(weight * s[:, 0] - s[:, 3])
+        np.minimum(worst, np.add(margins, 1e-9), out=worst)
+    names = ("convexity", "white-noise")
+    lines = [f"worst {n} margin (incl. 1e-9 tolerance): {fmt(w)}" for n, w in zip(names, worst)]
+    return lines, bool(worst.min() >= 0.0)
 
 
 # each suite and its default sample count

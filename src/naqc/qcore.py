@@ -194,7 +194,10 @@ def _check_state(mats: np.ndarray) -> None:
     trace = np.ravel(mats.trace(axis1=-2, axis2=-1))
     trace = trace[np.abs(trace - 1.0).argmax()]
     if not abs(trace - 1.0) <= TRACE_TOL:
-        raise NotAStateError(f"trace must be 1, got {trace:.12g}")
+        # finite entries can overflow the diagonal's sum to inf - inf; an
+        # eighth of each, D <= 8 of them, cannot, and adds to an eighth of it
+        traces = np.ravel((mats / 8).trace(axis1=-2, axis2=-1)) * 8
+        raise NotAStateError(f"trace must be 1, got {traces[np.abs(traces - 1.0).argmax()]:.12g}")
     try:
         np.linalg.cholesky(mats + _FLOOR_SHIFT[: mats.shape[-1], : mats.shape[-1]])
     except np.linalg.LinAlgError:

@@ -379,11 +379,6 @@ def _scored(values, limits: dict) -> dict[str, CriterionResult]:
     return results
 
 
-def _criterion(nqubits: int, name: str, values, measure: Measure) -> CriterionResult:
-    """Criterion ``name`` of ``CRITERIA[nqubits]``, scored alone."""
-    return _scored(values, {name: _limits(nqubits, measure)[name]})[name]
-
-
 def _criteria(nqubits: int, values, measure: Measure) -> dict[str, CriterionResult]:
     """Every criterion of ``CRITERIA[nqubits]``, by name."""
     return _scored(values, _limits(nqubits, measure))

@@ -587,23 +587,6 @@ class TestSearch:
 
 
 class TestCheck:
-    @pytest.mark.parametrize(
-        "suite",
-        [
-            "coherence-complementarity",
-            "bipartite-complementarity",
-            "tripartite-complementarity",
-            "no-signalling",
-            "mixing-monotonicity",
-        ],
-    )
-    def test_suites_pass_on_small_samples(self, suite, capsys):
-        code = main(["check", "--suite", suite, "--seed", "1", "--samples", "150"])
-        out = capsys.readouterr().out
-        assert code == EXIT_OK
-        assert "result: PASS" in out
-        assert "worst" in out
-
     def test_default_sample_count_for_coherence_suite(self, capsys):
         code = main(["check", "--suite", "coherence-complementarity", "--seed", "0"])
         out = capsys.readouterr().out
@@ -660,13 +643,13 @@ class TestCheck:
         """The mixing suite's weights come in order from
         ``SeedSequence(seed).spawn(1)[0]``, not from ``default_rng(seed)``,
         which is sample 0's generator. They are read back from the
-        (first, second, mixed) stacks the suite conditions."""
+        (first, second, mixed, white-noise mixed) stacks the suite conditions."""
         sample_zero, weights = np.random.default_rng(seed), []
         first_sample = cli._generators(seed, range(1))[0]
         assert sample_zero.bit_generator.state == first_sample.bit_generator.state
 
         def spied(mats, condition=cli._condition):
-            first, second, mixed = mats
+            first, second, mixed, _ = mats
             d = first - second
             dot = np.sum((mixed - second) * d.conj(), axis=(1, 2)).real
             weights.extend(dot / np.sum(abs(d) ** 2, axis=(1, 2)))
@@ -678,6 +661,26 @@ class TestCheck:
         own = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]).uniform(size=20)
         assert np.allclose(weights, own, rtol=0.0, atol=1e-12)
         assert np.min(np.abs(weights - sample_zero.uniform(size=20))) > 1e-6
+
+    def test_mixing_check_compares_white_noise_mixes_with_scaled_shifts(self, monkeypatch, capsys):
+        """Mixing a state with I/4 scales each branch's p b by the weight, so
+        the l1 shifts are linear in it: shifts made concave (``s ** 0.9``)
+        stay convex enough on random pairs but fail the white-noise mixes."""
+        argv = ["check", "--suite", "mixing-monotonicity", "--samples", "20"]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        shifts = cli._shifts
+
+        def concave(cond, measures):
+            s, total = shifts(cond, measures)
+            return s**0.9, total
+
+        monkeypatch.setattr(cli, "_shifts", concave)
+        assert main(argv) == EXIT_SUITE
+        out = capsys.readouterr().out
+        assert float(re.search(r"^worst convexity margin .*: (\S+)$", out, re.M).group(1)) > 0.0
+        assert float(re.search(r"^worst white-noise margin .*: (\S+)$", out, re.M).group(1)) < -0.05
+        assert "result: FAIL" in out
 
     def test_unknown_suite_is_parse_error(self, capsys):
         assert main(["check", "--suite", "nope"]) == EXIT_PARSE

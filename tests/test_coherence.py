@@ -214,19 +214,6 @@ class TestCoherenceTriple:
             CoherenceTriple(np.array([-0.1, 0.0, 0.0]), Measure.L1)
 
 
-class TestComplementarity:
-    @pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.value)
-    def test_supremum_is_approached_by_pure_states(self, measure):
-        rng = np.random.default_rng(77)
-        best = 0.0
-        for _ in range(100_000):
-            state = BlochQubit(unit_vector(rng))
-            best = max(best, coherence_triple(state, measure).total)
-            if best >= measure.epsilon - 1e-2:
-                break
-        assert best >= measure.epsilon - 1e-2
-
-
 class TestRotationInvariance:
     """Coherence at axis i only sees r_i and the transverse magnitude."""
 

@@ -16,8 +16,9 @@ work, a new generator) is a contract change: regenerate the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and commit it together with the change and the reason in CHANGES.md. Never
-regenerate it to make an unintended difference go away. The same run
+and commit it together with the change and the reason in CHANGES.md. Before
+it writes the file, the run prints what moved, as the test would report it.
+Never regenerate it to make an unintended difference go away. The same run
 prints the evaluate digest, for a deliberate change of ``EVALUATE_SHA256``.
 """
 
@@ -188,6 +189,9 @@ def test_outputs_match_golden_bit_for_bit():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(compute(), indent=1) + "\n", encoding="utf-8")
+    new = compute()
+    for line in differences(new, json.loads(GOLDEN.read_text(encoding="utf-8"))):
+        print(line)
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}")
     print(f"EVALUATE_SHA256 = {evaluate_digest()!r}")

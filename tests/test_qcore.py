@@ -448,7 +448,7 @@ NOT_STATES = {
     "density-1e308-antisymmetric": (DensityMatrix, [[0.5, 1e308], [-1e308, 0.5]],
                                     NotAStateError, r"not Hermitian: max \|M - M\^dag\| = inf"),
     "density-1e308-trace": (DensityMatrix, np.diag([1e308, 1e308, -1e308, -1e308]),
-                            NotAStateError, "trace must be 1, got nan"),
+                            NotAStateError, r"trace must be 1, got 0\+0j$"),
     "bloch-nan": (BlochQubit, NAN3, NotAStateError, "Bloch vector norm nan exceeds"),
     "bloch-1e200": (BlochQubit, [1e200, 0, 0], NotAStateError, "Bloch vector norm inf exceeds"),
     "rst-nan-r": (lambda r: TwoQubitBloch(r, ZERO3, ZERO33), NAN3, NotAStateError, r"\|r\| nan"),
