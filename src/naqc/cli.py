@@ -37,6 +37,7 @@ from .states import (
     random_bloch_qubit_vector,
 )
 from .steering import (
+    _MEASURES,
     CRITERIA,
     CriterionResult,
     _condition,
@@ -56,7 +57,7 @@ EXIT_STATE = 3
 EXIT_CONSISTENCY = 4
 EXIT_SUITE = 5
 
-MEASURE_CHOICES = tuple(m.value for m in Measure)
+MEASURE_CHOICES = tuple(m.value for m in _MEASURES)
 
 # states (or Bloch vectors) drawn, stacked and evaluated together by every
 # sampling command and by sweep; results do not depend on it
@@ -148,7 +149,7 @@ def load_state_document(path: str) -> DensityMatrix:
 
 
 def _measures(selector: str) -> list[Measure]:
-    return list(Measure) if selector == "all" else [Measure(selector)]
+    return list(_MEASURES) if selector == "all" else [Measure(selector)]
 
 
 def evaluate_lines(rho: DensityMatrix, measures: list[Measure]) -> list[str]:
@@ -334,8 +335,8 @@ def _shift_totals(seed: int, samples: int, measures: tuple):
     spread of the decompositions of the triple criterion."""
     for _, matrices in _sampled(2, seed, samples):
         s, total = _shifts(_condition(matrices), measures)
-        groupings = [value for _, value in _decompositions(*np.moveaxis(s, -1, 0))]
-        yield total, np.max(groupings, axis=0) - np.min(groupings, axis=0)
+        groupings = [value for _, value in _decompositions(*s.transpose(2, 0, 1))]
+        yield total, np.maximum.reduce(groupings, axis=0) - np.minimum.reduce(groupings, axis=0)
 
 
 def _t3_totals(seed: int, samples: int, measures: tuple):
@@ -346,7 +347,7 @@ def _t3_totals(seed: int, samples: int, measures: tuple):
         t3 = _tripartite(cond, measures, shifts)[..., 2]
         # t1 + t2 added the other way round: Charlie's outcomes weighting
         # the shift totals of his AB states, not t1 and t2 term by term
-        yield t3, np.abs(t3 - (cond.charlie * shifts[1]).sum(axis=(-2, -1)))
+        yield t3, np.abs(t3 - np.add.reduce(cond.charlie * shifts[1], axis=(-2, -1)))
 
 
 # per qubit count n: the chunks of totals whose sums the suite holds to
@@ -360,17 +361,17 @@ _COMPLEMENTARITY = {
 
 def _suite_complementarity(nqubits: int, seed: int, samples: int) -> SuiteResult:
     totals, second_name = _COMPLEMENTARITY[nqubits]
-    measures = tuple(Measure)
-    bound = _bounds(measures, nqubits)[0][:, None]  # 3 ** (n - 1) * epsilon, as in _criteria
-    worst = np.full(len(measures), np.inf)
+    bound = _bounds(_MEASURES, nqubits)[0][:, None]  # 3 ** (n - 1) * epsilon, as in _criteria
+    worst = np.array([np.inf] * len(_MEASURES))
     worst_second = 0.0
-    for total, second in totals(seed, samples, measures):
-        np.minimum(worst, (bound - total).min(axis=1), out=worst)  # _criteria's margin
-        worst_second = max(worst_second, float(np.max(second)))
-    lines = [f"measure {m.value}: worst margin {fmt(w)}" for m, w in zip(measures, worst)]
+    for total, second in totals(seed, samples, _MEASURES):
+        # each measure's lowest margin bound - total, as _criteria reports it
+        np.minimum(worst, np.minimum.reduce(bound - total, axis=1), out=worst)
+        worst_second = max(worst_second, float(np.maximum.reduce(second, axis=None)))
+    lines = [f"measure {m}: worst margin {fmt(w)}" for m, w in zip(MEASURE_CHOICES, worst)]
     if second_name is not None:
         lines.append(f"worst {second_name}: {fmt(worst_second)}")
-    return lines, bool(worst.min() >= -1e-9) and worst_second <= 1e-12
+    return lines, bool(np.minimum.reduce(worst) >= -1e-9) and worst_second <= 1e-12
 
 
 def _suite_no_signalling(seed: int, samples: int) -> SuiteResult:
@@ -398,7 +399,7 @@ def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
         # the same weight mixes the first state with I/4, whose shifts are 0:
         # every branch's p b scales by it, so l1's shifts are linear in it
         noisy = weight[..., None] * first + (1.0 - weight[..., None]) * np.eye(4) / 4
-        s = _shifts(_condition(np.stack([first, second, mixed, noisy])), tuple(Measure))[0]
+        s = _shifts(_condition(np.stack([first, second, mixed, noisy])), _MEASURES)[0]
         s_convex = weight * s[:, 0] + (1.0 - weight) * s[:, 1]
         margins = np.min(s_convex - s[:, 2]), np.min(weight * s[:, 0] - s[:, 3])
         np.minimum(worst, np.add(margins, 1e-9), out=worst)

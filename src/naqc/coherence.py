@@ -59,16 +59,19 @@ _TRANSVERSE = (np.array([1, 0, 0]), np.array([2, 2, 1]))
 
 
 def _entropy(p: np.ndarray) -> np.ndarray:
-    """h2(p) = -p log2 p - (1-p) log2 (1-p) elementwise, with 0 log 0 = 0."""
+    """h2(p) = -p log2 p - (1-p) log2 (1-p) elementwise, with 0 log 0 = 0, of
+    an array ``p`` that it overwrites."""
     outside = (p <= 0.0) | (p >= 1.0)
-    p = np.where(outside, 0.5, p)
-    return np.where(outside, 0.0, -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p)))
+    p[outside] = 0.5
+    h = -(p * np.log2(p) + (1.0 - p) * np.log2(1.0 - p))
+    h[outside] = 0.0
+    return h
 
 
 def binary_entropy(p: float) -> float:
     """h2(p) of one probability p in [0, 1], with the bits of the ``relent``
     measure's; bools, strings and p outside [0, 1] raise ``ValueError``."""
-    return float(_entropy(_check_unit_interval("p", p)))
+    return float(_entropy(np.array([_check_unit_interval("p", p)]))[0])
 
 
 EPSILON_L1 = math.sqrt(6.0)
@@ -100,7 +103,9 @@ def _relent(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
     against round-off; it vanishes exactly when r lies along the axis or
     r = 0.
     """
-    h = _entropy((1.0 + np.concatenate([r, norm[..., None]], axis=-1)) / 2.0)
+    x = np.empty(r.shape[:-1] + (4,))  # r, then |r|
+    x[..., :3], x[..., 3] = r, norm
+    h = _entropy((1.0 + x) / 2.0)
     return np.maximum(0.0, h[..., :3] - h[..., 3:])
 
 
@@ -116,12 +121,12 @@ def _skew(r: np.ndarray, norm: np.ndarray) -> np.ndarray:
     is clamped at 0 for pure states whose norm rounds slightly above 1.
     """
     small = norm < 1e-12
-    norm = np.where(small, 1.0, norm)[..., None]
+    norm = np.maximum(norm, 1e-12)[..., None]  # no division by 0; small norms read 0 below
     lam_plus = (1.0 + norm) / 2.0
     lam_minus = np.maximum(0.0, (1.0 - norm) / 2.0)
     transverse = np.maximum(0.0, 1.0 - (r / norm) ** 2)
-    value = (np.sqrt(lam_plus) - np.sqrt(lam_minus)) ** 2 * transverse
-    return np.where(small[..., None], 0.0, value)
+    transverse[small] = 0.0
+    return (np.sqrt(lam_plus) - np.sqrt(lam_minus)) ** 2 * transverse
 
 
 class Measure(enum.Enum):
@@ -130,6 +135,10 @@ class Measure(enum.Enum):
     L1 = "l1"
     RELATIVE_ENTROPY = "relent"
     SKEW_INFORMATION = "skew"
+
+    # members are singletons that compare by identity, so they hash by it,
+    # in C, where Enum's own hash of the name runs a Python frame
+    __hash__ = object.__hash__
 
     @property
     def epsilon(self) -> float:
@@ -185,14 +194,16 @@ def _check_totals(name, totals, bounds, parts=None, part_name=None, weight=None)
     and a part ``part_name``; given Charlie's probabilities as ``weight``, a
     total fails only if its weighted excess does."""
     bound, tol, limit = bounds
-    if (totals.T <= limit).all() and (parts is None or (parts >= 0.0).all()):
+    passed = np.logical_and.reduce(totals.T <= limit, axis=None)
+    if passed and (parts is None or np.logical_and.reduce(parts >= 0.0, axis=None)):
         return
     for k in range(len(totals)):
         if parts is not None:
             _check_nonnegative(part_name, parts[k])
         if weight is None:
             _check_bound(name, totals[k], bound[k], tol[k])
-        elif not (totals[k] <= limit[k]).all():  # an AB state of probability p holds excess / p
+        elif not np.logical_and.reduce(totals[k] <= limit[k], axis=None):
+            # an AB state of probability p holds excess / p
             _check_bound(f"weighted {name} excess", weight * (totals[k] - bound[k]), 0.0, tol[k])
 
 
@@ -219,7 +230,7 @@ class _Triple(_ValueEquality):
     @classmethod
     def _totals(cls, values: np.ndarray, measure: Measure) -> np.ndarray:
         """The sums of a (..., 3) stack of ``measure``'s values, guarded."""
-        totals = values.sum(axis=-1)
+        totals = np.add.reduce(values, axis=-1)
         bounds = _bounds((measure,), cls._NQUBITS)
         name = cls._TOTAL.format(measure.value)
         _check_totals(name, totals[None], bounds, values[None], cls._VALUE)

@@ -55,19 +55,21 @@ class ConsistencyError(RuntimeError):
 
 
 # The guards of the stacked computations. Each looks at every entry of its
-# stack; min and max propagate NaN, so a NaN anywhere fails the guard.
+# stack; min and max propagate NaN, so a NaN anywhere fails the guard. They
+# and the stacked path's other reductions call the ufuncs' ``reduce``, as
+# ``ndarray.min`` and ``max`` do through a Python wrapper, with their bits.
 
 
 def _check_nonnegative(name: str, values: np.ndarray) -> None:
-    if not values.min() >= 0.0:
-        raise ConsistencyError(f"negative or NaN {name} {values.min()!r}")
+    if not (lowest := np.minimum.reduce(values, axis=None)) >= 0.0:
+        raise ConsistencyError(f"negative or NaN {name} {lowest!r}")
 
 
 def _check_bound(
     name: str, values: np.ndarray, bound: float, tol: float, error=ConsistencyError
 ) -> None:
-    if not values.max() <= bound + tol:
-        raise error(f"{name} {values.max():.15g} exceeds the bound {bound:.15g}")
+    if not (largest := np.maximum.reduce(values, axis=None)) <= bound + tol:
+        raise error(f"{name} {largest:.15g} exceeds the bound {bound:.15g}")
 
 
 def _norm(r: np.ndarray) -> np.ndarray:
@@ -176,7 +178,8 @@ def _validate(mats: np.ndarray) -> None:
     # HERMITICITY_TOL of H. OpenBLAS's Cholesky turns the complex dot of
     # entries of about 1.3e154 or more into NaN and raises nothing; the bound
     # rejects what it lets through.
-    if (largest := np.abs(mats).max()) > 1.0 + TRACE_TOL - 7 * EIGVAL_FLOOR + HERMITICITY_TOL:
+    largest = np.maximum.reduce(np.abs(mats), axis=None)
+    if largest > 1.0 + TRACE_TOL - 7 * EIGVAL_FLOOR + HERMITICITY_TOL:
         with np.errstate(over="ignore", invalid="ignore"):
             _check_state(mats)
         raise NotAStateError(f"entry modulus {largest:.3e} exceeds what a state can hold")
@@ -188,20 +191,20 @@ def _check_state(mats: np.ndarray) -> None:
     I``, which certifies every eigenvalue >= -1e-10 (up to about 1e-16);
     only a stack it fails goes to the eigensolver, which accepts -1e-10 and
     names the lowest value."""
-    herm_defect = np.abs(mats - mats.conj().swapaxes(-1, -2)).max()
+    herm_defect = np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(-1, -2)), axis=None)
     if not herm_defect <= HERMITICITY_TOL:
         raise NotAStateError(f"not Hermitian: max |M - M^dag| = {herm_defect:.3e}")
-    trace = np.ravel(mats.trace(axis1=-2, axis2=-1))
+    trace = mats.trace(axis1=-2, axis2=-1).ravel()
     trace = trace[np.abs(trace - 1.0).argmax()]
     if not abs(trace - 1.0) <= TRACE_TOL:
         # finite entries can overflow the diagonal's sum to inf - inf; an
         # eighth of each, D <= 8 of them, cannot, and adds to an eighth of it
-        traces = np.ravel((mats / 8).trace(axis1=-2, axis2=-1)) * 8
+        traces = (mats / 8).trace(axis1=-2, axis2=-1).ravel() * 8
         raise NotAStateError(f"trace must be 1, got {traces[np.abs(traces - 1.0).argmax()]:.12g}")
     try:
         np.linalg.cholesky(mats + _FLOOR_SHIFT[: mats.shape[-1], : mats.shape[-1]])
     except np.linalg.LinAlgError:
-        lowest = np.linalg.eigvalsh(mats).min()
+        lowest = np.minimum.reduce(np.linalg.eigvalsh(mats), axis=None)
         if not lowest >= EIGVAL_FLOOR:
             raise NotAStateError(f"negative eigenvalue {lowest:.3e}") from None
 

@@ -103,7 +103,7 @@ def to_bloch(rho: DensityMatrix) -> TwoQubitBloch:
 
 def _pauli_tensor(matrix: np.ndarray) -> np.ndarray:
     """R_ij = Tr(m sigma_i (x) sigma_j) of a 4x4 matrix, as a 4x4 real array."""
-    return np.trace(matrix @ _PAULI_PAIRS, axis1=1, axis2=2).real.reshape(4, 4)
+    return (matrix @ _PAULI_PAIRS).trace(axis1=1, axis2=2).real.reshape(4, 4)
 
 
 def pure_alpha(alpha: float) -> DensityMatrix:
@@ -273,15 +273,14 @@ def _generators(master_seed: int, indices: range) -> list[np.random.Generator]:
 def _random_states(nqubits: int, rngs, rank: int | None = None) -> np.ndarray:
     """Random states, stacked as ``(len(rngs), 2**n, 2**n)``, not validated.
 
-    State k is drawn from ``default_rng(rngs[k])``: a generator (such as
-    those of ``_generators``) is used as it is, a seed gets a generator of
-    its own. It fills its slot, real block then imaginary, in one in-place
-    ``standard_normal`` call: the bits of ``normal``, ``0.0 + 1.0 * z``,
-    but for an exact -0.0 draw. State k is Haar-random pure when ``rank``
-    is None, else Ginibre-induced of that rank. Only the draws run per
-    state; the finish runs once on the stack, and every step is elementwise
-    or per matrix, so each state has the bits of a stack of one, whatever
-    stack it is in. The squared norm of a pure draw is the BLAS dot of its
+    State k is drawn from the generator ``rngs[k]``, such as those of
+    ``_generators``. It fills its slot, real block then imaginary, in one
+    in-place ``standard_normal`` call: the bits of ``normal``, ``0.0 + 1.0
+    * z``, but for an exact -0.0 draw. State k is Haar-random pure when
+    ``rank`` is None, else Ginibre-induced of that rank. Only the draws run
+    per state; the finish runs once on the stack, and every step is
+    elementwise or per matrix, so each state has the bits of a stack of one,
+    whatever stack it is in. The squared norm of a pure draw is the BLAS dot of its
     strided real and imaginary parts, which is what ``np.linalg.norm``
     takes (a contiguous copy, ``einsum`` or ``sum`` would round differently).
     """
@@ -289,7 +288,7 @@ def _random_states(nqubits: int, rngs, rank: int | None = None) -> np.ndarray:
     columns = 1 if rank is None else rank
     draws = np.empty((len(rngs), 2, dim, columns))
     for rng, slot in zip(rngs, draws):
-        np.random.default_rng(rng).standard_normal(out=slot)
+        rng.standard_normal(out=slot)
     g = draws[:, 0] + 1j * draws[:, 1]
     if rank is None:
         re, im = g.real, g.imag
@@ -306,7 +305,7 @@ def random_pure(nqubits: int, seed) -> DensityMatrix:
     Haar-distributed. Bitwise reproducible for a fixed seed.
     """
     _check_index("nqubits", nqubits, (1, 2, 3))
-    return DensityMatrix(_random_states(nqubits, [seed])[0])
+    return DensityMatrix(_random_states(nqubits, [np.random.default_rng(seed)])[0])
 
 
 def random_mixed(nqubits: int, rank: int, seed) -> DensityMatrix:
@@ -318,7 +317,7 @@ def random_mixed(nqubits: int, rank: int, seed) -> DensityMatrix:
     """
     _check_index("nqubits", nqubits, (1, 2, 3))
     _check_index("rank", rank, tuple(range(1, 2 ** nqubits + 1)))
-    return DensityMatrix(_random_states(nqubits, [seed], rank)[0])
+    return DensityMatrix(_random_states(nqubits, [np.random.default_rng(seed)], rank)[0])
 
 
 def random_bloch_qubit_vector(rng: np.random.Generator) -> np.ndarray:

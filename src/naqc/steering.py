@@ -140,17 +140,21 @@ def _branches(matrices: np.ndarray, index, sign, diagonal: slice):
     some -0.0 parts: with x > 0, -x - 0j and -0.0 + xj keep theirs, which
     the division turns to +0.0. No coherence measure reads that sign."""
     flat = np.ascontiguousarray(matrices).reshape(matrices.shape[:-2] + (-1,)).view(float)
-    terms = np.take(flat, index, axis=-1)
+    terms = flat.take(index, axis=-1)
     terms *= sign
     values = _pairwise(terms).reshape(terms.shape[:-2] + (-1, 6))
     probs = _pairwise(values[..., diagonal, :])
-    if not math.isfinite(top := probs.max()):  # before the division, which would warn
+    # before the division, which would warn
+    if not math.isfinite(top := np.maximum.reduce(probs, axis=None)):
         raise ConsistencyError(f"outcome probability {top:.15g} is not finite")
-    dropped = probs < ZERO_PROBABILITY
-    probs[dropped] = 1.0  # a dropped branch divides by 1.0, then reads 0.0
+    # only a stack with a dropped branch pays for the masks
+    if drop := (np.minimum.reduce(probs, axis=None) < ZERO_PROBABILITY):
+        dropped = probs < ZERO_PROBABILITY
+        probs[dropped] = 1.0  # a dropped branch divides by 1.0, then reads 0.0
     # outcome-major, so each branch's reals are contiguous
     scaled = np.multiply(values.swapaxes(-1, -2), (1.0 / probs)[..., None], order="C")
-    scaled[dropped] = probs[dropped] = 0.0
+    if drop:
+        scaled[dropped] = probs[dropped] = 0.0
     return scaled, probs.reshape(probs.shape[:-1] + (3, 2))
 
 

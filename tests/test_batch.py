@@ -13,7 +13,10 @@ as one stack; its bits must be those of the samples drawn one at a time.
 """
 
 import contextlib
+import enum
 import io
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -41,11 +44,14 @@ from naqc.states import (
     werner,
 )
 from naqc.steering import (
+    _MEASURES,
     CRITERIA,
     _condition,
     _criteria,
+    _parts,
     _shifts,
     _tripartite,
+    shift_values,
     steering_report,
     tripartite_report,
 )
@@ -482,5 +488,63 @@ class TestStackedGuards:
         calls = counted_eigvalsh(monkeypatch)
         for start in (0, 64, 2**32 - 7):
             cli._samples(nqubits, SEED, range(start, start + 64))
-        _validate(_random_states(3, range(64)))
+        _validate(_random_states(3, [np.random.default_rng(i) for i in range(64)]))
         assert calls == []
+
+
+NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+
+
+def foreign_frames(call) -> list[str]:
+    """``call()``, profiled: the functions of every Python frame it enters
+    in enum.py or in numpy's package, but for numpy.linalg (the
+    ``np.linalg.cholesky`` wrapper) and the ``errstate`` that it enters."""
+    seen = []
+
+    def profile(frame, event, arg):
+        path = frame.f_code.co_filename
+        if event == "call" and (
+            path == enum.__file__
+            or path.startswith(NUMPY_DIR)
+            and not path.startswith(NUMPY_DIR + "linalg" + os.sep)
+            and not path.endswith(os.sep + "_ufunc_config.py")
+        ):
+            seen.append(f"{path}:{frame.f_code.co_name}")
+
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(before)
+    return seen
+
+
+def report_every_measure(matrix: np.ndarray) -> None:
+    """Every report of a fresh ``DensityMatrix`` of ``matrix``."""
+    rho = DensityMatrix(matrix)
+    for measure in _MEASURES:
+        if rho.nqubits == 2:
+            shift_values(rho, measure)
+            steering_report(rho, measure)
+        else:
+            tripartite_report(rho, measure)
+
+
+STACKED_CALLS = {
+    "reports-2q": lambda: report_every_measure(STATES[2][0].matrix),
+    "reports-3q": lambda: report_every_measure(STATES[3][1].matrix),
+    "samples-2q": lambda: cli._samples(2, SEED, range(32)),
+    "parts-2q": lambda: _parts(_condition(cli._samples(2, SEED, range(32))), _MEASURES),
+    "suite-3q": lambda: cli._suite_complementarity(3, SEED, 2),
+}
+
+
+@pytest.mark.parametrize("name", STACKED_CALLS)
+def test_stacked_calls_enter_no_numpy_wrapper_or_enum_frame(name):
+    """Per stack, the core calls numpy's C entry points (ufuncs and their
+    ``reduce``, ndarray methods) and hashes ``Measure`` in C: no Python
+    frame of numpy's wrappers and dispatchers, or of enum.py, runs. The
+    first call may fill caches; the second is profiled."""
+    STACKED_CALLS[name]()
+    assert foreign_frames(STACKED_CALLS[name]) == []

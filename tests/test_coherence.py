@@ -16,7 +16,7 @@ from naqc.coherence import (
     binary_entropy,
     coherence_triple,
 )
-from naqc.qcore import BlochQubit, ConsistencyError, pauli, projector
+from naqc.qcore import BlochQubit, ConsistencyError, _norm, pauli, projector
 from naqc.states import random_bloch_qubit_vector
 from oracles import eig_hermitian, qubit_of_bloch
 
@@ -71,6 +71,13 @@ class TestBinaryEntropy:
         scalar = [max(0.0, 1.0 - binary_entropy((1.0 + v) / 2.0)) for v in x.tolist()]
         assert np.array_equal(scalar, RELENT.evaluate(r, x)[:, 2])
         assert EPSILON_RELENT.hex() == "0x1.1db2eb16e3235p+1"
+
+    @pytest.mark.parametrize(
+        "p, bits", [(0.0, "0x0.0p+0"), (1.0, "0x0.0p+0"), (0.3, "0x1.c3388f8ceaa0ap-1")]
+    )
+    def test_pinned_bits_and_type(self, p, bits):
+        value = binary_entropy(p)
+        assert type(value) is float and value.hex() == bits
 
 
 class TestBounds:
@@ -195,6 +202,71 @@ class TestRoundedPureState:
             skew, relent = at_axis(SKEW, self.STATE, axis), at_axis(RELENT, self.STATE, axis)
             assert skew == pytest.approx(at_axis(SKEW, unit, axis), abs=1e-7)
             assert relent == pytest.approx(at_axis(RELENT, unit, axis), abs=1e-12)
+
+
+class TestEdgeBits:
+    """``Measure.evaluate`` keeps its bits, as ``float.hex`` of the (l1,
+    relent, skew) values at the three axes, wherever an evaluator masks or
+    clamps: r = 0 and a norm below 1e-12 (skew's removable singularity),
+    axis-aligned pure vectors (the entropy's p = 0 and p = 1), norms 1 ulp
+    above 1 (the lam_minus clamp and p >= 1) and a NaN component, which
+    every axis of relent and skew reads through the norm and l1 reads at
+    the two axes transverse to it."""
+
+    PINNED = {
+        "zero": ([0.0, 0.0, 0.0], (
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0")),
+        "tiny": ([3e-13, -4e-13, 0.0], (
+            "0x1.c25c268497682p-42 0x1.51c51ce3718e1p-42 0x1.19799812dea11p-41",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
+            "0x0.0p+0 0x0.0p+0 0x0.0p+0")),
+        "+x": ([1.0, 0.0, 0.0], (
+            "0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+            "0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
+            "0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0")),
+        "-y": ([0.0, -1.0, 0.0], (
+            "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0",
+            "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0",
+            "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0")),
+        "+z": ([0.0, 0.0, 1.0], (
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0",
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0",
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0")),
+        "z-long": ([0.0, 0.0, 1.0 + 2.0**-52], (
+            "0x1.0000000000001p+0 0x1.0000000000001p+0 0x0.0p+0",
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0",
+            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0")),
+        "tilted-long": ([0.6, 0.0, 0.8000000000000003], (
+            "0x1.999999999999cp-1 0x1.0000000000001p+0 0x1.3333333333333p-1",
+            "0x1.71a08f2b35a92p-1 0x1.0000000000000p+0 0x1.e0406181bc7c6p-2",
+            "0x1.47ae147ae147cp-1 0x1.0000000000000p+0 0x1.70a3d70a3d708p-2")),
+        "nan-x": ([math.nan, 0.1, 0.2], (
+            "0x1.c9f25c5bfeddap-3 nan nan",
+            "nan nan nan",
+            "nan nan nan")),
+    }  # fmt: skip
+
+    @staticmethod
+    def hexes(values: np.ndarray) -> str:
+        return " ".join(float(x).hex() for x in values)
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_one_vector(self, name):
+        vector, pinned = self.PINNED[name]
+        r = np.array(vector)
+        assert [self.hexes(m.evaluate(r, _norm(r))) for m in ALL_MEASURES] == list(pinned)
+
+    def test_one_stack_of_all_of_them(self):
+        r = np.array([vector for vector, _ in self.PINNED.values()])
+        for k, measure in enumerate(ALL_MEASURES):
+            values = measure.evaluate(r, _norm(r))
+            assert [self.hexes(row) for row in values] == [p[k] for _, p in self.PINNED.values()]
+
+    def test_norm_is_one_ulp_above_one(self):
+        for name in ("z-long", "tilted-long"):
+            assert _norm(np.array(self.PINNED[name][0])) == 1.0 + 2.0**-52
 
 
 class TestCoherenceTriple:

@@ -33,6 +33,11 @@ def bloch_form_states():
     return states
 
 
+def generators(seeds) -> list:
+    """A generator of each seed, as ``_random_states`` takes them."""
+    return [np.random.default_rng(seed) for seed in seeds]
+
+
 def hex_of(*arrays) -> list[str]:
     return [float(x).hex() for arr in arrays for x in np.ravel(arr)]
 
@@ -187,7 +192,7 @@ class TestRandomPure:
         one stack, which equals ``random_pure`` draw by draw bit for bit
         (``TestStackedSampler``), and validated by one stacked check."""
         for nqubits in (1, 2, 3):
-            _validate(_random_states(nqubits, range(10_000)))
+            _validate(_random_states(nqubits, generators(range(10_000))))
 
 
 class TestRandomMixed:
@@ -218,11 +223,11 @@ class TestRandomMixed:
         """As ``TestRandomPure.test_validated_draws``, for ``random_mixed`` at
         every rank: one stack and one stacked check per rank."""
         for rank in range(1, 2 ** nqubits + 1):
-            _validate(_random_states(nqubits, range(10_000), rank))
+            _validate(_random_states(nqubits, generators(range(10_000)), rank))
 
 
 class TestStackedSampler:
-    """``states._random_states`` draws per seed and finishes the whole stack
+    """``states._random_states`` draws per generator and finishes the whole stack
     at once; each state must have the bits of ``oracles.sampled_matrix``,
     which draws and finishes one state at a time as ``np.linalg.norm``,
     ``np.outer`` and a single matrix product do."""
@@ -233,14 +238,17 @@ class TestStackedSampler:
     def test_stack_equals_the_per_draw_path_bit_for_bit(self, nqubits, rank):
         seeds = [np.random.SeedSequence([4200, nqubits, k]) for k in range(500)]
         expected = np.stack([sampled_matrix(nqubits, ss, rank) for ss in seeds])
-        assert np.array_equal(bits(_random_states(nqubits, seeds, rank)), bits(expected))
+        stack = _random_states(nqubits, generators(seeds), rank)
+        assert np.array_equal(bits(stack), bits(expected))
         # any stack: the stack of one of the public constructors, and stacks of 7
         public = [
             random_pure(nqubits, ss) if rank is None else random_mixed(nqubits, rank, ss)
             for ss in seeds[:50]
         ]
         assert np.array_equal(bits(np.stack([rho.matrix for rho in public])), bits(expected[:50]))
-        sevens = [_random_states(nqubits, seeds[k : k + 7], rank) for k in range(0, 500, 7)]
+        sevens = [
+            _random_states(nqubits, generators(seeds[k : k + 7]), rank) for k in range(0, 500, 7)
+        ]
         assert np.array_equal(bits(np.concatenate(sevens)), bits(expected))
 
 
