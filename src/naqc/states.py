@@ -19,6 +19,7 @@ indices i at once, bit for bit.
 from __future__ import annotations
 
 import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,8 @@ def _pcg64_seeds(master_seed: int, indices: range) -> np.ndarray:
     """``SeedSequence([master_seed, i]).generate_state(4, np.uint64)``
     of every index i of ``indices`` at once, as a C-contiguous ``(n, 4)``
     uint64 array, for entropies that fit the 4-word pool (``_generators``).
+    It must stay C-contiguous: ``PCG64`` reads a row handed to it through
+    ``SeedWords`` as the 32 bytes at the row's address, whatever its strides.
 
     The pool of index ``indices.start + k`` sits in lane k (``_lanes``), and
     the n pools are mixed in their lanes by a few int operations per step:
@@ -236,20 +239,6 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _pcg64_generators(seeds: np.ndarray) -> list[np.random.Generator]:
-    """A ``PCG64`` generator per row of ``seeds``, its ``generate_state(4,
-    uint64)`` words. ``PCG64`` reads a row as the 32 bytes at its address,
-    whatever its dtype and strides, so ``seeds`` must be a C-contiguous
-    ``(n, 4)`` uint64 array; anything else raises ``ValueError``."""
-    if seeds.dtype != np.uint64 or seeds.shape[1:] != (4,) or not seeds.flags.c_contiguous:
-        raise ValueError(
-            "PCG64 seed words must be a C-contiguous (n, 4) uint64 array, "
-            f"got {seeds.dtype} of shape {seeds.shape} and strides {seeds.strides}"
-        )
-    seed_words = _seed_words_type()
-    return [np.random.Generator(np.random.PCG64(seed_words(row))) for row in seeds]
-
-
 def _generators(master_seed: int, indices: range) -> list[np.random.Generator]:
     """One generator per index i of the step-1 range ``indices``, each in
     the state of
@@ -259,15 +248,17 @@ def _generators(master_seed: int, indices: range) -> list[np.random.Generator]:
     at most three of ``SeedSequence``'s 4-word pool. For those no
     ``SeedSequence`` is built: ``_pcg64_seeds`` mixes the pools of the
     whole range and hashes their ``PCG64`` seed words in one pass, index i
-    in its own 64-bit lane of one int. Every other entropy, a negative seed
-    included, goes to numpy's own ``SeedSequence``, one per index.
+    in its own 64-bit lane of one int, and ``PCG64`` reads each row through
+    the ``SeedWords`` adapter. Every other entropy, a negative seed
+    included, seeds ``PCG64`` through numpy's own ``SeedSequence``, one per
+    index.
     """
     small = all(0 <= k <= _MASK32 for k in (indices.start, indices.stop - 1))
     if small and 0 <= master_seed < 2**64:
-        return _pcg64_generators(_pcg64_seeds(master_seed, indices))
-    entropies = ([master_seed, i] for i in indices)
-    seeds = [np.random.SeedSequence(e).generate_state(4, np.uint64) for e in entropies]
-    return _pcg64_generators(np.array(seeds, np.uint64).reshape(-1, 4))
+        seeds = map(_seed_words_type(), _pcg64_seeds(master_seed, indices))
+    else:
+        seeds = (np.random.SeedSequence([master_seed, i]) for i in indices)
+    return [np.random.Generator(np.random.PCG64(seed)) for seed in seeds]
 
 
 def _random_states(nqubits: int, rngs, rank: int | None = None) -> np.ndarray:
@@ -353,24 +344,23 @@ _FAMILIES = {
 }
 
 
-def from_family(family: str, params: dict) -> DensityMatrix:
-    """Build a named family member from its parameter mapping.
+def from_family(family: str, params: Mapping | None) -> DensityMatrix:
+    """Build a named family member from its parameter mapping; None means
+    no parameters.
 
     Families: ``pure_alpha`` (alpha), ``ghz_alpha`` (alpha), ``werner`` (p),
     ``bell`` (no parameters), ``general_bloch`` (r, s, T).
     """
-    params = dict(params or {})
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {tuple(_FAMILIES)}")
+    if not isinstance(params, Mapping | None):
+        raise ValueError(f"parameters of {family!r} must be a mapping, got {type(params).__name__}")
+    params = dict(params or {})
     build, names = _FAMILIES[family]
-
-    def take(key: str):
-        try:
-            return params.pop(key)
-        except KeyError:
-            raise ValueError(f"family {family!r} requires parameter {key!r}") from None
-
-    rho = build(*[take(key) for key in names])
+    missing = [key for key in names if key not in params]
+    if missing:
+        raise ValueError(f"family {family!r} requires parameter {missing[0]!r}")
+    rho = build(*[params.pop(key) for key in names])
     if params:
         raise ValueError(f"unexpected parameters for {family!r}: {sorted(params)}")
     return rho

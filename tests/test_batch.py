@@ -36,7 +36,7 @@ from naqc.qcore import (
 )
 from naqc.states import (
     _generators,
-    _pcg64_generators,
+    _pcg64_seeds,
     _random_states,
     _seed_words_type,
     ghz_alpha,
@@ -354,47 +354,44 @@ LONGER_ENTROPIES = [(2**64, range(3)), (7, range(2**32 - 1, 2**32 + 1)), (2**128
     ],
 )
 def test_only_entropies_past_the_pool_build_seed_sequences(seed, indices, built, monkeypatch):
-    count = []
+    """Past the pool, ``PCG64`` is seeded by numpy's own ``SeedSequence``:
+    each generator holds the one built for its index's entropy."""
+    made = []
 
     class Counted(np.random.SeedSequence):
         def __init__(self, *args, **kwargs):
-            count.append(args)
+            made.append(self)
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", Counted)
     rngs = _generators(seed, indices)
     monkeypatch.undo()
-    assert len(count) == built
+    assert len(made) == built
+    if built:
+        assert [rng.bit_generator.seed_seq for rng in rngs] == made
+        assert [seq.entropy for seq in made] == [[seed, i] for i in indices]
     assert_seed_sequence_states(rngs, seed, indices)
 
 
-def test_pcg64_seed_words_must_be_c_contiguous_uint64_rows():
+def test_pcg64_seeds_are_c_contiguous_uint64_rows():
     """``PCG64`` reads a row of seed words as the 32 bytes at its address:
-    a strided row gives a state other than its words', so the words of a
-    chunk are checked once, as a C-contiguous ``(n, 4)`` uint64 array."""
+    a strided row gives a state other than its words'. So the lane pass
+    returns its words as a C-contiguous ``(n, 4)`` uint64 array, whose rows
+    ``_generators`` hands to ``PCG64`` through the ``SeedWords`` adapter."""
     words = np.arange(1, 17, dtype=np.uint64).reshape(2, 8)[:, ::2]
     seed_words = _seed_words_type()
     strided = np.random.PCG64(seed_words(words[0])).state
     assert strided != np.random.PCG64(seed_words(words[0].copy())).state
-    expected = [np.random.PCG64(seed_words(row.copy())).state for row in words]
-    assert [rng.bit_generator.state for rng in _pcg64_generators(words.copy())] == expected
-    assert _pcg64_generators(np.empty((0, 4), dtype=np.uint64)) == []
+    for n in (0, 1, 32, 512):
+        seeds = _pcg64_seeds(SEED, range(7, 7 + n))
+        assert seeds.dtype == np.uint64 and seeds.shape == (n, 4) and seeds.flags.c_contiguous
     # the seed sequence behind a generator holds PCG64's four words and nothing else
-    seed_seq = _pcg64_generators(words.copy())[0].bit_generator.seed_seq
+    seed_seq = _generators(SEED, range(2))[0].bit_generator.seed_seq
+    assert isinstance(seed_seq, seed_words)
     assert seed_seq.generate_state(4, np.uint64).shape == (4,)
     for request in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
         with pytest.raises(ValueError, match="only PCG64's 4 uint64 words"):
             seed_seq.generate_state(*request)
-    for bad in (
-        words,  # strided rows
-        words.astype(np.uint32),
-        words.astype(">u8"),
-        np.ascontiguousarray(words.T).T,  # (2, 4) in column order
-        np.ascontiguousarray(words[:, :3]),
-        words.copy().ravel(),
-    ):
-        with pytest.raises(ValueError, match=r"C-contiguous \(n, 4\) uint64 array"):
-            _pcg64_generators(bad)
 
 
 class TestStackedGuards:

@@ -359,6 +359,7 @@ class TestFromFamily:
         np.testing.assert_allclose(
             from_family("bell", {}).matrix, bell().matrix, atol=1e-15
         )
+        assert np.array_equal(from_family("bell", None).matrix, bell().matrix)  # no parameters
         np.testing.assert_allclose(
             from_family("pure_alpha", {"alpha": 0.5}).matrix, bell().matrix, atol=1e-15
         )
@@ -387,3 +388,13 @@ class TestFromFamily:
             from_family("pure_alpha", {})
         with pytest.raises(ValueError, match="unexpected parameters"):
             from_family("bell", {"alpha": 0.5})
+
+    @pytest.mark.parametrize(
+        "family, params, kind",
+        [("werner", "p", "str"), ("bell", [], "list"), ("werner", [("p", 0.5)], "list")],
+        ids=["name", "empty-list", "pairs"],
+    )
+    def test_parameters_must_be_a_mapping(self, family, params, kind):
+        message = f"parameters of '{family}' must be a mapping, got {kind}"
+        with pytest.raises(ValueError, match=message):
+            from_family(family, params)

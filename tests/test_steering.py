@@ -7,6 +7,7 @@ leaves Bob in (+/- 2 sqrt(a(1-a)), 0, 2a-1), her y measurement in
 probabilities (a, 1-a). Those vectors give the closed forms asserted below.
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -44,6 +45,7 @@ from naqc.steering import (
     _charlie,
     _criteria,
     _limits,
+    _parts,
     _shifts,
     _tripartite,
     conditional_states,
@@ -442,6 +444,70 @@ class TestTripartite:
             assert {0.6, 0.71} <= flagged[measure]
         for measure in ALL_MEASURES:
             assert not flagged[measure] & {0.0, 1.0}
+
+
+# Bob's pure state at b = (1, 1, 1)/sqrt(3), which attains epsilon under every measure
+BLOCH_B = np.full(3, 1.0 / math.sqrt(3.0))
+RHO_B = (np.eye(2) + np.einsum("k,kab->ab", BLOCH_B, qcore._PAULI[1:])) / 2.0
+ZERO = np.diag([1.0, 0.0]).astype(complex)
+HALF_I = np.eye(2, dtype=complex) / 2.0
+
+
+def product_mixtures(nqubits: int, count: int, seed: int, terms: int = 4) -> np.ndarray:
+    """``count`` mixtures of ``terms`` product pure states each, with
+    Dirichlet weights: separable states, so no criterion may flag them."""
+    rng = np.random.default_rng(seed)
+    draws = rng.standard_normal((2, count, terms, nqubits, 2))
+    qubits = draws[0] + 1j * draws[1]
+    qubits /= np.linalg.norm(qubits, axis=-1, keepdims=True)
+    kets = qubits[..., 0, :]
+    for q in range(1, nqubits):
+        kets = (kets[..., :, None] * qubits[..., q, None, :]).reshape(count, terms, -1)
+    weights = rng.dirichlet(np.ones(terms), size=count)
+    return np.einsum("nt,nti,ntj->nij", weights, kets, kets.conj())
+
+
+class TestProductStates:
+    """On a product state every conditional state of Bob is his own, so each
+    shift is his triple, at most epsilon, and the criteria are attained, not
+    flagged. At b = (1, 1, 1)/sqrt(3) every measure reaches its bound: an
+    epsilon or a measure that is off by more than the flags' slack (1.3e-8
+    and up) either flags these states or leaves them short of the bound."""
+
+    @pytest.mark.parametrize("alice", [ZERO, HALF_I], ids=["zero", "mixed"])
+    @pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.value)
+    def test_bipartite_products_attain_every_bound(self, alice, measure):
+        report = steering_report(DensityMatrix(np.kron(alice, RHO_B)), measure)
+        eps = measure.epsilon
+        assert abs(max(res.value for res in report.singles) - eps) <= 1e-12
+        assert abs(max(res.value for _, res in report.doubles) - 2 * eps) <= 1e-12
+        assert abs(report.triple.value - 3 * eps) <= 1e-12
+        results = [*report.singles, *(res for _, res in report.doubles), report.triple]
+        assert not any(res.violated for res in results)
+
+    @pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.value)
+    def test_tripartite_product_attains_t1_and_t2(self, measure):
+        rho = DensityMatrix(np.kron(np.kron(ZERO, RHO_B), HALF_I))
+        report = tripartite_report(rho, measure)
+        eps = measure.epsilon
+        assert abs(report.t1.value - 3 * eps) <= 1e-12
+        assert abs(report.t2.value - 6 * eps) <= 1e-12
+        assert not (report.t1.violated or report.t2.violated or report.t3.violated)
+
+    @pytest.mark.parametrize("nqubits, count", [(2, 10000), (3, 2000)])
+    def test_product_mixtures_are_never_flagged(self, nqubits, count):
+        """One stack per qubit count through ``_condition``: the seeded
+        mixtures and, first, the attaining products."""
+        rest = [HALF_I] * (nqubits - 2)
+        attaining = [
+            functools.reduce(np.kron, [alice, RHO_B, *rest]) for alice in (ZERO, HALF_I)
+        ]
+        stack = np.concatenate([attaining, product_mixtures(nqubits, count, 1400 + nqubits)])
+        qcore._validate(stack)
+        parts = _parts(_condition(stack), tuple(ALL_MEASURES))
+        for measure, values in zip(ALL_MEASURES, parts):
+            for name, result in _criteria(nqubits, values.T, measure).items():
+                assert not result.violated.any(), (measure, name)
 
 
 class TestRoleOfStateValidation:
