@@ -479,11 +479,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, help="override the suite's default sample count"
     )
     p_check.set_defaults(func=cmd_check)
+    parser._commands = sub.choices  # each command name's parser
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    # the command word names its parser, so that parser alone parses the
+    # rest: the top parser's own pass would only pick it; any other argv
+    # (none, -h, an unknown command) goes through the top parser
+    command = parser._commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

@@ -1,5 +1,6 @@
 """Tests for the command-line front end: documents, sweeps, search, checks."""
 
+import argparse
 import json
 import math
 import os
@@ -780,20 +781,39 @@ def test_a_count_past_the_largest_range_is_a_parse_error(argv, count, tmp_path, 
 
 
 class TestParserReuse:
-    """``main`` builds its parser once per process. Commands run one after
-    another in one process, a failing parse among them, must print and
-    exit exactly as each does in a process of its own."""
+    """``main`` builds its parser once per process and parses each command
+    in one pass of that command's own parser; an argv that names no command
+    goes to the top parser. Commands run one after another in one process,
+    failing parses and help among them, must print and exit exactly as each
+    does in a process of its own."""
+
+    # argvs whose parse fails or prints help: main must print and exit as
+    # the top parser's full pass over the whole argv does
+    ROUTES = [
+        ["search", "--nqubits", "2", "--criterion", "triple", "--samples", "x", "--seed", "3"],
+        [], ["bogus"], ["-h"], ["search", "-h"],
+    ]  # fmt: skip
 
     COMMANDS = [
         ["search", "--nqubits", "2", "--criterion", "double12", "--samples", "20", "--seed", "3"],
-        ["search", "--nqubits", "2", "--criterion", "triple", "--samples", "x", "--seed", "3"],
         ["check", "--suite", "no-signalling", "--samples", "20", "--seed", "3"],
+        *ROUTES,
     ]  # fmt: skip
+
+    @staticmethod
+    def _run(parse, argv, capsys) -> tuple:
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
-    def test_one_process_matches_separate_processes(self, capsys):
+    def test_one_process_matches_separate_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # help's wrap width, here and in the children
         separate = []
         for argv in self.COMMANDS:
             proc = subprocess.run(
@@ -803,16 +823,46 @@ class TestParserReuse:
                 env=child_env(),
                 timeout=30,
             )
-            separate.append((proc.returncode, proc.stdout))
-        together = []
-        for argv in self.COMMANDS:
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            together.append((code, capsys.readouterr().out))
+            separate.append((proc.returncode, proc.stdout, proc.stderr))
+        together = [self._run(main, argv, capsys) for argv in self.COMMANDS]
         assert together == separate
-        assert [code for code, _ in together] == [EXIT_OK, EXIT_PARSE, EXIT_OK]
+        assert [code for code, _, _ in together] == [
+            EXIT_OK, EXIT_OK, EXIT_PARSE, EXIT_PARSE, EXIT_PARSE, EXIT_OK, EXIT_OK,
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("argv", ROUTES, ids=repr)
+    def test_routes_print_as_the_top_parsers_pass(self, argv, capsys):
+        full_pass = self._run(cli.build_parser().parse_args, argv, capsys)
+        assert self._run(main, argv, capsys) == full_pass
+
+    def test_each_command_is_parsed_once_by_its_own_parser(self, tmp_path, monkeypatch):
+        bell_path = write_doc(tmp_path, "bell.json", {"family": "bell", "params": {}})
+        out = str(tmp_path / "werner.csv")
+        argvs = [
+            ["evaluate", "--state", bell_path, "--measure", "l1"],
+            ["sweep", "--family", "werner", "--from", "0", "--to", "1", "--step", "0.5", "--out", out],
+            ["search", "--nqubits", "2", "--criterion", "double12", "--samples", "4", "--seed", "3"],
+            ["check", "--suite", "no-signalling", "--samples", "4", "--seed", "3"],
+        ]  # fmt: skip
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+        progs = []
+
+        def counted(self, *args, **kwargs):
+            progs.append(self.prog)
+            return parse_known_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        for argv in argvs:
+            progs.clear()
+            assert main(argv) == EXIT_OK
+            assert progs == [f"naqc {argv[0]}"]
+
+    def test_unrecognized_argument_is_reported_by_the_command_parser(self, capsys):
+        argv = ["check", "--suite", "no-signalling", "--samples", "5", "extra"]
+        code, out, err = self._run(main, argv, capsys)
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err.startswith("usage: naqc check ")
+        assert err.splitlines()[-1] == "naqc check: error: unrecognized arguments: extra"
 
 
 class TestEntryPoint:
