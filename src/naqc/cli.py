@@ -419,8 +419,6 @@ SUITES = {
 
 
 def cmd_check(args) -> int:
-    if args.suite not in SUITES:
-        raise ValueError(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}")
     suite, default_samples = SUITES[args.suite]
     samples = default_samples if args.samples is None else args.samples
     _check_run(samples, args.seed)
@@ -473,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_search)
 
     p_check = sub.add_parser("check", help="run a Monte-Carlo property suite")
-    p_check.add_argument("--suite", required=True)
+    p_check.add_argument("--suite", required=True, choices=tuple(SUITES))
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument(
         "--samples", type=int, help="override the suite's default sample count"

@@ -99,11 +99,10 @@ def _table(n: int, last: bool, x, y, part) -> tuple[np.ndarray, np.ndarray]:
     the table, (x[e], y[e]) and its real (``part`` 0) or imaginary (1) part,
     gives the float-view index and the sign of each term t at [t, 6 e + k],
     in the order ``_pairwise`` adds them: (b = 0 + b = 1 at b' = 0) + (the
-    same at b' = 1), the roundings of the products of P rho P, whose halves
-    c = 0 and 1 (which the trace adds) are equal on x and y and zero but for
-    one on z. A zero coefficient stays a +0.0 term on the other part of its
-    entry, so a NaN in either part of an entry reaches some branch, and
-    signed zeros come out as the products' on all but contrived inputs.
+    same at b' = 1), the order whose bits tests/golden.json and
+    bench/reference.json hold. A zero coefficient stays a +0.0 term on the
+    other part of its entry, so a NaN in either part of an entry reaches
+    some branch.
     """
     b, c = (np.array(v).reshape(4, 1, 1) for v in ((0, 0, 1, 1), (0, 1, 0, 1)))  # term t's b, b'
     coef = _PROJ.reshape(6, 2, 2).transpose(2, 1, 0).reshape(4, 1, 6)  # P_k[b', b]
@@ -136,9 +135,9 @@ def _branches(matrices: np.ndarray, index, sign, diagonal: slice):
     2). A dropped branch (p below ZERO_PROBABILITY) has p = 0.0 and zero
     reals. A NaN or infinite probability raises ``ConsistencyError``.
 
-    The product has the bits of a division by p + 0j but for the sign of
-    some -0.0 parts: with x > 0, -x - 0j and -0.0 + xj keep theirs, which
-    the division turns to +0.0. No coherence measure reads that sign."""
+    The adds and the product with 1.0 / p keep the bits that
+    tests/golden.json and bench/reference.json hold; a -0.0 part keeps its
+    sign, which no coherence measure reads."""
     flat = np.ascontiguousarray(matrices).reshape(matrices.shape[:-2] + (-1,)).view(float)
     terms = flat.take(index, axis=-1)
     terms *= sign
@@ -165,9 +164,7 @@ def _charlie(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dropped outcome has probability 0.0 and the zero matrix.
 
     p adds the AB diagonal as (k0 + k2) + (k1 + k3), and each AB state is
-    its 32 reals of ``_CHARLIE`` times 1.0 / p viewed as complex: the bits
-    of kron(I4, P) @ rho @ kron(I4, P), its trace and its partial trace over
-    Charlie, divided by the trace, up to ``_branches``' signed zeros."""
+    its 32 reals of ``_CHARLIE`` times 1.0 / p viewed as complex."""
     values, probs = _branches(matrices, *_CHARLIE, slice(0, 31, 10))
     return probs, values.view(complex).reshape(probs.shape + (4, 4))
 
@@ -178,9 +175,8 @@ def _alice(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Bloch vectors, shape (..., 3, 2, 3), zero where dropped.
 
     p = K00.re + K11.re of Bob's branch K = Tr_A[P rho], and b = (2 K01.re,
-    2 K10.im, K00.re - K11.re) of K times 1.0 / p: the bits of dividing K
-    by p + 0j and reading b off it as ``qcore._bloch_vector`` does, up to
-    ``_branches``' signed zeros."""
+    2 K10.im, K00.re - K11.re) of K times 1.0 / p, read off as
+    ``qcore._bloch_vector`` reads a qubit."""
     values, probs = _branches(matrices, *_ALICE, slice(0, 2))
     bloch = np.empty(values.shape[:-1] + (3,))
     np.multiply(values[..., 2:], 2.0, out=bloch[..., :2])
@@ -212,10 +208,9 @@ def _condition(matrices: np.ndarray) -> _Conditioning:
     Three-qubit states are conditioned on Charlie's outcomes first
     (``_charlie``), and his conditional AB states on Alice's (``_alice``)
     like any two-qubit stack. Each stage gathers the reals its branches
-    need from the float view of its stack with the roundings of the dense
-    products kron(P, I) @ rho @ kron(P, I), so the probabilities and Bob's
-    Bloch vectors have their bits, and each norm is ``_norm``'s, as in
-    ``BlochQubit``.
+    need from the float view of its stack and adds them in fixed orders,
+    whose bits tests/golden.json and bench/reference.json hold, and each
+    norm is ``_norm``'s, as in ``BlochQubit``.
 
     A branch reached with probability w (Alice's p, times Charlie's on three
     qubits) holds w * rho_B, a compression of the state, whose eigenvalues

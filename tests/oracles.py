@@ -2,22 +2,25 @@
 
 Brute-force linear algebra the library itself does not need: a sorted
 Hermitian eigendecomposition, the PSD square root of a state, the density
-matrix of a Bloch vector, a partial trace of raw arrays, the (r, s, T) form
-by traces against Kronecker products of Pauli matrices, and the l1 shift
-functionals and tripartite criteria computed from projectors and partial
-traces. The tests use them to check the closed forms of ``naqc`` against
-direct matrix computations. ``sampled_matrix`` is the seeded sampler
-written draw by draw, the bit-exact reference for the stacked one,
-``reference_scores`` the shifts and tripartite criteria with every add
-written out, the bit-exact reference for the stacked scoring, and ``bits``
-the view that compares arrays bit for bit. ``diagonal_state`` and
-``counted_eigvalsh`` probe the two paths of the positivity check.
-``seeded_sample`` and ``seeded_states`` are the two seeded rules by which
-the tests draw their random states.
+matrix of a Bloch vector, a partial trace of raw arrays and the (r, s, T)
+form by traces against Kronecker products of Pauli matrices. The tests use
+them to check the closed forms of ``naqc`` against direct matrix
+computations. ``oracle_branches``, ``oracle_shifts`` and ``oracle_t1_t2``
+are the exact reference for the conditioning and every criterion: a float
+state read exactly, conditioned in integers and evaluated at 60 digits, to
+which ``accuracy_bound`` holds the float path, per measure.
+``sampled_matrix`` is the seeded sampler written draw by draw, the
+bit-exact reference for the stacked one, and ``bits`` the view that
+compares arrays bit for bit. ``diagonal_state`` and ``counted_eigvalsh``
+probe the two paths of the positivity check. ``seeded_sample`` and
+``seeded_states`` are the two seeded rules by which the tests draw their
+random states.
 """
 
 import math
+from typing import NamedTuple
 
+import mpmath
 import numpy as np
 
 from naqc.qcore import (
@@ -132,7 +135,7 @@ def partial_trace_matrix(mat: np.ndarray, nqubits: int, keep) -> np.ndarray:
 
     ``keep`` lists the qubit indices to retain; they stay in their original
     order. This is the raw-array routine ``naqc.qcore.partial_trace`` was
-    built on, kept for the dense matrix-product conditioning path.
+    built on.
     """
     keep = sorted(set(int(q) for q in np.atleast_1d(keep)))
     if any(q < 0 or q >= nqubits for q in keep):
@@ -179,98 +182,143 @@ def kron_from_bloch(r, s, T) -> np.ndarray:
     return mat / 4.0
 
 
-# The conditioning oracles below build the Pauli eigenbases, the projectors
-# and the partial traces with numpy alone, so they share no code with
-# naqc.steering or naqc.qcore. They take and return plain arrays.
-PAULI_EIGENBASES = {
-    1: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    2: np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2),
-    3: np.eye(2, dtype=complex),
-}
+# The exact reference below reads a float matrix's entries as the integers
+# they are over a common power of two, conditions with the integer entries of
+# 2 P = I +- sigma, and divides only at the end, at 60 digits with mpmath. It
+# shares no code with naqc.steering or naqc.coherence and keeps their
+# conventions: a branch below 1e-12 is dropped, h2 is 0 outside (0, 1),
+# relent is clamped at 0, and skew reads 0 below a norm of 1e-12.
+EXACT = mpmath.MPContext()
+EXACT.dps = 60
+
+# 2 P[b', b] of outcome k = 2 (axis - 1) + outcome at [k, b, b'], in integer parts
+_TWICE_P = (EYE2 + np.array([1, -1])[:, None, None] * np.array(SIGMAS)[:, None]).reshape(6, 2, 2)
+_TWICE_P_RE, _TWICE_P_IM = (p.swapaxes(1, 2).astype(int) for p in (_TWICE_P.real, _TWICE_P.imag))
 
 
-def oracle_branches(rho: np.ndarray, last: bool):
-    """(axis, probability, normalized rest) for a Pauli measurement on the
-    last qubit (``last``) or the first qubit of ``rho``; outcomes of
-    probability at most 1e-12 are left out."""
-    rest = rho.shape[0] // 2
-    for axis, basis in PAULI_EIGENBASES.items():
-        for vec in basis.T:
-            proj = np.outer(vec, vec.conj())
-            if last:
-                op = np.kron(np.eye(rest), proj)
-                sub = (op @ rho @ op).reshape(rest, 2, rest, 2)
-                reduced = sub.trace(axis1=1, axis2=3)
-            else:
-                op = np.kron(proj, np.eye(rest))
-                sub = (op @ rho @ op).reshape(2, rest, 2, rest)
-                reduced = sub.trace(axis1=0, axis2=2)
-            prob = float(np.trace(reduced).real)
-            if prob > 1e-12:
-                yield axis, prob, reduced / prob
+class ExactMatrix(NamedTuple):
+    """The array (re + 1j im) / scale, with integer entries and scale."""
+
+    re: np.ndarray
+    im: np.ndarray
+    scale: int
 
 
-def oracle_l1(qubit: np.ndarray, axis: int) -> float:
-    basis = PAULI_EIGENBASES[axis]
-    return 2 * abs((basis.conj().T @ qubit @ basis)[0, 1])
+def exact_matrix(array) -> ExactMatrix:
+    """A float array as it is, or an ``ExactMatrix`` unchanged."""
+    if isinstance(array, ExactMatrix):
+        return array
+    parts = np.asarray(array, dtype=complex)
+    ratios = [float(v).as_integer_ratio() for v in np.stack([parts.real, parts.imag]).ravel()]
+    scale = max(d for _, d in ratios)
+    ints = np.array([n * (scale // d) for n, d in ratios], dtype=object).reshape((2,) + parts.shape)
+    return ExactMatrix(ints[0], ints[1], scale)
 
 
-def oracle_shifts(rho: np.ndarray) -> list[float]:
-    """l1 shift functionals s_j of a two-qubit state: sums over Alice's axes
-    i of p(i) * l1(Bob's conditional state, axis ((i - 1 + j) mod 3) + 1)."""
-    s = [0.0, 0.0, 0.0]
+def oracle_branches(rho, last: bool):
+    """(axis, probability, rest) of each outcome of a Pauli measurement on
+    the last qubit (``last``) or the first of ``rho``, floats or exact: Tr[P
+    rho] at 60 digits and Tr_1[P rho] / Tr[P rho] exactly, scaled by its
+    trace. Outcomes of probability below 1e-12 are left out."""
+    mat = exact_matrix(rho)
+    half = mat.re.shape[0] // 2
+    shape, order = ((half, 2) * 2, (1, 3, 0, 2)) if last else ((2, half) * 2, (0, 2, 1, 3))
+
+    def dot(c, z):  # sum over b, b' of c[k, b, b'] z[(b, x), (b', y)], b the measured qubit's
+        return np.tensordot(c, z.reshape(shape).transpose(order), axes=([1, 2], [0, 1]))
+
+    re = dot(_TWICE_P_RE, mat.re) - dot(_TWICE_P_IM, mat.im)
+    im = dot(_TWICE_P_RE, mat.im) + dot(_TWICE_P_IM, mat.re)
+    for k in range(6):
+        trace = int(re[k].trace())
+        if (prob := EXACT.mpf(trace) / (2 * mat.scale)) >= 1e-12:
+            yield k // 2 + 1, prob, ExactMatrix(re[k], im[k], trace)
+
+
+def oracle_bloch(qubit: ExactMatrix) -> tuple:
+    """Integers n and d of a qubit's Bloch vector n / d, read as
+    ``qcore._bloch_vector`` reads it: Tr(m sigma_i) of a Hermitian m."""
+    re, im = qubit.re, qubit.im
+    return (2 * re[0, 1], 2 * im[1, 0], re[0, 0] - re[1, 1]), qubit.scale
+
+
+def entropy(p, q):
+    """h2 of (p, q), given apart so neither is a difference; 0 unless both > 0."""
+    if p <= 0 or q <= 0:
+        return EXACT.zero
+    return -(p * EXACT.ln(p) + q * EXACT.ln(q)) / EXACT.ln2
+
+
+def oracle_coherence(measure: str, n, d: int) -> list:
+    """``measure`` ("l1", "relent" or "skew") of the Bloch vector n / d, of
+    integers n and d, at its three Pauli axes, at 60 digits."""
+    squares = [v * v for v in n]
+    total = sum(squares)  # |b|**2 = total / d**2
+    if measure == "l1":
+        return [EXACT.sqrt(total - sq) / d for sq in squares]
+    root = EXACT.sqrt(total)
+    plus, minus = (d + root) / (2 * d), (d * d - total) / (2 * d * (d + root))  # (1 +- |b|) / 2
+    if measure == "relent":
+        dephased = [entropy(EXACT.mpf(d + v) / (2 * d), EXACT.mpf(d - v) / (2 * d)) for v in n]
+        return [max(EXACT.zero, h - entropy(plus, minus)) for h in dephased]
+    if root < 1e-12 * d:
+        return [EXACT.zero] * 3
+    # the transverse factor 1 - b_axis**2 / |b|**2 is a sum of squares, never below 0
+    factor = (EXACT.sqrt(plus) - EXACT.sqrt(max(EXACT.zero, minus))) ** 2
+    return [factor * (total - sq) / total for sq in squares]
+
+
+def oracle_shifts(rho, measure: str) -> list:
+    """The shift functionals s_j of a two-qubit state for ``measure``: sums
+    over Alice's axes i of p(i) * C(Bob's conditional state, axis ((i - 1 +
+    j) mod 3) + 1), at 60 digits."""
+    s = [EXACT.zero] * 3
     for i, p_a, bob in oracle_branches(rho, last=False):
+        values = oracle_coherence(measure, *oracle_bloch(bob))
         for j in range(3):
-            s[j] += p_a * oracle_l1(bob, (i - 1 + j) % 3 + 1)
+            s[j] += p_a * values[(i - 1 + j) % 3]
     return s
 
 
-def oracle_t1_t2(rho: np.ndarray) -> tuple[float, float]:
-    """Sums over Charlie's axes c of p(c) * s_j(conditional AB state): t1
-    over the matched shift j = c mod 3, t2 over the two others."""
-    t1 = t2 = 0.0
+def oracle_t1_t2(rho, measure: str) -> tuple:
+    """Sums over Charlie's axes c of p(c) * s_j(conditional AB state), at 60
+    digits: t1 over the matched shift j = c mod 3, t2 over the two others."""
+    t1 = t2 = EXACT.zero
     for c, p_c, ab in oracle_branches(rho, last=True):
-        s = oracle_shifts(ab)
+        s = oracle_shifts(ab, measure)
         t1 += p_c * s[c % 3]
-        t2 += p_c * (sum(s) - s[c % 3])
+        t2 += p_c * (s[0] + s[1] + s[2] - s[c % 3])
     return t1, t2
 
 
-# The scoring references below write out every add of the stacked scoring
-# in ``naqc.steering`` in its order, one by one, so ``_shifts`` and
-# ``_tripartite`` must match them word for word.
+def oracle_parts(matrix: np.ndarray, measure: str) -> list:
+    """The exact values of ``steering._parts`` of a float matrix: the shifts
+    on two qubits, t1 to t3 on three."""
+    if len(matrix) == 4:
+        return oracle_shifts(matrix, measure)
+    t1, t2 = oracle_t1_t2(matrix, measure)
+    return [t1, t2, t1 + t2]
 
 
-def outcome_sum(w: np.ndarray) -> np.ndarray:
-    """The six outcome terms ``w[..., k, :]`` added one by one in the order of k."""
-    total = w[..., 0, :] + w[..., 1, :]
-    for k in range(2, 6):
-        total += w[..., k, :]
-    return total
+# How far the float path may sit from the exact values. A value on n qubits
+# weighs 3 ** (n - 1) triples of one Bloch vector b, as in coherence._bounds,
+# and a round-off delta = K * u in b (u = 2**-53) moves one triple by
+#   l1:      delta, its values being 1-Lipschitz in b;
+#   relent:  delta * log2(1 / u), h2's slope 1 ulp away from 0 or 1;
+#   skew:    2 * sqrt(2 * delta), through sqrt(lambda_minus) at a pure branch.
+# Fitted to the worst errors measured (README), K reads at most 4.5 (l1 on
+# three qubits at numpy's X86_V2 level; relent 1.4, skew 0.5); doubled and
+# rounded up to a power of two, K = 16.
+K, UNIT_ROUNDOFF = 16, 2.0**-53
 
 
-def shift_total(s: np.ndarray) -> np.ndarray:
-    """(s_0 + s_1) + s_2 of a (..., 3) stack of shifts."""
-    return (s[..., 0] + s[..., 1]) + s[..., 2]
-
-
-def reference_scores(cond, measures: tuple) -> tuple:
-    """The shifts, their totals and, for three-qubit states, (t1, t2, t3) of
-    a conditioning, each with a leading axis over the tuple ``measures``.
-
-    The term of s_j from Alice's outcome k = 2 (axis - 1) + outcome is
-    p * C at Bob's 0-based axis (k // 2 + j) mod 3; t1 weighs the shift
-    (c + 1) mod 3 matched to Charlie's 0-based axis c by his probability,
-    t2 the total less it, and t3 = t1 + t2.
-    """
-    c = np.stack([m.evaluate(cond.bloch, cond.norm) for m in measures])
-    w = (cond.prob[..., None] * c).reshape(c.shape[:-3] + (6, 3))
-    terms = [[w[..., k, (k // 2 + j) % 3] for j in range(3)] for k in range(6)]
-    s = outcome_sum(np.moveaxis(np.array(terms), (0, 1), (-2, -1)))
-    total = shift_total(s)
-    if cond.charlie is None:
-        return s, total, None
-    matched = np.stack([s[..., a, :, (a + 1) % 3] for a in range(3)], axis=-2)
-    w = cond.charlie[..., None] * np.stack([matched, total - matched], axis=-1)
-    t = outcome_sum(w.reshape(w.shape[:-3] + (6, 2)))
-    return s, total, np.concatenate([t, (t[..., 0] + t[..., 1])[..., None]], axis=-1)
+def accuracy_bound(measure: str, nqubits: int) -> float:
+    """How far a value of ``measure`` on ``nqubits`` qubits (one qubit's
+    three, the shifts of two, t1 to t3 of three) may sit from the exact one."""
+    delta = K * UNIT_ROUNDOFF
+    triple = {
+        "l1": delta,
+        "relent": delta * math.log2(1 / UNIT_ROUNDOFF),
+        "skew": 2 * math.sqrt(2 * delta),
+    }
+    return 3 ** (nqubits - 1) * triple[measure]

@@ -3,13 +3,15 @@
 Every test prints one PASS/FAIL line (run with ``pytest -v -s`` to see them
 even when green) and then asserts. The checks are frozen against
 independent oracles: hand-derived conditional Bloch vectors for the state
-families, a numpy-only density-matrix oracle for the tripartite criteria
-and eigendecomposition-based brute force for the coherence measures. The
+families, the exact density-matrix reference of ``oracles`` (integer
+conditioning, 60-digit measures) for the tripartite criteria and
+eigendecomposition-based brute force for the coherence measures. The
 all-states relations are held by the ``naqc check`` suites, which tests 1,
 4, 6, 8 and 9 run through ``naqc.cli.SUITES`` at their own seeds and the
 suites' default sample counts, and whose lines their PASS lines print.
 """
 
+import itertools
 import math
 import time
 
@@ -24,7 +26,7 @@ from naqc.coherence import (
 from naqc.qcore import BlochQubit, pauli
 from naqc.states import bell, ghz_alpha, pure_alpha, random_bloch_qubit_vector
 from naqc.steering import shift_values, tripartite_report
-from oracles import oracle_t1_t2, qubit_of_bloch, seeded_sample, sqrt_psd
+from oracles import accuracy_bound, oracle_parts, qubit_of_bloch, seeded_sample, sqrt_psd
 
 SQRT6 = math.sqrt(6.0)
 
@@ -131,7 +133,8 @@ def oracle_ghz_state(a: float) -> np.ndarray:
 
 
 def test_5_ghz_family_tripartite_criterion_curve():
-    """GHZ family a|000> + b|111>, b = sqrt(1-a^2): t1 against the oracle.
+    """GHZ family a|000> + b|111>, b = sqrt(1-a^2): t1 against the exact
+    reference, within its bound ``accuracy_bound("l1", 3)``.
 
     Charlie's z outcomes leave |00> or |11> (matched s0 = 2); his x outcomes
     leave a|00> +/- b|11> (matched s1 = 2 + 2ab); his y outcomes leave
@@ -141,13 +144,12 @@ def test_5_ghz_family_tripartite_criterion_curve():
     """
     grid = [k / 100 for k in range(101)]
     values = [tripartite_report(ghz_alpha(a), Measure.L1).t1.value for a in grid]
-    oracle = [oracle_t1_t2(oracle_ghz_state(a))[0] for a in grid]
+    oracle = [oracle_parts(oracle_ghz_state(a), "l1")[0] for a in grid]
     closed = [5 + 4 * a * math.sqrt(1 - a * a) + abs(2 * a * a - 1) for a in grid]
-    worst_oracle = max(abs(v - o) for v, o in zip(values, oracle))
-    worst_closed = max(
-        max(abs(v - c), abs(o - c)) for v, o, c in zip(values, oracle, closed)
-    )
-    matches_oracle = worst_oracle <= 1e-10 and worst_closed <= 1e-10
+    worst_oracle = float(max(abs(v - o) for v, o in zip(values, oracle)))
+    points = zip(values, oracle, closed)
+    worst_closed = float(max(max(abs(v - c), abs(o - c)) for v, o, c in points))
+    matches_oracle = worst_oracle <= accuracy_bound("l1", 3) and worst_closed <= 1e-10
 
     bound = 3 * SQRT6
     above = [a for a, v in zip(grid, values) if v > bound]
@@ -215,16 +217,19 @@ def test_9_no_signalling_reconstruction():
 
 
 def test_10_tripartite_criteria_match_oracle_on_random_states():
-    """Charlie's conditioning on generic states: t1 and t2 of the library
-    against the density-matrix oracle, on alternating Haar-pure and
-    full-rank Ginibre three-qubit states."""
-    worst = 0.0
-    for index in range(50):
+    """Charlie's conditioning on generic states: t1, t2 and t3 of the
+    library for every measure against the exact reference, each within its
+    measure's ``accuracy_bound``, on alternating Haar-pure and full-rank
+    Ginibre three-qubit states."""
+    worst = dict.fromkeys(Measure, 0.0)
+    for index, measure in itertools.product(range(50), Measure):
         rho = seeded_sample(3, 20240010, index)
-        report = tripartite_report(rho, Measure.L1)
-        t1, t2 = oracle_t1_t2(rho.matrix)
-        worst = max(worst, abs(report.t1.value - t1), abs(report.t2.value - t2))
-    ok = worst <= 1e-10
-    detail = f"worst |t1, t2 - oracle| over 50 states = {worst:.3e}"
+        report = tripartite_report(rho, measure)
+        exact = oracle_parts(rho.matrix, measure.value)
+        errors = [abs(r.value - e) for r, e in zip((report.t1, report.t2, report.t3), exact)]
+        worst[measure] = max(worst[measure], float(max(errors)))
+    ok = all(error <= accuracy_bound(m.value, 3) for m, error in worst.items())
+    rows = [f"{m.value} {e:.3e} (bound {accuracy_bound(m.value, 3):.3e})" for m, e in worst.items()]
+    detail = f"worst |t1, t2, t3 - exact| over 50 states: {', '.join(rows)}"
     emit(10, "tripartite criteria against the density-matrix oracle", ok, detail)
     assert ok, detail

@@ -7,9 +7,10 @@ one. Every step is elementwise or per matrix, so a state's values must not
 depend on the stack it sits in: the tests below require the criteria's bits
 at stack sizes 1, 2, 7 and all states at once (``TestConditioningLayouts``
 in test_steering.py holds the conditioning to the same), agreement with the
-density-matrix oracle, identical CLI output for any chunk size, and guards
-that trip on NaN anywhere in a stack. The CLI draws each chunk of samples
-as one stack; its bits must be those of the samples drawn one at a time.
+exact density-matrix reference, identical CLI output for any chunk size,
+and guards that trip on NaN anywhere in a stack. The CLI draws each chunk
+of samples as one stack; its bits must be those of the samples drawn one
+at a time.
 """
 
 import contextlib
@@ -56,10 +57,10 @@ from naqc.steering import (
     tripartite_report,
 )
 from oracles import (
-    SIGMAS,
     bits,
     counted_eigvalsh,
     diagonal_state,
+    oracle_bloch,
     oracle_branches,
     seeded_sample,
     seeded_states,
@@ -138,10 +139,6 @@ def test_stacked_criteria_are_the_report_fields(nqubits, size):
             assert flags == [f.violated for f in fields], name
 
 
-def oracle_bloch(qubit: np.ndarray) -> np.ndarray:
-    return np.array([np.trace(qubit @ sigma).real for sigma in SIGMAS])
-
-
 def kept_branches(prob: np.ndarray, bloch: np.ndarray) -> list:
     """(axis, probability, Bloch vector) of the kept outcomes, in order."""
     return [
@@ -158,9 +155,9 @@ def assert_alice_branches_match(matrix: np.ndarray, prob, bloch, norm) -> None:
     ]
     actual = kept_branches(prob, bloch)
     assert [axis for axis, _, _ in actual] == [axis for axis, _, _ in expected]
-    for (_, p, r), (_, p_oracle, r_oracle) in zip(actual, expected):
+    for (_, p, r), (_, p_oracle, (n, d)) in zip(actual, expected):
         assert abs(p - p_oracle) <= 1e-12
-        np.testing.assert_allclose(r, r_oracle, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r, [v / d for v in n], rtol=0, atol=1e-12)
     dropped = prob == 0.0
     assert not bloch[dropped].any() and not norm[dropped].any()
     # the norm is the one BlochQubit computes, bit for bit

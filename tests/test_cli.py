@@ -684,7 +684,17 @@ class TestCheck:
         assert "result: FAIL" in out
 
     def test_unknown_suite_is_parse_error(self, capsys):
-        assert main(["check", "--suite", "nope"]) == EXIT_PARSE
+        with pytest.raises(SystemExit, match=f"^{EXIT_PARSE}$"):
+            main(["check", "--suite", "nope"])
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("naqc check: error: argument --suite: invalid choice: 'nope'")
+        assert all(name in last for name in cli.SUITES)
+
+    def test_help_names_every_suite(self, capsys):
+        with pytest.raises(SystemExit, match=f"^{EXIT_OK}$"):
+            main(["check", "-h"])
+        out = capsys.readouterr().out
+        assert all(name in out for name in cli.SUITES)
 
     @pytest.mark.parametrize("poison", [np.nan, 1.5])
     def test_coherence_suite_rejects_an_invalid_draw(self, poison, monkeypatch, capsys):

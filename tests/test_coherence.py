@@ -18,7 +18,16 @@ from naqc.coherence import (
 )
 from naqc.qcore import BlochQubit, ConsistencyError, _norm, pauli, projector
 from naqc.states import random_bloch_qubit_vector
-from oracles import eig_hermitian, qubit_of_bloch
+from oracles import (
+    EXACT,
+    accuracy_bound,
+    bits,
+    eig_hermitian,
+    entropy,
+    exact_matrix,
+    oracle_coherence,
+    qubit_of_bloch,
+)
 
 SYMMETRIC = BlochQubit(np.ones(3) / np.sqrt(3))
 
@@ -63,28 +72,21 @@ class TestBinaryEntropy:
 
     def test_bits_of_the_relent_measure(self):
         """At r = (x, 0, 0) the relent value on the z axis is 1 - h2((1 + x)/2):
-        the scalar function and the batch measure agree bit for bit, and
-        EPSILON_RELENT keeps its bits."""
+        the scalar function and the batch measure agree bit for bit."""
         x = np.random.default_rng(23).uniform(0, 1, 20_000)
         r = np.zeros((x.size, 3))
         r[:, 0] = x
         scalar = [max(0.0, 1.0 - binary_entropy((1.0 + v) / 2.0)) for v in x.tolist()]
         assert np.array_equal(scalar, RELENT.evaluate(r, x)[:, 2])
-        assert EPSILON_RELENT.hex() == "0x1.1db2eb16e3235p+1"
-
-    @pytest.mark.parametrize(
-        "p, bits", [(0.0, "0x0.0p+0"), (1.0, "0x0.0p+0"), (0.3, "0x1.c3388f8ceaa0ap-1")]
-    )
-    def test_pinned_bits_and_type(self, p, bits):
-        value = binary_entropy(p)
-        assert type(value) is float and value.hex() == bits
 
 
 class TestBounds:
     def test_epsilon_values(self):
-        assert EPSILON_L1 == math.sqrt(6.0)
-        assert EPSILON_SKEW == 2.0
-        assert EPSILON_RELENT == 3.0 * binary_entropy((1 + 1 / math.sqrt(3)) / 2)
+        """Each epsilon lies within 1 ulp of its exact value at 60 digits."""
+        p = (1 + 1 / EXACT.sqrt(3)) / 2
+        exact = {"l1": EXACT.sqrt(6), "relent": 3 * entropy(p, 1 - p), "skew": 2}
+        for measure in Measure:
+            assert abs(measure.epsilon - exact[measure.value]) <= math.ulp(measure.epsilon)
         # published rounding of the relative-entropy bound
         assert round(EPSILON_RELENT, 2) == 2.23
 
@@ -204,69 +206,50 @@ class TestRoundedPureState:
             assert relent == pytest.approx(at_axis(RELENT, unit, axis), abs=1e-12)
 
 
-class TestEdgeBits:
-    """``Measure.evaluate`` keeps its bits, as ``float.hex`` of the (l1,
-    relent, skew) values at the three axes, wherever an evaluator masks or
-    clamps: r = 0 and a norm below 1e-12 (skew's removable singularity),
-    axis-aligned pure vectors (the entropy's p = 0 and p = 1), norms 1 ulp
-    above 1 (the lam_minus clamp and p >= 1) and a NaN component, which
-    every axis of relent and skew reads through the norm and l1 reads at
-    the two axes transverse to it."""
+class TestEdgeValues:
+    """``Measure.evaluate`` wherever an evaluator masks or clamps: r = 0 and a
+    norm below 1e-12 (skew's removable singularity), axis-aligned pure
+    vectors (the entropy's p = 0 and p = 1), norms 1 ulp above 1 (the
+    lam_minus clamp and p >= 1), a vector whose rounded relent on y falls
+    below 0 (relent's clamp) and a NaN. Each value lies within
+    ``accuracy_bound`` of the exact one and, like it, is not negative."""
 
-    PINNED = {
-        "zero": ([0.0, 0.0, 0.0], (
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0")),
-        "tiny": ([3e-13, -4e-13, 0.0], (
-            "0x1.c25c268497682p-42 0x1.51c51ce3718e1p-42 0x1.19799812dea11p-41",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0",
-            "0x0.0p+0 0x0.0p+0 0x0.0p+0")),
-        "+x": ([1.0, 0.0, 0.0], (
-            "0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
-            "0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0",
-            "0x0.0p+0 0x1.0000000000000p+0 0x1.0000000000000p+0")),
-        "-y": ([0.0, -1.0, 0.0], (
-            "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0",
-            "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0",
-            "0x1.0000000000000p+0 0x0.0p+0 0x1.0000000000000p+0")),
-        "+z": ([0.0, 0.0, 1.0], (
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0",
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0",
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0")),
-        "z-long": ([0.0, 0.0, 1.0 + 2.0**-52], (
-            "0x1.0000000000001p+0 0x1.0000000000001p+0 0x0.0p+0",
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0",
-            "0x1.0000000000000p+0 0x1.0000000000000p+0 0x0.0p+0")),
-        "tilted-long": ([0.6, 0.0, 0.8000000000000003], (
-            "0x1.999999999999cp-1 0x1.0000000000001p+0 0x1.3333333333333p-1",
-            "0x1.71a08f2b35a92p-1 0x1.0000000000000p+0 0x1.e0406181bc7c6p-2",
-            "0x1.47ae147ae147cp-1 0x1.0000000000000p+0 0x1.70a3d70a3d708p-2")),
-        "nan-x": ([math.nan, 0.1, 0.2], (
-            "0x1.c9f25c5bfeddap-3 nan nan",
-            "nan nan nan",
-            "nan nan nan")),
-    }  # fmt: skip
+    VECTORS = {
+        "zero": [0.0, 0.0, 0.0],
+        "tiny": [3e-13, -4e-13, 0.0],
+        "+x": [1.0, 0.0, 0.0],
+        "-y": [0.0, -1.0, 0.0],
+        "+z": [0.0, 0.0, 1.0],
+        "z-long": [0.0, 0.0, 1.0 + 2.0**-52],
+        "tilted-long": [0.6, 0.0, 0.8000000000000003],
+        "near-y": [0.0, 0.176, 1e-8],
+        "nan-x": [math.nan, 0.1, 0.2],
+    }
 
-    @staticmethod
-    def hexes(values: np.ndarray) -> str:
-        return " ".join(float(x).hex() for x in values)
-
-    @pytest.mark.parametrize("name", PINNED)
+    @pytest.mark.parametrize("name", VECTORS)
     def test_one_vector(self, name):
-        vector, pinned = self.PINNED[name]
-        r = np.array(vector)
-        assert [self.hexes(m.evaluate(r, _norm(r))) for m in ALL_MEASURES] == list(pinned)
+        r = np.array(self.VECTORS[name])
+        values = [measure.evaluate(r, _norm(r)) for measure in ALL_MEASURES]
+        if name == "nan-x":  # l1 at the axes transverse to x, relent and skew at all
+            assert [np.isnan(v).sum() for v in values] == [2, 3, 3] and not np.isnan(values[0][0])
+            return
+        ints = exact_matrix(r)  # r = ints.re / ints.scale
+        for measure, value in zip(ALL_MEASURES, values):
+            exact = oracle_coherence(measure.value, ints.re, ints.scale)
+            assert (value >= 0.0).all()
+            error = max(abs(v - e) for v, e in zip(value.tolist(), exact))
+            assert error <= accuracy_bound(measure.value, 1)
 
     def test_one_stack_of_all_of_them(self):
-        r = np.array([vector for vector, _ in self.PINNED.values()])
-        for k, measure in enumerate(ALL_MEASURES):
-            values = measure.evaluate(r, _norm(r))
-            assert [self.hexes(row) for row in values] == [p[k] for _, p in self.PINNED.values()]
+        """A stack has the bits of its members evaluated one by one."""
+        r = np.array(list(self.VECTORS.values()))
+        for measure in ALL_MEASURES:
+            alone = [measure.evaluate(v, _norm(v)) for v in r]
+            assert np.array_equal(bits(measure.evaluate(r, _norm(r))), bits(np.array(alone)))
 
     def test_norm_is_one_ulp_above_one(self):
         for name in ("z-long", "tilted-long"):
-            assert _norm(np.array(self.PINNED[name][0])) == 1.0 + 2.0**-52
+            assert _norm(np.array(self.VECTORS[name])) == 1.0 + 2.0**-52
 
 
 class TestCoherenceTriple:

@@ -24,9 +24,11 @@ from naqc.qcore import (
 from naqc.states import TwoQubitBloch, bell, to_bloch
 from naqc.steering import ConditionalBranch, ShiftValues, conditional_states, shift_values
 from oracles import (
+    EXACT,
     counted_eigvalsh,
     diagonal_state,
     eig_hermitian,
+    oracle_parts,
     partial_trace_matrix,
     qubit_of_bloch,
     seeded_sample,
@@ -274,6 +276,17 @@ class TestSqrtPsd:
             root = sqrt_psd(rho)
             np.testing.assert_allclose(root, root.conj().T, atol=1e-12)
             np.testing.assert_allclose(root @ root, rho.matrix, atol=1e-9)
+
+
+@pytest.mark.parametrize("nqubits", [2, 3])
+def test_the_exact_reference_holds_fifty_digits(nqubits):
+    """Conditioned in integers, the reference rounds only in its 60-digit
+    divisions, roots and logarithms: at 100 digits no value moves by 1e-50."""
+    matrix = seeded_sample(nqubits, 77, 1).matrix
+    for measure in ("l1", "relent", "skew"):
+        at_60 = oracle_parts(matrix, measure)
+        with EXACT.workdps(100):
+            assert max(abs(a - b) for a, b in zip(at_60, oracle_parts(matrix, measure))) < 1e-50
 
 
 class TestBlochConversion:

@@ -3,14 +3,11 @@
 ``steering._shifts`` and ``_tripartite`` write every measure's values into
 one array, add the six outcome terms with one ``sum``, and hold each
 measure's slice to its own bound with one reduction over the stack; the
-tripartite suite takes its worst t3 margins with one subtraction per chunk.
-Each must give the words of the step-by-step references in ``oracles``:
-the outcome terms added one by one, the total (s_0 + s_1) + s_2, and
-``_criteria``'s margin bound - value. The references are elementwise along
-the measure axis, so matching them for every stack of measures, a repeat
-among them, gives each measure's slice the bits of that measure scored
-alone; each guard must hold each slice to its own measure's bound, with
-the message that measure alone would give.
+tripartite suite takes its worst t3 margins with one subtraction per chunk,
+which must be ``_criteria``'s margins bound - value. Each guard must hold
+each slice to its own measure's bound, with the message that measure alone
+would give. ``test_steering.TestAccuracy`` holds the values to the exact
+reference.
 """
 
 import numpy as np
@@ -20,8 +17,7 @@ from naqc import cli, coherence
 from naqc.coherence import Measure
 from naqc.qcore import ConsistencyError
 from naqc.steering import _condition, _criteria, _shifts, _tripartite
-from oracles import bits, outcome_sum, reference_scores
-from test_batch import STACK_SIZES, STATES, stacked
+from test_batch import STATES
 
 ALL = tuple(Measure)
 # the measure stacks scored: all, in another order, pairs, a repeat, one
@@ -33,30 +29,6 @@ MEASURE_STACKS = [
     (Measure.SKEW_INFORMATION, Measure.L1, Measure.SKEW_INFORMATION),
     (Measure.RELATIVE_ENTROPY,),
 ]
-
-
-def scored(cond, measures) -> list:
-    """``_shifts``' shifts and totals and, on three qubits, ``_tripartite``."""
-    s, total = _shifts(cond, measures)
-    return [s, total, None if cond.charlie is None else _tripartite(cond, measures)]
-
-
-def assert_same_words(got: list, expected: list) -> None:
-    for a, b in zip(got, expected):
-        if b is None:
-            assert a is None
-        else:
-            assert a.shape == b.shape
-            assert np.array_equal(bits(a), bits(b))
-
-
-@pytest.mark.parametrize("nqubits", [2, 3])
-@pytest.mark.parametrize("size", STACK_SIZES)
-def test_scores_match_the_step_by_step_reference(nqubits, size):
-    for matrices in stacked(STATES[nqubits], size):
-        cond = _condition(matrices)
-        for measures in MEASURE_STACKS + [(measure,) for measure in ALL]:
-            assert_same_words(scored(cond, measures), reference_scores(cond, measures))
 
 
 def poisoned_evaluator(measure: Measure, poison):
@@ -130,36 +102,13 @@ def test_a_poisoned_slice_fails_the_tripartite_guard(k, poison):
 
 @pytest.mark.parametrize("nqubits", [2, 3])
 def test_no_outcome_term_is_negative_zero(nqubits):
-    """numpy's sum and the one-by-one adds differ only in the sign of a sum
-    of zeros that starts with -0.0; the terms p * C are never -0.0."""
+    """A sum of zeros that starts with -0.0 is -0.0, which a report would
+    print as -0.000...; the terms p * C are never -0.0."""
     cond = _condition(np.stack([rho.matrix for rho in STATES[nqubits]]))
     for measure in ALL:
         terms = cond.prob[..., None] * measure.evaluate(cond.bloch, cond.norm)
         assert (terms == 0.0).any()  # dropped branches and zero coherence are here
         assert not np.signbit(terms).any()
-
-
-def layouts(x: np.ndarray) -> dict:
-    """``x`` in memory orders that put the outcome axis (-2) anywhere."""
-    return {
-        "C": x,
-        "F": np.asfortranarray(x),
-        "outcome innermost": np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2),
-        "strided": np.repeat(x, 2, axis=0)[::2],
-        "reversed": np.ascontiguousarray(x[..., ::-1, :])[..., ::-1, :],
-    }
-
-
-@pytest.mark.parametrize("shape", [(1, 6, 3), (2, 6, 3), (7, 3, 2, 6, 2), (3, 64, 6, 3)])
-def test_the_outcome_sum_adds_in_index_order_in_any_layout(shape):
-    """Terms of every magnitude from 1e-16 to 1, zeros among them: the
-    sum's words are those of the one-by-one adds whatever the layout."""
-    rng = np.random.default_rng(15)
-    x = rng.uniform(size=shape) * 10.0 ** rng.integers(-16, 1, size=shape)
-    x[rng.uniform(size=shape) < 0.1] = 0.0
-    expected = bits(outcome_sum(x))
-    for name, view in layouts(x).items():
-        assert np.array_equal(bits(view.sum(axis=-2)), expected), name
 
 
 @pytest.mark.parametrize("seed, samples", [(0, 130), (7, 3)])

@@ -25,7 +25,6 @@ from naqc.qcore import (
     ConsistencyError,
     DensityMatrix,
     NotAStateError,
-    projector,
 )
 from naqc.states import (
     bell,
@@ -39,10 +38,9 @@ from naqc.states import (
 )
 from naqc.steering import (
     CRITERIA,
-    ZERO_PROBABILITY,
+    DOUBLE_PAIRS,
     ShiftValues,
     _condition,
-    _charlie,
     _criteria,
     _limits,
     _parts,
@@ -54,10 +52,10 @@ from naqc.steering import (
     tripartite_report,
 )
 from oracles import (
-    oracle_branches,
+    accuracy_bound,
+    oracle_parts,
     oracle_shifts,
     oracle_t1_t2,
-    partial_trace_matrix,
     seeded_sample,
 )
 from test_batch import STACK_SIZES, STATES, stacked
@@ -472,27 +470,36 @@ class TestProductStates:
     shift is his triple, at most epsilon, and the criteria are attained, not
     flagged. At b = (1, 1, 1)/sqrt(3) every measure reaches its bound: an
     epsilon or a measure that is off by more than the flags' slack (1.3e-8
-    and up) either flags these states or leaves them short of the bound."""
+    and up) either flags these states or leaves them short of the bound.
+
+    The exact values of these float states are their bounds to within 4 ulp,
+    as RHO_B's rounded entries move each by about 2 u relative (u = 2**-53).
+    The library's values, up to 4.4e-16 above a bound, sit within
+    ``accuracy_bound`` of them: what they exceed a bound by is round-off."""
+
+    @staticmethod
+    def assert_attained(results, exact, units, measure: Measure, nqubits: int) -> None:
+        for result, exact_value, n in zip(results, exact, units):
+            assert abs(exact_value - n * measure.epsilon) <= 4 * math.ulp(result.bound)
+            assert abs(result.value - exact_value) <= accuracy_bound(measure.value, nqubits)
+            assert not result.violated
 
     @pytest.mark.parametrize("alice", [ZERO, HALF_I], ids=["zero", "mixed"])
     @pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.value)
     def test_bipartite_products_attain_every_bound(self, alice, measure):
         report = steering_report(DensityMatrix(np.kron(alice, RHO_B)), measure)
-        eps = measure.epsilon
-        assert abs(max(res.value for res in report.singles) - eps) <= 1e-12
-        assert abs(max(res.value for _, res in report.doubles) - 2 * eps) <= 1e-12
-        assert abs(report.triple.value - 3 * eps) <= 1e-12
         results = [*report.singles, *(res for _, res in report.doubles), report.triple]
-        assert not any(res.violated for res in results)
+        s = oracle_shifts(np.kron(alice, RHO_B), measure.value)
+        exact = [*s, *(s[j] + s[k] for j, k in DOUBLE_PAIRS), s[0] + s[1] + s[2]]
+        self.assert_attained(results, exact, (1, 1, 1, 2, 2, 2, 3), measure, 2)
 
     @pytest.mark.parametrize("measure", ALL_MEASURES, ids=lambda m: m.value)
     def test_tripartite_product_attains_t1_and_t2(self, measure):
         rho = DensityMatrix(np.kron(np.kron(ZERO, RHO_B), HALF_I))
         report = tripartite_report(rho, measure)
-        eps = measure.epsilon
-        assert abs(report.t1.value - 3 * eps) <= 1e-12
-        assert abs(report.t2.value - 6 * eps) <= 1e-12
-        assert not (report.t1.violated or report.t2.violated or report.t3.violated)
+        exact = oracle_t1_t2(rho.matrix, measure.value)
+        self.assert_attained([report.t1, report.t2], exact, (3, 6), measure, 3)
+        assert not report.t3.violated
 
     @pytest.mark.parametrize("nqubits, count", [(2, 10000), (3, 2000)])
     def test_product_mixtures_are_never_flagged(self, nqubits, count):
@@ -632,11 +639,6 @@ class TestConditioningMemo:
             tripartite_report(rho, measure)
         assert [c.shape for c in calls] == [(8, 8)]
         assert calls[0].tobytes() == matrix.tobytes()
-        # the six conditional AB states are the oracle's, in order
-        expected = [ab for _, _, ab in oracle_branches(matrix, last=True)]
-        assert len(expected) == 6
-        ab = _charlie(matrix)[1].reshape(6, 4, 4)
-        np.testing.assert_allclose(ab, expected, atol=1e-12)
 
     def test_threads_sharing_states_read_the_same_reports(self):
         matrices = [seeded_sample(2, SEEDS[2], i).matrix for i in range(4)]
@@ -688,9 +690,7 @@ class TestZeroProbabilityBranches:
             np.testing.assert_allclose(kept.state.r, [1.0, 0.0, 0.0], atol=1e-15)
             assert dropped.probability == 0.0
             np.testing.assert_array_equal(dropped.state.r, np.zeros(3))
-        np.testing.assert_allclose(
-            reports[Measure.L1].shift.values, oracle_shifts(matrix), atol=1e-12
-        )
+        assert_within_the_exact_bounds([matrix])
         for measure in ALL_MEASURES:
             again = steering_report(DensityMatrix(matrix), measure)
             assert report_hex(again) == report_hex(reports[measure])
@@ -709,9 +709,7 @@ class TestZeroProbabilityBranches:
         assert cond.charlie[2, 1] == 0.0
         # the dropped AB state contributes all-zero branches
         assert not cond.prob[2, 1].any() and not cond.bloch[2, 1].any()
-        t1, t2 = oracle_t1_t2(matrix)
-        assert reports[Measure.L1].t1.value == pytest.approx(t1, abs=1e-10)
-        assert reports[Measure.L1].t2.value == pytest.approx(t2, abs=1e-10)
+        assert_within_the_exact_bounds([matrix])
         for measure in ALL_MEASURES:
             again = tripartite_report(DensityMatrix(matrix), measure)
             assert report_hex(again) == report_hex(reports[measure])
@@ -991,126 +989,66 @@ class TestDerivedTotalTolerance:
             _tripartite(cond, skew, (s, total))
 
 
-def matmul_branches(rho: DensityMatrix) -> list:
-    """The six branches by dense matrix products, as ``_condition`` once
-    computed them: kron(P, I) or kron(I4, P), op @ rho @ op, np.trace,
-    partial_trace_matrix and the division by the probability. Each branch
-    is its probability and the exact hex of Bob's Bloch vector (two
-    qubits) or of every entry of the AB matrix (three)."""
-    nqubits = rho.nqubits
-    branches = []
-    for axis in (1, 2, 3):
-        for outcome in (0, 1):
-            if nqubits == 2:
-                op = np.kron(projector(axis, outcome), np.eye(2))
-            else:
-                op = np.kron(np.eye(4), projector(axis, outcome))
-            sub = op @ rho.matrix @ op
-            prob = float(np.trace(sub).real)
-            if prob < ZERO_PROBABILITY:
-                branches.append((0.0.hex(), None))
-                continue
-            keep = (1,) if nqubits == 2 else (0, 1)
-            rest = partial_trace_matrix(sub, nqubits, keep) / prob
-            if nqubits == 2:
-                rest = np.array([2 * rest[0, 1].real, 2 * rest[1, 0].imag,
-                                 (rest[0, 0] - rest[1, 1]).real])
-            branches.append((prob.hex(), hex_entries(rest)))
-    return branches
+def assert_within_the_exact_bounds(matrices) -> None:
+    """Every value of ``_parts`` of each state, for every measure, lies
+    within its measure's ``accuracy_bound`` of the exact value."""
+    matrices = np.array(matrices)
+    parts = _parts(_condition(matrices), tuple(ALL_MEASURES))
+    for measure, values in zip(ALL_MEASURES, parts):
+        bound = accuracy_bound(measure.value, int(math.log2(len(matrices[0]))))
+        for index, matrix in enumerate(matrices):
+            exact = oracle_parts(matrix, measure.value)
+            error = max(abs(v - e) for v, e in zip(values[index].tolist(), exact))
+            assert error <= bound, (measure, index, float(error))
 
 
-def hex_entries(arr: np.ndarray) -> list[str]:
-    values = arr.ravel()
-    if np.iscomplexobj(values):
-        values = np.column_stack([values.real, values.imag]).ravel()
-    return [float(v).hex() for v in values]
+class TestAccuracy:
+    """The stacked core within ``accuracy_bound`` of the exact reference, on
+    Haar-pure and Ginibre states of every rank, the family grids and a|000>
+    - b|111> (dropped branches among them) and ``low_branch_state``'s floor
+    states: at every SIMD level, where tests/golden.json pins one's bits."""
 
-
-def stacked_branches(rho: DensityMatrix) -> list:
-    """The branches of the stacked conditioning, in the form of
-    ``matmul_branches``: Bob's Bloch vectors from ``_condition`` (two
-    qubits), or Charlie's AB matrices from the stacked projection (three)."""
-    if rho.nqubits == 2:
-        cond = _condition(rho.matrix)
-        probs, states = cond.prob, cond.bloch
-    else:
-        probs, states = _charlie(rho.matrix)
-    branches = []
-    for prob, state in zip(probs.ravel().tolist(), states.reshape(6, -1)):
-        branches.append((prob.hex(), None if prob == 0.0 else hex_entries(state)))
-    return branches
-
-
-class TestConditioningIsBitwise:
-    """The stacked conditioning pass reproduces the dense matrix products bit
-    for bit, signed zeros included, on complex and real Ginibre states of
-    every rank, the three family grids, a|000> - b|111> and states with
-    zero-probability branches."""
-
-    FAMILY_GRID = [k / 100 for k in range(101)]
+    FAMILY_GRID = [k / 20 for k in range(21)]
 
     @pytest.mark.parametrize("nqubits", [2, 3])
     def test_ginibre_states_of_every_rank(self, nqubits):
-        for rank in range(1, 2**nqubits + 1):
-            for index in range(80 // 2**nqubits):
-                ss = np.random.SeedSequence([9700, nqubits, rank, index])
-                rho = random_mixed(nqubits, rank, ss)
-                assert stacked_branches(rho) == matmul_branches(rho)
-
-    @pytest.mark.parametrize("family", [pure_alpha, werner, ghz_alpha])
-    def test_family_grids(self, family):
-        for x in self.FAMILY_GRID:
-            rho = family(x)
-            assert stacked_branches(rho) == matmul_branches(rho)
+        """search's samples, Haar-pure and full-rank Ginibre in turn, and G
+        G^dag of every rank for a complex G, Haar-pure at rank 1."""
+        dim = 2**nqubits
+        matrices = list(sample_stack(nqubits, 40 // 4 ** (nqubits - 2)))
+        for rank, index in itertools.product(range(1, dim + 1), range(16 // dim)):
+            ss = np.random.SeedSequence([9700, nqubits, rank, index])
+            matrices.append(random_mixed(nqubits, rank, ss).matrix)
+        assert_within_the_exact_bounds(matrices)
 
     @pytest.mark.parametrize("nqubits", [2, 3])
     def test_real_ginibre_states_of_every_rank(self, nqubits):
-        """G G^T of a real G: real entries of both signs."""
+        """G G^T of every rank for a real G, whose real entries have both
+        signs and whose imaginary parts are all +0.0."""
         dim = 2**nqubits
-        for rank in range(1, dim + 1):
-            for index in range(80 // dim):
-                g = np.random.default_rng([9701, nqubits, rank, index]).standard_normal((dim, rank))
-                mat = g @ g.T
-                rho = DensityMatrix((mat / np.trace(mat)).astype(complex))
-                assert stacked_branches(rho) == matmul_branches(rho)
+        matrices = []
+        for rank, index in itertools.product(range(1, dim + 1), range(16 // dim)):
+            g = np.random.default_rng([9701, nqubits, rank, index]).standard_normal((dim, rank))
+            matrices.append(DensityMatrix((g @ g.T / np.sum(g * g)).astype(complex)).matrix)
+        assert_within_the_exact_bounds(matrices)
+
+    @pytest.mark.parametrize("family", [pure_alpha, werner, ghz_alpha])
+    def test_family_grids(self, family):
+        assert_within_the_exact_bounds([family(x).matrix for x in self.FAMILY_GRID])
 
     def test_real_ghz_with_a_negative_amplitude(self):
-        """a|000> - b|111>, whose entry (0, 7) is -ab with imaginary part
-        -0.0, the part that dividing by p + 0j would turn to +0.0."""
-        for x in self.FAMILY_GRID:
-            vec = np.zeros(8, dtype=complex)
-            vec[0], vec[7] = math.sqrt(x), -math.sqrt(1.0 - x)
-            rho = DensityMatrix(np.outer(vec, vec.conj()))
-            assert stacked_branches(rho) == matmul_branches(rho)
+        """a|000> - b|111>, whose entry (0, 7) is -ab with imaginary part -0.0."""
+        x = np.array(self.FAMILY_GRID)
+        vec = np.zeros((len(x), 8), dtype=complex)
+        vec[:, 0], vec[:, 7] = np.sqrt(x), -np.sqrt(1.0 - x)
+        assert_within_the_exact_bounds(vec[:, :, None] * vec[:, None, :].conj())
 
-    def test_real_pure_states_differ_at_most_in_the_sign_of_a_zero(self):
-        """np.outer(psi, psi.conj()) of a real psi holds -0.0 imaginary parts
-        beside negative real ones. A branch entry such as -x - 0j keeps its
-        -0.0 times 1.0 / p, where ``matmul_branches``' division by p + 0j
-        gives +0.0: the one way the two may differ, and no value does."""
-
-        def values(branches):
-            return [[float.fromhex(h) for h in [p] + (state or [])] for p, state in branches]
-
-        for nqubits in (2, 3):
-            rng = np.random.default_rng([9702, nqubits])
-            for _ in range(100):
-                psi = rng.standard_normal(2**nqubits)
-                psi = (psi / np.linalg.norm(psi)).astype(complex)
-                rho = DensityMatrix(np.outer(psi, psi.conj()))
-                assert values(stacked_branches(rho)) == values(matmul_branches(rho))
-
-    def test_zero_probability_states(self):
-        plus = np.full((2, 2), 0.5, dtype=complex)
-        zero = np.diag([1.0, 0.0]).astype(complex)
-        states = [
-            DensityMatrix(np.kron(zero, plus)),
-            DensityMatrix(np.kron(seeded_sample(2, SEEDS[2], 3).matrix, zero)),
-        ]
-        for rho in states:
-            expected = matmul_branches(rho)
-            assert sum(state is None for _, state in expected) == 1
-            assert stacked_branches(rho) == expected
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_floor_states(self, nqubits):
+        """Branches of probability 1e-8 to 1e-11 at the eigenvalue floor, whose
+        Bloch vectors are far longer than 1."""
+        floor = [low_branch_state(nqubits, p, 1e-10, 9e-11) for p in (1e-8, 1e-9, 1e-10, 1e-11)]
+        assert_within_the_exact_bounds(floor)
 
 
 def ginibre_states(nqubits: int):
@@ -1145,17 +1083,14 @@ def test_no_signalling_property(rho):
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_t3_is_exactly_t1_plus_t2_property(rho):
     """t3 against t1 + t2 added the other way round, Charlie's outcome
-    probabilities weighting the shift totals of his AB states, and t1 and
-    t2 (l1) against the density-matrix oracle; the report's t3 = t1 + t2
-    holds by construction and cannot fail on its own."""
+    probabilities weighting the shift totals of his AB states, and t1 to t3
+    against the exact reference; the report's t3 = t1 + t2 holds by
+    construction and cannot fail on its own."""
     cond = _condition(rho.matrix)
     added = (cond.charlie * _shifts(cond, tuple(ALL_MEASURES))[1]).sum(axis=(-2, -1))
     for measure, weighted in zip(ALL_MEASURES, added.tolist()):
         assert tripartite_report(rho, measure).t3.value == pytest.approx(weighted, abs=1e-12)
-    report = tripartite_report(rho, Measure.L1)
-    t1, t2 = oracle_t1_t2(rho.matrix)
-    assert report.t1.value == pytest.approx(t1, abs=1e-10)
-    assert report.t2.value == pytest.approx(t2, abs=1e-10)
+    assert_within_the_exact_bounds([rho.matrix])
 
 
 @given(ginibre_states(3), ginibre_states(3), st.floats(0.0, 1.0))
@@ -1169,18 +1104,6 @@ def test_tripartite_criteria_are_convex_property(first, second, weight):
     assert ((t[:, 2, :2] - convex).max(axis=1) <= CONVEXITY_TOL).all()
 
 
-@given(ginibre_states(2))
-@settings(max_examples=100, derandomize=True, deadline=None)
-def test_conditioning_is_bitwise_property(rho):
-    assert stacked_branches(rho) == matmul_branches(rho)
-
-
-@given(ginibre_states(3))
-@settings(max_examples=30, derandomize=True, deadline=None)
-def test_three_qubit_conditioning_is_bitwise_property(rho):
-    assert stacked_branches(rho) == matmul_branches(rho)
-
-
 def condition_fields(cond) -> list:
     return [None if field is None else field.tobytes() for field in cond]
 
@@ -1190,8 +1113,7 @@ class TestConditioningLayouts:
     chunks of 1, 2, 7 and all of ``test_batch.STATES``, family members with
     dropped branches among them, and layouts that no sampled chunk has give
     each state the bits it has alone, as a bare C-contiguous (D, D) matrix;
-    ``TestConditioningIsBitwise`` ties those to the dense products of
-    ``matmul_branches``."""
+    ``TestAccuracy`` holds those to the exact reference."""
 
     @staticmethod
     def layouts(stack: np.ndarray) -> dict:
@@ -1243,22 +1165,3 @@ def test_nan_in_any_part_of_any_entry_raises_or_is_never_read(nqubits):
     assert positions == {2: 32, 3: 128}[nqubits]
     assert raised > 0
 
-
-FINITE = st.floats(-2.0, 2.0)
-
-
-@given(FINITE, FINITE, st.floats(ZERO_PROBABILITY, 2.0))
-@settings(max_examples=500, derandomize=True, deadline=None)
-def test_complex_division_by_a_probability_is_a_product_with_its_inverse(re, im, p):
-    """numpy divides a complex k by p + 0j as (k.re + k.im * 0.0, k.im -
-    k.re * 0.0) times 1.0 / p, signed zeros included, so each nonzero part
-    is that part times 1.0 / p: the product ``_branches`` takes in place of
-    ``matmul_branches``' division of a branch by its probability. A
-    numpy whose complex division rounds otherwise fails here."""
-    quotient = (np.array([complex(re, im)]) / np.array([p])).view(float)
-    inverse = 1.0 / p
-    expected = [(re + im * 0.0) * inverse, (im - re * 0.0) * inverse]
-    assert [v.hex() for v in quotient.tolist()] == [v.hex() for v in expected]
-    for part, value in zip(quotient.tolist(), (re, im)):
-        if value != 0.0:
-            assert part.hex() == (value * inverse).hex()
