@@ -367,11 +367,12 @@ def _suite_complementarity(nqubits: int, seed: int, samples: int) -> SuiteResult
     for total, second in totals(seed, samples, _MEASURES):
         # each measure's lowest margin bound - total, as _criteria reports it
         np.minimum(worst, np.minimum.reduce(bound - total, axis=1), out=worst)
-        worst_second = max(worst_second, float(np.maximum.reduce(second, axis=None)))
+        # np.maximum keeps a NaN, where max(0.0, nan) would drop it
+        worst_second = np.maximum(worst_second, np.maximum.reduce(second, axis=None))
     lines = [f"measure {m}: worst margin {fmt(w)}" for m, w in zip(MEASURE_CHOICES, worst)]
     if second_name is not None:
         lines.append(f"worst {second_name}: {fmt(worst_second)}")
-    return lines, bool(np.minimum.reduce(worst) >= -1e-9) and worst_second <= 1e-12
+    return lines, bool(np.minimum.reduce(worst) >= -1e-9 and worst_second <= 1e-12)
 
 
 def _suite_no_signalling(seed: int, samples: int) -> SuiteResult:
@@ -381,8 +382,9 @@ def _suite_no_signalling(seed: int, samples: int) -> SuiteResult:
         reduced = _bloch_vector(matrices[:, :2, :2] + matrices[:, 2:, 2:])
         # Bob's state averaged over the outcomes of each of Alice's axes
         averaged = (cond.prob[..., None] * cond.bloch).sum(axis=-2)
-        worst = max(worst, float(np.max(np.abs(averaged - reduced[:, None, :]))))
-    return [f"worst reconstruction residual: {fmt(worst)}"], worst <= 1e-10
+        # np.maximum keeps a NaN, where max(0.0, nan) would drop it
+        worst = np.maximum(worst, np.max(np.abs(averaged - reduced[:, None, :])))
+    return [f"worst reconstruction residual: {fmt(worst)}"], bool(worst <= 1e-10)
 
 
 def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:

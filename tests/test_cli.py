@@ -710,6 +710,40 @@ class TestCheck:
         assert code == EXIT_STATE
         assert "Bloch vector norm" in capsys.readouterr().err
 
+    def test_a_nan_residual_fails_the_no_signalling_suite(self, monkeypatch, capsys):
+        """A NaN in one Bloch component of one branch, past the conditioning's
+        guards, stays in the running maximum: the suite prints nan and fails."""
+        condition = cli._condition
+
+        def poisoned(matrices):
+            cond = condition(matrices)
+            bloch = cond.bloch.copy()
+            bloch[3, 1, 0, 2] = np.nan
+            return cond._replace(bloch=bloch)
+
+        monkeypatch.setattr(cli, "_condition", poisoned)
+        assert main(["check", "--suite", "no-signalling", "--samples", "20"]) == EXIT_SUITE
+        out = capsys.readouterr().out
+        assert "worst reconstruction residual: nan\n" in out
+        assert "result: FAIL" in out
+
+    def test_a_nan_spread_fails_the_bipartite_suite(self, monkeypatch, capsys):
+        """A NaN in one decomposition spread stays in the running maximum."""
+        totals, name = cli._COMPLEMENTARITY[2]
+
+        def poisoned(*args):
+            for total, spread in totals(*args):
+                spread = spread.copy()
+                spread.flat[3] = np.nan
+                yield total, spread
+
+        monkeypatch.setitem(cli._COMPLEMENTARITY, 2, (poisoned, name))
+        argv = ["check", "--suite", "bipartite-complementarity", "--samples", "20"]
+        assert main(argv) == EXIT_SUITE
+        out = capsys.readouterr().out
+        assert "worst decomposition spread: nan\n" in out
+        assert "result: FAIL" in out
+
 
 SAMPLING_COMMANDS = [
     ["search", "--nqubits", "2", "--criterion", "double12", "--samples", "20"],

@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from naqc.coherence import (
     EPSILON_L1,
@@ -67,8 +65,13 @@ class TestBinaryEntropy:
             binary_entropy(p)
 
     def test_symmetric_peak(self):
+        """h2 peaks at 1 at p = 1/2 and lies in [0, 1] on a grid through the
+        subnormals, 1/2's neighbours and the last float below 1."""
         assert binary_entropy(0.5) == 1.0
         assert binary_entropy(0.2) == pytest.approx(binary_entropy(0.8), abs=1e-15)
+        half = [math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0)]
+        for p in [0.0, 5e-324, 1e-300, 0.2, *half, 0.8, 1.0 - 2.0**-53, 1.0]:
+            assert 0.0 <= binary_entropy(p) <= 1.0, p
 
     def test_bits_of_the_relent_measure(self):
         """At r = (x, 0, 0) the relent value on the z axis is 1 - h2((1 + x)/2):
@@ -167,6 +170,8 @@ class TestSkewInformation:
         )
 
     def test_pure_states_saturate(self):
+        """Skew's total is 2 on the sphere; there every measure's values are
+        not negative and their total is at most its epsilon + 1e-9."""
         # tolerance 1e-7: normalization error of order 1e-16 enters the
         # closed form through sqrt(lam_minus)
         rng = np.random.default_rng(7)
@@ -174,6 +179,10 @@ class TestSkewInformation:
             state = BlochQubit(unit_vector(rng))
             total = coherence_triple(state, Measure.SKEW_INFORMATION).total
             assert total == pytest.approx(EPSILON_SKEW, abs=1e-7)
+            for measure in ALL_MEASURES:
+                triple = coherence_triple(state, measure)
+                assert triple.total <= measure.epsilon + 1e-9
+                assert float(triple.values.min()) >= 0.0
 
     def test_symmetric_pure_state_saturates_exactly(self):
         total = coherence_triple(SYMMETRIC, Measure.SKEW_INFORMATION).total
@@ -210,9 +219,11 @@ class TestEdgeValues:
     """``Measure.evaluate`` wherever an evaluator masks or clamps: r = 0 and a
     norm below 1e-12 (skew's removable singularity), axis-aligned pure
     vectors (the entropy's p = 0 and p = 1), norms 1 ulp above 1 (the
-    lam_minus clamp and p >= 1), a vector whose rounded relent on y falls
-    below 0 (relent's clamp) and a NaN. Each value lies within
-    ``accuracy_bound`` of the exact one and, like it, is not negative."""
+    lam_minus clamp and p >= 1), the cube's corners projected onto the
+    sphere (where each measure's total reaches its epsilon), a vector whose
+    rounded relent on y falls below 0 (relent's clamp) and a NaN. Each
+    value lies within ``accuracy_bound`` of the exact one and, like it, is
+    not negative, and the three add to at most epsilon + 1e-9."""
 
     VECTORS = {
         "zero": [0.0, 0.0, 0.0],
@@ -222,9 +233,11 @@ class TestEdgeValues:
         "+z": [0.0, 0.0, 1.0],
         "z-long": [0.0, 0.0, 1.0 + 2.0**-52],
         "tilted-long": [0.6, 0.0, 0.8000000000000003],
+        **{f"corner{signs}": [(1.0 if c == "+" else -1.0) / math.sqrt(3.0) for c in signs]
+           for signs in ("+++", "+-+", "--+", "---")},
         "near-y": [0.0, 0.176, 1e-8],
         "nan-x": [math.nan, 0.1, 0.2],
-    }
+    }  # fmt: skip
 
     @pytest.mark.parametrize("name", VECTORS)
     def test_one_vector(self, name):
@@ -237,6 +250,7 @@ class TestEdgeValues:
         for measure, value in zip(ALL_MEASURES, values):
             exact = oracle_coherence(measure.value, ints.re, ints.scale)
             assert (value >= 0.0).all()
+            assert value.sum() <= measure.epsilon + 1e-9
             error = max(abs(v - e) for v, e in zip(value.tolist(), exact))
             assert error <= accuracy_bound(measure.value, 1)
 
@@ -292,28 +306,3 @@ class TestRotationInvariance:
                 before = at_axis(measure, BlochQubit(r), axis)
                 after = at_axis(measure, BlochQubit(self.rotate_about(r, axis, angle)), axis)
                 assert after == pytest.approx(before, abs=1e-10)
-
-
-@st.composite
-def bloch_vectors(draw):
-    v = np.array([draw(st.floats(-1, 1)) for _ in range(3)])
-    norm = np.linalg.norm(v)
-    if norm > 1.0:
-        v = v / norm
-    return v
-
-
-@given(bloch_vectors())
-@settings(max_examples=200, derandomize=True)
-def test_triple_sum_bounded_for_arbitrary_states(r):
-    state = BlochQubit(r)
-    for measure in ALL_MEASURES:
-        triple = coherence_triple(state, measure)
-        assert triple.total <= measure.epsilon + 1e-9
-        assert float(triple.values.min()) >= 0.0
-
-
-@given(st.floats(0, 1))
-@settings(max_examples=200, derandomize=True)
-def test_binary_entropy_range(p):
-    assert 0.0 <= binary_entropy(p) <= 1.0

@@ -83,15 +83,19 @@ def test_each_slice_is_held_to_its_own_bound(monkeypatch):
         _shifts(cond, ALL)
 
 
-@pytest.mark.parametrize("poison", [np.nan, 100.0], ids=["nan", "bound"])
+@pytest.mark.parametrize(
+    "poison, message",
+    [(np.nan, "tripartite total nan"), (100.0, "tripartite total")],
+    ids=["nan", "bound"],
+)
 @pytest.mark.parametrize("k", range(3))
-def test_a_poisoned_slice_fails_the_tripartite_guard(k, poison):
+def test_a_poisoned_slice_fails_the_tripartite_guard(k, poison, message):
     cond = _condition(np.stack([rho.matrix for rho in STATES[3][:5]]))
     s, total = _shifts(cond, ALL)
     total = total.copy()
     total[k, 3, 2, 1] = poison  # one AB state's shift total: t2, so t3, follows it
     alone = s[k : k + 1], total[k : k + 1]
-    with pytest.raises(ConsistencyError, match="tripartite total") as expected:
+    with pytest.raises(ConsistencyError, match=message) as expected:
         _tripartite(cond, ALL[k : k + 1], alone)
     with pytest.raises(ConsistencyError) as raised:
         _tripartite(cond, ALL, (s, total))

@@ -15,8 +15,6 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from naqc import qcore, steering
 from naqc.coherence import BOUND_TOL, CoherenceTriple, Measure, coherence_triple
@@ -134,11 +132,19 @@ class TestConditionalStates:
         np.testing.assert_array_equal(b1.state.r, np.zeros(3))
 
     def test_probabilities_sum_to_one(self):
-        for idx in range(100):
-            rho = seeded_sample(2, SEEDS[2], idx)
+        """For each of Alice's axes the outcome probabilities add to 1 and,
+        weighted by them, Bob's branches average to his reduced state (no
+        signalling), on seeded samples and on test_batch.STATES[2]: Ginibre
+        states of ranks 1 to 4 and states with dropped branches."""
+        states = [seeded_sample(2, SEEDS[2], idx) for idx in range(100)] + STATES[2]
+        for rho in states:
+            bob_r = to_bloch(rho).s
             for axis in (1, 2, 3):
-                total = sum(b.probability for b in conditional_states(rho, axis))
+                branches = conditional_states(rho, axis)
+                total = sum(b.probability for b in branches)
                 assert total == pytest.approx(1.0, abs=1e-10)
+                averaged = sum(b.probability * b.state.r for b in branches)
+                np.testing.assert_allclose(averaged, bob_r, atol=1e-10)
 
     def test_pure_family_conditionals_match_hand_derivation(self):
         for alpha in ALPHA_GRID:
@@ -353,15 +359,25 @@ class TestMixingMonotonicity:
     def test_tripartite_criteria_are_convex(self):
         """t1 and t2 of a mix of two three-qubit states, for every measure,
         never exceed the same mix of their values: each is a sum of
-        perspectives p * C(b) of convex measures, with p * b linear in rho."""
+        perspectives p * C(b) of convex measures, with p * b linear in rho.
+        Seeded pairs at random weights hold to 1e-9; pairs of
+        test_batch.STATES[3], among them |000> and |111>, whose mixes have
+        pure branches, hold to CONVEXITY_TOL, also at weights 0 and 1."""
         pairs = 500
-        first = np.array([seeded_sample(3, 8200, 2 * i).matrix for i in range(pairs)])
-        second = np.array([seeded_sample(3, 8200, 2 * i + 1).matrix for i in range(pairs)])
-        weight = np.random.default_rng(322).uniform(size=(pairs, 1))
+        first = [seeded_sample(3, 8200, 2 * i).matrix for i in range(pairs)]
+        second = [seeded_sample(3, 8200, 2 * i + 1).matrix for i in range(pairs)]
+        for a, b in itertools.combinations([rho.matrix for rho in STATES[3]], 2):
+            first += [a, a, a]
+            second += [b, b, b]
+        weight = np.random.default_rng(322).uniform(size=(len(first), 1))
+        weight[pairs + 1 :: 3], weight[pairs + 2 :: 3] = 0.0, 1.0
+        first, second = np.array(first), np.array(second)
         mixed = weight[..., None] * first + (1.0 - weight[..., None]) * second
         t = _tripartite(_condition(np.stack([first, second, mixed])), tuple(ALL_MEASURES))
         convex = weight * t[:, 0, :, :2] + (1.0 - weight) * t[:, 1, :, :2]
-        assert (t[:, 2, :, :2] - convex).max() <= 1e-9
+        excess = t[:, 2, :, :2] - convex
+        assert excess[:, :pairs].max() <= 1e-9
+        assert (excess[:, pairs:].max(axis=(1, 2)) <= CONVEXITY_TOL).all()
 
     def test_tripartite_criteria_of_states_mixed_with_themselves(self):
         """w * rho + (1 - w) * rho is rho up to round-off, which moves skew
@@ -979,21 +995,19 @@ class TestDerivedTotalTolerance:
             with pytest.raises(ConsistencyError, match=message):
                 _shifts(cond, (skew,))
 
-    def test_a_nan_t3_raises(self):
-        skew = (Measure.SKEW_INFORMATION,)
-        cond = _condition(ghz_alpha(1.0).matrix)
-        s, total = _shifts(cond, skew)
-        total = total.copy()
-        total[0, 1, 0] = np.nan
-        with pytest.raises(ConsistencyError, match="tripartite total nan"):
-            _tripartite(cond, skew, (s, total))
-
 
 def assert_within_the_exact_bounds(matrices) -> None:
     """Every value of ``_parts`` of each state, for every measure, lies
-    within its measure's ``accuracy_bound`` of the exact value."""
+    within its measure's ``accuracy_bound`` of the exact value. On three
+    qubits t3 is also held to t1 + t2 added the other way round, Charlie's
+    outcome probabilities weighting the shift totals of his AB states: the
+    report's t3 = t1 + t2 holds by construction and cannot fail on its own."""
     matrices = np.array(matrices)
-    parts = _parts(_condition(matrices), tuple(ALL_MEASURES))
+    cond = _condition(matrices)
+    parts = _parts(cond, tuple(ALL_MEASURES))
+    if cond.charlie is not None:
+        added = (cond.charlie * _shifts(cond, tuple(ALL_MEASURES))[1]).sum(axis=(-2, -1))
+        assert np.abs(parts[..., 2] - added).max() <= 1e-12
     for measure, values in zip(ALL_MEASURES, parts):
         bound = accuracy_bound(measure.value, int(math.log2(len(matrices[0]))))
         for index, matrix in enumerate(matrices):
@@ -1049,59 +1063,6 @@ class TestAccuracy:
         Bloch vectors are far longer than 1."""
         floor = [low_branch_state(nqubits, p, 1e-10, 9e-11) for p in (1e-8, 1e-9, 1e-10, 1e-11)]
         assert_within_the_exact_bounds(floor)
-
-
-def ginibre_states(nqubits: int):
-    """Random states G G^dag / Tr of every rank, from hypothesis floats."""
-    dim = 2 ** nqubits
-
-    def build(entries):
-        g = np.array(entries[0::2]) + 1j * np.array(entries[1::2])
-        g = g.reshape(dim, -1)
-        mat = g @ g.conj().T
-        return DensityMatrix(mat / np.trace(mat).real)
-
-    def entries_of_rank(rank):
-        size = 2 * dim * rank
-        return st.lists(st.floats(-1, 1), min_size=size, max_size=size).filter(
-            lambda v: float(np.abs(v).max()) > 1e-3
-        )
-
-    return st.integers(1, dim).flatmap(entries_of_rank).map(build)
-
-
-@given(ginibre_states(2))
-@settings(max_examples=100, derandomize=True, deadline=None)
-def test_no_signalling_property(rho):
-    bob_r = to_bloch(rho).s
-    for axis in (1, 2, 3):
-        averaged = sum(b.probability * b.state.r for b in conditional_states(rho, axis))
-        np.testing.assert_allclose(averaged, bob_r, atol=1e-10)
-
-
-@given(ginibre_states(3))
-@settings(max_examples=30, derandomize=True, deadline=None)
-def test_t3_is_exactly_t1_plus_t2_property(rho):
-    """t3 against t1 + t2 added the other way round, Charlie's outcome
-    probabilities weighting the shift totals of his AB states, and t1 to t3
-    against the exact reference; the report's t3 = t1 + t2 holds by
-    construction and cannot fail on its own."""
-    cond = _condition(rho.matrix)
-    added = (cond.charlie * _shifts(cond, tuple(ALL_MEASURES))[1]).sum(axis=(-2, -1))
-    for measure, weighted in zip(ALL_MEASURES, added.tolist()):
-        assert tripartite_report(rho, measure).t3.value == pytest.approx(weighted, abs=1e-12)
-    assert_within_the_exact_bounds([rho.matrix])
-
-
-@given(ginibre_states(3), ginibre_states(3), st.floats(0.0, 1.0))
-@settings(max_examples=30, derandomize=True, deadline=None)
-def test_tripartite_criteria_are_convex_property(first, second, weight):
-    """t1 and t2 of a mix of two states never exceed the mix of theirs, to
-    each measure's ``CONVEXITY_TOL``."""
-    mixed = weight * first.matrix + (1.0 - weight) * second.matrix
-    t = _tripartite(_condition(np.stack([first.matrix, second.matrix, mixed])), tuple(ALL_MEASURES))
-    convex = weight * t[:, 0, :2] + (1.0 - weight) * t[:, 1, :2]
-    assert ((t[:, 2, :2] - convex).max(axis=1) <= CONVEXITY_TOL).all()
 
 
 def condition_fields(cond) -> list:
