@@ -63,6 +63,8 @@ MEASURE_CHOICES = tuple(m.value for m in _MEASURES)
 # sampling command and by sweep; results do not depend on it
 CHUNK = 512
 
+_IDENTITY_4 = np.eye(4)  # np.eye runs a Python frame per call
+
 
 class DocumentError(ValueError):
     """The state document is malformed."""
@@ -180,8 +182,7 @@ def evaluate_lines(rho: DensityMatrix, measures: list[Measure]) -> list[str]:
 
 def cmd_evaluate(args) -> int:
     rho = load_state_document(args.state)
-    for line in evaluate_lines(rho, _measures(args.measure)):
-        print(line)
+    sys.stdout.write("\n".join(evaluate_lines(rho, _measures(args.measure))) + "\n")
     return EXIT_OK
 
 
@@ -299,20 +300,23 @@ def cmd_search(args) -> int:
             best_index, best_matrix = indices[k], matrices[k]
     best_kind = "pure" if best_index % 2 == 0 else "mixed"
     npure = (args.samples + 1) // 2
-    print(f"criterion: {args.criterion}")
-    print(f"measure: {measure.value}")
-    print(f"nqubits: {nqubits}")
-    print(f"samples: {args.samples} ({npure} pure, {args.samples - npure} mixed)")
-    print(f"master seed: {args.seed}")
-    print(f"max value: {fmt(best.value)}")
-    print(f"bound: {fmt(best.bound)}")
-    print(f"violated: {_yesno(best.violated)}")
-    print(f"best sample: index={best_index} kind={best_kind}")
-    print(f"reproduce with: numpy SeedSequence([{args.seed}, {best_index}])")
+    lines = [
+        f"criterion: {args.criterion}",
+        f"measure: {measure.value}",
+        f"nqubits: {nqubits}",
+        f"samples: {args.samples} ({npure} pure, {args.samples - npure} mixed)",
+        f"master seed: {args.seed}",
+        f"max value: {fmt(best.value)}",
+        f"bound: {fmt(best.bound)}",
+        f"violated: {_yesno(best.violated)}",
+        f"best sample: index={best_index} kind={best_kind}",
+        f"reproduce with: numpy SeedSequence([{args.seed}, {best_index}])",
+    ]
     if nqubits == 2:
         R = _pauli_tensor(best_matrix)  # validated with its chunk
         for label, row in zip(("r", "s", "T[0]", "T[1]", "T[2]"), (R[1:, 0], R[0, 1:], *R[1:, 1:])):
-            print(f"best state {label}: {' '.join(map(fmt, row))}")
+            lines.append(f"best state {label}: {' '.join(map(fmt, row))}")
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -324,10 +328,10 @@ def _bloch_totals(seed: int, samples: int, measures: tuple):
     qubit has no second quantity to check."""
     rng = np.random.default_rng(seed)
     for indices in _chunks(range(samples)):
-        r = np.stack([random_bloch_qubit_vector(rng) for _ in indices])
+        r = np.array([random_bloch_qubit_vector(rng) for _ in indices])
         norm = _norm(r)
         _check_bound("Bloch vector norm", norm, 1.0, BLOCH_NORM_TOL, NotAStateError)
-        yield np.stack([CoherenceTriple._totals(m.evaluate(r, norm), m) for m in measures]), 0.0
+        yield np.array([CoherenceTriple._totals(m.evaluate(r, norm), m) for m in measures]), 0.0
 
 
 def _shift_totals(seed: int, samples: int, measures: tuple):
@@ -381,17 +385,17 @@ def _suite_no_signalling(seed: int, samples: int) -> SuiteResult:
         cond = _condition(matrices)
         reduced = _bloch_vector(matrices[:, :2, :2] + matrices[:, 2:, 2:])
         # Bob's state averaged over the outcomes of each of Alice's axes
-        averaged = (cond.prob[..., None] * cond.bloch).sum(axis=-2)
+        averaged = np.add.reduce(cond.prob[..., None] * cond.bloch, axis=-2)
         # np.maximum keeps a NaN, where max(0.0, nan) would drop it
-        worst = np.maximum(worst, np.max(np.abs(averaged - reduced[:, None, :])))
+        worst = np.maximum.reduce(np.abs(averaged - reduced[:, None, :]), axis=None, initial=worst)
     return [f"worst reconstruction residual: {fmt(worst)}"], bool(worst <= 1e-10)
 
 
-def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
+def _mixing_margins(seed: int, samples: int):
+    """Per chunk of sample pairs: the lowest convexity and white-noise margins."""
     # the weights come in order from a generator of their own: SeedSequence
     # pads [seed] with zeros, so default_rng(seed) would be sample 0's
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    worst = np.full(2, np.inf)  # the convexity and the white-noise margin
     for indices in _chunks(range(samples)):
         # samples 2i and 2i + 1 of each pair index i, interleaved
         drawn = _samples(2, seed, range(2 * indices.start, 2 * indices.stop))
@@ -400,14 +404,19 @@ def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
         mixed = weight[..., None] * first + (1.0 - weight[..., None]) * second
         # the same weight mixes the first state with I/4, whose shifts are 0:
         # every branch's p b scales by it, so l1's shifts are linear in it
-        noisy = weight[..., None] * first + (1.0 - weight[..., None]) * np.eye(4) / 4
-        s = _shifts(_condition(np.stack([first, second, mixed, noisy])), _MEASURES)[0]
+        noisy = weight[..., None] * first + (1.0 - weight[..., None]) * _IDENTITY_4 / 4
+        s = _shifts(_condition(np.array([first, second, mixed, noisy])), _MEASURES)[0]
         s_convex = weight * s[:, 0] + (1.0 - weight) * s[:, 1]
-        margins = np.min(s_convex - s[:, 2]), np.min(weight * s[:, 0] - s[:, 3])
-        np.minimum(worst, np.add(margins, 1e-9), out=worst)
+        convexity = np.minimum.reduce(s_convex - s[:, 2], axis=None)
+        yield convexity, np.minimum.reduce(weight * s[:, 0] - s[:, 3], axis=None)
+
+
+def _suite_mixing_monotonicity(seed: int, samples: int) -> SuiteResult:
+    # the lowest convexity and white-noise margins of all chunks
+    worst = np.minimum.reduce(np.add(list(_mixing_margins(seed, samples)), 1e-9), axis=0)
     names = ("convexity", "white-noise")
     lines = [f"worst {n} margin (incl. 1e-9 tolerance): {fmt(w)}" for n, w in zip(names, worst)]
-    return lines, bool(worst.min() >= 0.0)
+    return lines, bool(np.minimum.reduce(worst) >= 0.0)
 
 
 # each suite and its default sample count
@@ -425,12 +434,8 @@ def cmd_check(args) -> int:
     samples = default_samples if args.samples is None else args.samples
     _check_run(samples, args.seed)
     lines, passed = suite(args.seed, samples)
-    print(f"suite: {args.suite}")
-    print(f"samples: {samples}")
-    print(f"seed: {args.seed}")
-    for line in lines:
-        print(line)
-    print(f"result: {'PASS' if passed else 'FAIL'}")
+    lines = [f"suite: {args.suite}", f"samples: {samples}", f"seed: {args.seed}", *lines]
+    sys.stdout.write("\n".join(lines) + f"\nresult: {'PASS' if passed else 'FAIL'}\n")
     return EXIT_OK if passed else EXIT_SUITE
 
 

@@ -194,9 +194,7 @@ def _check_state(mats: np.ndarray) -> None:
     herm_defect = np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(-1, -2)), axis=None)
     if not herm_defect <= HERMITICITY_TOL:
         raise NotAStateError(f"not Hermitian: max |M - M^dag| = {herm_defect:.3e}")
-    trace = mats.trace(axis1=-2, axis2=-1).ravel()
-    trace = trace[np.abs(trace - 1.0).argmax()]
-    if not abs(trace - 1.0) <= TRACE_TOL:
+    if not np.maximum.reduce(np.abs(mats.trace(axis1=-2, axis2=-1) - 1.0), axis=None) <= TRACE_TOL:
         # finite entries can overflow the diagonal's sum to inf - inf; an
         # eighth of each, D <= 8 of them, cannot, and adds to an eighth of it
         traces = (mats / 8).trace(axis1=-2, axis2=-1).ravel() * 8

@@ -77,14 +77,16 @@ CRITERIA = {
 }
 
 # For outcome k = 2 (axis - 1) + outcome and shift j, Bob's 0-based axis is
-# (axis - 1 + j) mod 3, a cyclic step from Alice's; the gather
-# w[..., _OUTCOME_ROWS, _SHIFT_AXES] puts the term of s_j from outcome k at
-# [..., k, j].
-_OUTCOME_ROWS = np.arange(6)[:, None]
-_SHIFT_AXES = (_OUTCOME_ROWS // 2 + np.arange(3)) % 3
-# the shift matched to Charlie's axis 1, 2, 3 is s_1, s_2, s_0
-_AXES = np.arange(3)
-_MATCHED = (_AXES + 1) % 3
+# (axis - 1 + j) mod 3, a cyclic step from Alice's. The terms p * C of a
+# state, flat in (outcome k, Bob's axis) order, hold the term of s_j from
+# outcome k at _SHIFT_TERMS[k, j], so one take gathers them at [..., k, j]
+# (mode "clip" as in coherence._TRANSVERSE).
+_SHIFT_AXES = (np.arange(6)[:, None] // 2 + np.arange(3)) % 3
+_SHIFT_TERMS = 3 * np.arange(6)[:, None] + _SHIFT_AXES
+# The shift matched to Charlie's axis 1, 2, 3 is s_1, s_2, s_0; the shifts
+# of his AB states, flat in (axis - 1, outcome, j) order, hold the matched
+# one of outcome c at _MATCHED[axis - 1, c].
+_MATCHED = 6 * np.arange(3)[:, None] + 3 * np.arange(2) + (np.arange(3)[:, None] + 1) % 3
 # the measure axis of a state's memo, DensityMatrix._parts
 _MEASURES = tuple(Measure)
 
@@ -236,7 +238,8 @@ def _shifts(cond: _Conditioning, measures: tuple) -> tuple[np.ndarray, np.ndarra
     order, and none is -0.0) and the total is (s_0 + s_1) + s_2, so a
     measure's slice has the bits of it scored alone. ``_check_totals`` guards both."""
     w = cond.prob[..., None] * np.array([m.evaluate(cond.bloch, cond.norm) for m in measures])
-    s = np.add.reduce(w.reshape(w.shape[:-3] + (6, 3))[..., _OUTCOME_ROWS, _SHIFT_AXES], axis=-2)
+    terms = w.reshape(w.shape[:-3] + (18,)).take(_SHIFT_TERMS, axis=-1, mode="clip")
+    s = np.add.reduce(terms, axis=-2)
     total = s[..., 0] + s[..., 1] + s[..., 2]
     _check_totals("shift total", total, _bounds(measures, 2), s, "shift value", cond.charlie)
     return s, total
@@ -248,7 +251,7 @@ def _tripartite(cond: _Conditioning, measures: tuple, shifts=None) -> np.ndarray
     default ``_shifts(cond, measures)``). t1 and t2 sum their six terms
     p(c) * s in the order of Charlie's outcomes; t3 = t1 + t2 is guarded."""
     s, total = _shifts(cond, measures) if shifts is None else shifts
-    matched = s.swapaxes(-1, -2)[..., _AXES, _MATCHED, :]
+    matched = s.reshape(s.shape[:-3] + (18,)).take(_MATCHED, axis=-1, mode="clip")
     w = np.empty(matched.shape + (2,))
     np.multiply(cond.charlie, matched, out=w[..., 0])
     np.multiply(cond.charlie, total - matched, out=w[..., 1])
@@ -345,6 +348,11 @@ class CriterionResult(NamedTuple):
     violated: bool
 
 
+# a CriterionResult from its three fields, in C: the generated __new__ runs
+# a Python frame per result
+_criterion_result = functools.partial(tuple.__new__, CriterionResult)
+
+
 @functools.cache
 def _limits(nqubits: int, measure: Measure) -> dict:
     """Each criterion of ``CRITERIA[nqubits]`` by name: its parts, its bound
@@ -374,7 +382,7 @@ def _scored(values, limits: dict) -> dict[str, CriterionResult]:
         value = values[parts[0]]
         for j in parts[1:]:
             value = value + values[j]
-        results[name] = CriterionResult(value, bound, value > limit)
+        results[name] = _criterion_result((value, bound, value > limit))
     return results
 
 

@@ -15,7 +15,9 @@ at a time.
 
 import contextlib
 import enum
+import functools
 import io
+import itertools
 import os
 import sys
 
@@ -25,6 +27,7 @@ import pytest
 from naqc import cli, steering
 from naqc.coherence import BOUND_TOL, Measure
 from naqc.qcore import (
+    TRACE_TOL,
     BlochQubit,
     ConsistencyError,
     DensityMatrix,
@@ -436,6 +439,22 @@ class TestStackedGuards:
         with pytest.raises(ConsistencyError, match="shift total .* exceeds"):
             _tripartite(cond._replace(prob=prob), (Measure.SKEW_INFORMATION,))
 
+    def test_validate_names_a_stacks_worst_trace(self):
+        """One reduction holds every trace of a sampled stack to 1 within
+        TRACE_TOL, and a failing stack is named by its worst trace. The
+        largest double within TRACE_TOL of 1 passes; the double 1.0 +
+        TRACE_TOL lies 8.3e-18 beyond it and fails."""
+        stack = cli._samples(2, SEED, range(64))
+        stack[9] = np.diag([np.nextafter(1.0 + TRACE_TOL, 0.0), 0.0, 0.0, 0.0])
+        _validate(stack)
+        stack[9, 0, 0] = 1.0 + TRACE_TOL
+        with pytest.raises(NotAStateError, match=r"trace must be 1, got 1\.0000000001[+-]"):
+            _validate(stack)
+        stack[20] *= 1.2
+        stack[41] *= 0.5
+        with pytest.raises(NotAStateError, match=r"trace must be 1, got 0\.5[+-]"):
+            _validate(stack)
+
     def test_validate_rejects_a_stack_with_one_nan_matrix(self):
         stack = np.stack([rho.matrix for rho in STATES[2][:5]])
         _validate(stack)
@@ -479,21 +498,13 @@ class TestStackedGuards:
 NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
 
 
-def foreign_frames(call) -> list[str]:
-    """``call()``, profiled: the functions of every Python frame it enters
-    in enum.py or in numpy's package, but for numpy.linalg (the
-    ``np.linalg.cholesky`` wrapper) and the ``errstate`` that it enters."""
+def entered_code(call) -> list:
+    """``call()``, profiled: the code object of every Python frame it enters."""
     seen = []
 
     def profile(frame, event, arg):
-        path = frame.f_code.co_filename
-        if event == "call" and (
-            path == enum.__file__
-            or path.startswith(NUMPY_DIR)
-            and not path.startswith(NUMPY_DIR + "linalg" + os.sep)
-            and not path.endswith(os.sep + "_ufunc_config.py")
-        ):
-            seen.append(f"{path}:{frame.f_code.co_name}")
+        if event == "call":
+            seen.append(frame.f_code)
 
     before = sys.getprofile()
     sys.setprofile(profile)
@@ -502,6 +513,20 @@ def foreign_frames(call) -> list[str]:
     finally:
         sys.setprofile(before)
     return seen
+
+
+def foreign_frames(call) -> list[str]:
+    """The functions of every Python frame ``call()`` enters in enum.py or
+    in numpy's package, but for numpy.linalg (the ``np.linalg.cholesky``
+    wrapper) and the ``errstate`` that it enters."""
+    return [
+        f"{code.co_filename}:{code.co_name}"
+        for code in entered_code(call)
+        if code.co_filename == enum.__file__
+        or code.co_filename.startswith(NUMPY_DIR)
+        and not code.co_filename.startswith(NUMPY_DIR + "linalg" + os.sep)
+        and not code.co_filename.endswith(os.sep + "_ufunc_config.py")
+    ]
 
 
 def report_every_measure(matrix: np.ndarray) -> None:
@@ -521,6 +546,13 @@ STACKED_CALLS = {
     "samples-2q": lambda: cli._samples(2, SEED, range(32)),
     "parts-2q": lambda: _parts(_condition(cli._samples(2, SEED, range(32))), _MEASURES),
     "suite-3q": lambda: cli._suite_complementarity(3, SEED, 2),
+    "suite-no-signalling": lambda: cli._suite_no_signalling(SEED, 2),
+    # a suite that seeds a generator of its own through numpy's SeedSequence,
+    # which enters np.concatenate once per suite, runs one chunk per call
+    "chunk-coherence-complementarity": functools.partial(
+        next, cli._bloch_totals(SEED, sys.maxsize, _MEASURES)
+    ),
+    "chunk-mixing-monotonicity": functools.partial(next, cli._mixing_margins(SEED, sys.maxsize)),
 }
 
 
@@ -532,3 +564,19 @@ def test_stacked_calls_enter_no_numpy_wrapper_or_enum_frame(name):
     first call may fill caches; the second is profiled."""
     STACKED_CALLS[name]()
     assert foreign_frames(STACKED_CALLS[name]) == []
+
+
+@pytest.mark.parametrize("nqubits", [2, 3])
+def test_reports_build_their_criterion_results_in_c(nqubits):
+    """Each criterion of a fresh state's reports is a CriterionResult that
+    ``tuple.__new__`` builds in C: the NamedTuple's generated ``__new__``, a
+    Python frame per criterion, never runs."""
+    rho = DensityMatrix(STATES[nqubits][1].matrix)
+    report = steering_report if nqubits == 2 else tripartite_report
+    reports = []
+    codes = entered_code(lambda: reports.extend(report(rho, m) for m in _MEASURES))
+    assert steering.CriterionResult.__new__.__code__ not in codes
+    for r, name in itertools.product(reports, CRITERIA[nqubits]):
+        result = REPORT_FIELDS[name](r)
+        assert type(result) is steering.CriterionResult
+        assert result == (result.value, result.bound, result.violated)

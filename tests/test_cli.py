@@ -1,6 +1,7 @@
 """Tests for the command-line front end: documents, sweeps, search, checks."""
 
 import argparse
+import io
 import json
 import math
 import os
@@ -907,6 +908,30 @@ class TestParserReuse:
         assert (code, out) == (EXIT_PARSE, "")
         assert err.startswith("usage: naqc check ")
         assert err.splitlines()[-1] == "naqc check: error: unrecognized arguments: extra"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "search", "check"])
+def test_a_report_is_one_write(command, tmp_path, monkeypatch):
+    """evaluate, search and check hand their whole report, each line ending
+    in a newline, to one write of stdout: a reader that closes the pipe
+    after the first lines leaves no later write of the report to fail."""
+    argv = {
+        "evaluate": ["evaluate", "--state", write_doc(tmp_path, "bell.json", {"family": "bell"})],
+        "search": ["search", "--nqubits", "2", "--criterion", "triple", "--samples", "4",
+                   "--seed", "3"],
+        "check": ["check", "--suite", "no-signalling", "--samples", "4", "--seed", "3"],
+    }[command]  # fmt: skip
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recording())
+    assert main(argv) == EXIT_OK
+    assert len(writes) == 1
+    assert writes[0].endswith("\n") and writes[0].count("\n") >= 5
 
 
 class TestEntryPoint:

@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from naqc import qcore, steering
+from naqc import coherence, qcore, steering
 from naqc.coherence import BOUND_TOL, CoherenceTriple, Measure, coherence_triple
 from naqc.qcore import (
     BLOCH_NORM_TOL,
@@ -51,6 +51,7 @@ from naqc.steering import (
 )
 from oracles import (
     accuracy_bound,
+    bits,
     oracle_parts,
     oracle_shifts,
     oracle_t1_t2,
@@ -100,6 +101,30 @@ class TestShiftAxis:
         # across the three shifts, every (Alice axis, Bob axis) pair appears once
         pairs = {(axis, shift_axis(axis, j)) for axis in (1, 2, 3) for j in (0, 1, 2)}
         assert len(pairs) == 9
+
+    # the leading shapes of the stacks the core gathers from: one two-qubit
+    # state or 7, and Charlie's (3, 2) AB branches of one three-qubit state or 7
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 2), (7, 3, 2)])
+    def test_flat_tables_select_what_the_fancy_indices_did(self, lead):
+        """On an arange stack of each shape, 3 measures in front and Bob's
+        (3, 2, 3) terms, shifts or vectors behind, one take of each flat
+        table selects exactly what the fancy index it replaced did, and l1
+        keeps the bits of hypot of the two gathers."""
+        x = np.arange(3 * math.prod(lead) * 18).reshape((3,) + lead + (3, 2, 3))
+        flat = x.reshape(x.shape[:-3] + (18,))
+        outcomes, axes = np.arange(6)[:, None], np.arange(3)
+        by_outcome = x.reshape(x.shape[:-3] + (6, 3))[..., outcomes, steering._SHIFT_AXES]
+        assert np.array_equal(flat.take(steering._SHIFT_TERMS, axis=-1, mode="clip"), by_outcome)
+        matched = x.swapaxes(-1, -2)[..., axes, (axes + 1) % 3, :]
+        assert np.array_equal(flat.take(steering._MATCHED, axis=-1, mode="clip"), matched)
+        # Bob's vectors, and one qubit's or a stack of them
+        for r in (x, x[0, ..., 0, 0, :]):
+            pairs = r.take(coherence._TRANSVERSE, axis=-1, mode="clip")
+            assert np.array_equal(pairs[..., 0, :], r[..., [1, 0, 0]])
+            assert np.array_equal(pairs[..., 1, :], r[..., [2, 2, 1]])
+            r = np.sin(r)  # distinct reals of either sign
+            expected = np.hypot(r[..., [1, 0, 0]], r[..., [2, 2, 1]])
+            assert np.array_equal(bits(coherence._l1(r, None)), bits(expected))
 
 
 class TestConditionalStates:
