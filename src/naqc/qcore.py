@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "HERMITICITY_TOL",
@@ -190,7 +191,15 @@ def _check_state(mats: np.ndarray) -> None:
     """The Hermiticity and trace checks, then a Cholesky of ``mats + 1e-10
     I``, which certifies every eigenvalue >= -1e-10 (up to about 1e-16);
     only a stack it fails goes to the eigensolver, which accepts -1e-10 and
-    names the lowest value."""
+    names the lowest value.
+
+    The Cholesky is numpy's gufunc, the one ``np.linalg.cholesky`` calls,
+    without that wrapper's Python frames: ``mats`` is a complex stack of
+    square matrices already. It marks a matrix it cannot factor with
+    numpy's ``invalid`` flag, which the wrapper turns into ``LinAlgError``
+    and this errstate into ``FloatingPointError``; the other flags are
+    ignored, as the wrapper ignores them, so no caller's error state
+    changes the verdict."""
     herm_defect = np.maximum.reduce(np.abs(mats - mats.conj().swapaxes(-1, -2)), axis=None)
     if not herm_defect <= HERMITICITY_TOL:
         raise NotAStateError(f"not Hermitian: max |M - M^dag| = {herm_defect:.3e}")
@@ -200,8 +209,11 @@ def _check_state(mats: np.ndarray) -> None:
         traces = (mats / 8).trace(axis1=-2, axis2=-1).ravel() * 8
         raise NotAStateError(f"trace must be 1, got {traces[np.abs(traces - 1.0).argmax()]:.12g}")
     try:
-        np.linalg.cholesky(mats + _FLOOR_SHIFT[: mats.shape[-1], : mats.shape[-1]])
-    except np.linalg.LinAlgError:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            _umath_linalg.cholesky_lo(
+                mats + _FLOOR_SHIFT[: mats.shape[-1], : mats.shape[-1]], signature="D->D"
+            )
+    except FloatingPointError:
         lowest = np.minimum.reduce(np.linalg.eigvalsh(mats), axis=None)
         if not lowest >= EIGVAL_FLOOR:
             raise NotAStateError(f"negative eigenvalue {lowest:.3e}") from None

@@ -405,8 +405,7 @@ def _decompositions(s0, s1, s2) -> tuple:
 _Double = tuple[tuple[int, int], CriterionResult]  # a pair of DOUBLE_PAIRS and its criterion
 
 
-@dataclass(frozen=True)
-class SteeringReport:
+class SteeringReport(NamedTuple):
     """Every bipartite criterion for one state and one measure.
 
     ``singles[j]`` is the one-setting criterion s_j <= epsilon; j = 0 is the
@@ -419,6 +418,10 @@ class SteeringReport:
     (0+1+2, 01+2, 02+1, 12+0); they are exact regroupings of one sum, so
     they agree to round-off. Whenever a double is violated, the
     complementary single is satisfied, because the total is bounded.
+
+    Like ``TripartiteReport``, it is an immutable ``NamedTuple`` that
+    compares by value, and it indexes and unpacks as the tuple of its
+    fields.
     """
 
     shift: ShiftValues
@@ -438,11 +441,10 @@ def steering_report(rho: DensityMatrix, measure: Measure) -> SteeringReport:
     s = sv.values.tolist()
     results = list(_criteria(2, s, measure).values())
     doubles = tuple(zip(DOUBLE_PAIRS, results[3:6]))
-    return SteeringReport(sv, tuple(results[:3]), doubles, results[6], _decompositions(*s))
+    return _steering_report((sv, tuple(results[:3]), doubles, results[6], _decompositions(*s)))
 
 
-@dataclass(frozen=True)
-class TripartiteReport:
+class TripartiteReport(NamedTuple):
     """The three tripartite criteria for one state and one measure.
 
     ``t1`` sums p(c | i) * s_{i mod 3}(conditional AB state) over Charlie's
@@ -457,6 +459,12 @@ class TripartiteReport:
     measure: Measure
 
 
+# each report from its fields, in C, as _criterion_result builds a
+# CriterionResult
+_steering_report = functools.partial(tuple.__new__, SteeringReport)
+_tripartite_report = functools.partial(tuple.__new__, TripartiteReport)
+
+
 def tripartite_report(rho: DensityMatrix, measure: Measure) -> TripartiteReport:
     """Evaluate t1, t2 and t3 from Charlie's conditional AB states.
 
@@ -464,4 +472,4 @@ def tripartite_report(rho: DensityMatrix, measure: Measure) -> TripartiteReport:
     t3) of each on it, so reports for further measures read their row.
     """
     t = _row(rho, measure, 3).tolist()
-    return TripartiteReport(*_criteria(3, t, measure).values(), measure)
+    return _tripartite_report((*_criteria(3, t, measure).values(), measure))

@@ -20,9 +20,11 @@ import io
 import itertools
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from naqc import cli, steering
 from naqc.coherence import BOUND_TOL, Measure
@@ -32,6 +34,7 @@ from naqc.qcore import (
     ConsistencyError,
     DensityMatrix,
     NotAStateError,
+    _FLOOR_SHIFT,
     _check_bound,
     _check_nonnegative,
     _validate,
@@ -494,6 +497,50 @@ class TestStackedGuards:
         _validate(_random_states(3, [np.random.default_rng(i) for i in range(64)]))
         assert calls == []
 
+    @pytest.mark.parametrize("nqubits", [2, 3])
+    def test_the_certificate_is_numpys_cholesky(self, nqubits):
+        """Validation calls numpy's private gufunc ``cholesky_lo``, which
+        ``np.linalg.cholesky`` wraps: on sampled stacks shifted by the floor,
+        as the certificate factors them, the two agree bit for bit, and a
+        matrix neither can factor raises ``FloatingPointError`` from the
+        gufunc under ``invalid="raise"``. A numpy release that moves or
+        changes the gufunc fails here."""
+        dim = 2**nqubits
+        stack = cli._samples(nqubits, SEED, range(64)) + _FLOOR_SHIFT[:dim, :dim]
+        with np.errstate(invalid="raise"):
+            factor = _umath_linalg.cholesky_lo(stack, signature="D->D")
+        assert (bits(factor) == bits(np.linalg.cholesky(stack))).all()
+        stack[5] = diagonal_state(dim, -0.5)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+            _umath_linalg.cholesky_lo(stack, signature="D->D")
+
+    @pytest.mark.parametrize("errors", [{"all": "raise"}, {"all": "ignore"}, {}])
+    def test_validation_does_not_depend_on_numpys_error_state(self, errors, monkeypatch):
+        """Validation sets the error state of its Cholesky gufunc itself, so a
+        caller's raise, ignore or default state changes no verdict and
+        nothing warns. A sampled state and chunk pass on the certificate, as
+        does the eigenvalue -1e-11 (9e-11 once shifted); the floor -1e-10
+        passes through the eigensolver; -0.5 fails, alone and as one member
+        of a sampled stack of 32."""
+        calls = counted_eigvalsh(monkeypatch)
+        with warnings.catch_warnings(), np.errstate(**errors):
+            warnings.simplefilter("error")
+            state = np.geterr()
+            DensityMatrix(STATES[2][1].matrix)
+            DensityMatrix(diagonal_state(4, -1e-11))
+            stack = cli._samples(2, SEED, range(32))
+            assert calls == []
+            DensityMatrix(diagonal_state(4, -1e-10))
+            with pytest.raises(NotAStateError, match="negative eigenvalue -5.000e-01"):
+                DensityMatrix(diagonal_state(4, -0.5))
+            stack[19] = diagonal_state(4, -0.5)
+            with pytest.raises(NotAStateError, match="negative eigenvalue -5.000e-01"):
+                _validate(stack)
+            assert np.geterr() == state
+        assert calls == [(4, 4), (4, 4), stack.shape]
+
 
 NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
 
@@ -517,14 +564,13 @@ def entered_code(call) -> list:
 
 def foreign_frames(call) -> list[str]:
     """The functions of every Python frame ``call()`` enters in enum.py or
-    in numpy's package, but for numpy.linalg (the ``np.linalg.cholesky``
-    wrapper) and the ``errstate`` that it enters."""
+    in numpy's package, but for the ``errstate`` around validation's
+    Cholesky gufunc."""
     return [
         f"{code.co_filename}:{code.co_name}"
         for code in entered_code(call)
         if code.co_filename == enum.__file__
         or code.co_filename.startswith(NUMPY_DIR)
-        and not code.co_filename.startswith(NUMPY_DIR + "linalg" + os.sep)
         and not code.co_filename.endswith(os.sep + "_ufunc_config.py")
     ]
 
@@ -569,13 +615,20 @@ def test_stacked_calls_enter_no_numpy_wrapper_or_enum_frame(name):
 @pytest.mark.parametrize("nqubits", [2, 3])
 def test_reports_build_their_criterion_results_in_c(nqubits):
     """Each criterion of a fresh state's reports is a CriterionResult that
-    ``tuple.__new__`` builds in C: the NamedTuple's generated ``__new__``, a
-    Python frame per criterion, never runs."""
+    ``tuple.__new__`` builds in C, and so is each report: no generated
+    ``__new__`` or ``__init__`` of CriterionResult or of either report, a
+    Python frame per record, runs."""
     rho = DensityMatrix(STATES[nqubits][1].matrix)
-    report = steering_report if nqubits == 2 else tripartite_report
+    report, record = {
+        2: (steering_report, steering.SteeringReport),
+        3: (tripartite_report, steering.TripartiteReport),
+    }[nqubits]
     reports = []
     codes = entered_code(lambda: reports.extend(report(rho, m) for m in _MEASURES))
-    assert steering.CriterionResult.__new__.__code__ not in codes
+    records = (steering.CriterionResult, steering.SteeringReport, steering.TripartiteReport)
+    for cls, method in itertools.product(records, ("__new__", "__init__")):
+        assert getattr(getattr(cls, method), "__code__", None) not in codes, (cls, method)
+    assert all(type(r) is record for r in reports)
     for r, name in itertools.product(reports, CRITERIA[nqubits]):
         result = REPORT_FIELDS[name](r)
         assert type(result) is steering.CriterionResult
